@@ -9,8 +9,7 @@ from .engine import (ClosureResult, ForcingTrace, closure,  # noqa: E402
 from .butterfly import (Diamond, binding_diamonds, build_butterfly,  # noqa: E402
                         decompose_subcopies, edge_kind)
 from .solver import (EdgeForcingVerdict, InstanceTooLarge,  # noqa: E402
-                     min_edge_forcing, min_zero_forcing,
-                     no_smaller_edge_forcing)
+                     min_edge_forcing, min_zero_forcing)
 from .constructions import (BoundsReport, ConstructionError,  # noqa: E402
                             Obstruction, construct_edge_forcing, known_bounds,
                             structural_lower_bound)
@@ -28,7 +27,7 @@ __all__ = [
     "Diamond", "binding_diamonds", "build_butterfly", "decompose_subcopies",
     "edge_kind",
     "EdgeForcingVerdict", "InstanceTooLarge", "min_edge_forcing",
-    "min_zero_forcing", "no_smaller_edge_forcing",
+    "min_zero_forcing",
     "BoundsReport", "ConstructionError", "Obstruction",
     "construct_edge_forcing", "known_bounds", "structural_lower_bound",
     "ReductionMap", "build_gbar", "lift_zero_forcing", "normalize_and_project",

@@ -115,12 +115,6 @@ def binding_diamonds(r: int) -> list[Diamond]:
     return out
 
 
-def mirror_vertex(r: int, index: int) -> int:
-    """Mirror image: flip the weight-1 bit of the row."""
-    row, level = vertex_coord(r, index)
-    return vertex_index(r, row ^ 1, level)
-
-
 @dataclass(frozen=True)
 class SubCopy:
     """One of the four BF(r-2) copies induced on levels 0..r-2.
@@ -148,12 +142,3 @@ def decompose_subcopies(r: int) -> list[SubCopy]:
                 iso[vertex_index(r, row, level)] = vertex_index(r - 2, low, level)
         copies.append(SubCopy(hb, frozenset(iso), iso))
     return copies
-
-
-def induced_subgraph(g: Graph, vertices: frozenset[int]) -> Graph:
-    """Induced subgraph with vertices relabeled by sorted order."""
-    order = sorted(vertices)
-    remap = {v: i for i, v in enumerate(order)}
-    edges = [(remap[u], remap[v]) for u, v in g.edges
-             if u in vertices and v in vertices]
-    return from_edges(len(order), edges)

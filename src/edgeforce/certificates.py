@@ -16,10 +16,10 @@ from typing import Any, Iterable, Optional, Union
 
 from . import __version__
 from .butterfly import build_butterfly
-from .constructions import (BoundsReport, bf2_exhaustion, known_bounds,
-                            structural_lower_bound)
+from .constructions import BoundsReport, known_bounds, structural_lower_bound
 from .engine import closure, is_edge_forcing_set, is_zero_forcing_set
 from .graph import Edge, Graph, GraphError, from_edges, normalize_edge
+from .solver import DEFAULT_MAX_EDGES, exhaust_matchings
 
 SCHEMA_VERSION = "efc-1"
 
@@ -122,6 +122,8 @@ def parse_certificate(doc: Union[str, dict]) -> Certificate:
             doc = json.loads(doc)
         except json.JSONDecodeError as exc:
             raise CertificateError(f"malformed JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise CertificateError("certificate must be a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise CertificateError(
             f"schema mismatch: expected {SCHEMA_VERSION!r}, "
@@ -129,6 +131,10 @@ def parse_certificate(doc: Union[str, dict]) -> Certificate:
     kind = doc.get("kind")
     if kind not in CLAIM_KINDS:
         raise CertificateError(f"unknown claim kind {kind!r}")
+    if "graph" not in doc:
+        raise CertificateError('certificate needs a "graph" field')
+    if not isinstance(doc.get("claim", {}), dict):
+        raise CertificateError('certificate field "claim" must be an object')
     return Certificate(
         kind=kind, graph=doc["graph"], claim=doc.get("claim", {}),
         witness=doc.get("witness"), trace=doc.get("trace"),
@@ -196,7 +202,7 @@ def verify_certificate(doc: Union[str, dict, Certificate]
         return True, "edge-forcing witness verifies at the claimed value"
 
     if kind == "nonexistence":
-        if g.edge_count > 24:
+        if g.edge_count > DEFAULT_MAX_EDGES:
             return False, "nonexistence re-verification limited to small graphs"
         counts = {str(k): v for k, v in bf2_nonexistence_counts(g).items()}
         if counts != c.claim["matchings_tested_per_size"]:
@@ -205,6 +211,9 @@ def verify_certificate(doc: Union[str, dict, Certificate]
         return True, "exhaustive re-run confirms nonexistence"
 
     if kind == "bounds":
+        if not isinstance(c.claim.get("r"), int):
+            raise CertificateError('bounds certificate needs an integer '
+                                   '"claim.r"')
         report = known_bounds(c.claim["r"])
         expected = bounds_claim(report)
         if expected != c.claim:
@@ -223,14 +232,10 @@ def verify_certificate(doc: Union[str, dict, Certificate]
 
 def bf2_nonexistence_counts(g: Graph) -> dict[int, int]:
     """Exhaustion counts for a small graph with no edge-forcing set."""
-    from .graph import all_matchings
-    from .engine import forces_all, matching_endpoints
-    counts: dict[int, int] = {}
-    for size, m in all_matchings(g):
-        counts[size] = counts.get(size, 0) + 1
-        if forces_all(g, matching_endpoints(m)):
-            raise CertificateError(
-                f"graph admits an edge-forcing set {sorted(m)}")
+    witness, counts = exhaust_matchings(g)
+    if witness is not None:
+        raise CertificateError(
+            f"graph admits an edge-forcing set {sorted(witness)}")
     return counts
 
 
@@ -244,7 +249,7 @@ def bounds_claim(report: BoundsReport) -> dict:
 
 def bf2_nonexistence() -> Certificate:
     """Exhaustive nonexistence certificate for BF(2)."""
-    counts = bf2_exhaustion()
+    counts = bf2_nonexistence_counts(build_butterfly(2))
     return Certificate(
         kind="nonexistence",
         graph="butterfly:2",

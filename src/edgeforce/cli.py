@@ -22,7 +22,8 @@ from .constructions import (DEFAULT_SEED, ConstructionError,
 from .engine import closure, is_edge_forcing_set, is_zero_forcing_set
 from .graph import Edge, Graph
 from .reduction import build_gbar
-from .solver import InstanceTooLarge, min_edge_forcing, min_zero_forcing
+from .solver import (DEFAULT_MAX_EDGES, DEFAULT_MAX_VERTICES,
+                     InstanceTooLarge, min_edge_forcing, min_zero_forcing)
 
 
 def to_dot(g: Graph, highlight: Optional[Iterable[Edge]] = None) -> str:
@@ -43,9 +44,13 @@ def _load_graph(path: str) -> Graph:
         return parse_graph(fh.read())
 
 
-def _load_set(path: str) -> dict:
+def _load_set(path: str, key: str) -> list:
+    """The array field `key` of a JSON set file."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        doc = json.load(fh)
+    if not isinstance(doc, dict) or not isinstance(doc.get(key), list):
+        raise CertificateError(f'set file needs an array field "{key}"')
+    return doc[key]
 
 
 def _print_cert(cert: Certificate) -> None:
@@ -76,15 +81,14 @@ def cmd_closure(args) -> int:
 
 def cmd_check(args) -> int:
     g = _load_graph(args.graph)
-    payload = _load_set(args.set)
     if args.what == "zfs":
-        vertices = payload["vertices"]
+        vertices = _load_set(args.set, "vertices")
         ok = is_zero_forcing_set(g, vertices)
         cert = Certificate(kind="zfs-check", graph=g.to_json_dict(),
                            claim={"set": sorted(vertices), "result": ok})
         _print_cert(cert)
         return 0 if ok else 1
-    edges = [tuple(e) for e in payload["edges"]]
+    edges = [tuple(e) for e in _load_set(args.set, "edges")]
     diagnostics: list[str] = []
     ok = is_edge_forcing_set(g, edges, diagnostics=diagnostics)
     claim = {"size": len(edges), "result": ok}
@@ -105,12 +109,9 @@ def cmd_solve(args) -> int:
                            witness=vertex_witness(g, witness))
         _print_cert(cert)
         return 0
-    verdict = min_edge_forcing(g, max_edges=args.max_edges,
-                               workers=args.parallel)
+    verdict = min_edge_forcing(g, max_edges=args.max_edges)
     search = {"explored": verdict.explored,
-              "max_matching_size_searched": verdict.max_matching_size_searched,
-              "workers": args.parallel,
-              "canonical_witness": verdict.canonical_witness}
+              "max_matching_size_searched": verdict.max_matching_size_searched}
     if verdict.exists:
         cert = Certificate(kind="ef-number", graph=g.to_json_dict(),
                            claim={"value": verdict.value},
@@ -118,8 +119,7 @@ def cmd_solve(args) -> int:
                            search=search)
         _print_cert(cert)
         return 0
-    from .certificates import bf2_nonexistence_counts
-    counts = bf2_nonexistence_counts(g)
+    counts = verdict.matchings_tested_per_size
     cert = Certificate(
         kind="nonexistence", graph=g.to_json_dict(),
         claim={"verdict": "not-exists",
@@ -210,10 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="exact forcing numbers")
     p.add_argument("what", choices=["zf", "ef"])
     p.add_argument("--graph", required=True)
-    p.add_argument("--parallel", type=int, default=1, metavar="W")
-    p.add_argument("--max-n", type=int, default=24,
+    p.add_argument("--max-n", type=int, default=DEFAULT_MAX_VERTICES,
                    help="vertex guard for the zf search")
-    p.add_argument("--max-edges", type=int, default=40,
+    p.add_argument("--max-edges", type=int, default=DEFAULT_MAX_EDGES,
                    help="edge guard for the ef search")
     p.set_defaults(func=cmd_solve)
 

@@ -303,24 +303,6 @@ def construct_edge_forcing(r: int, seed: int = DEFAULT_SEED,
     return witness
 
 
-def bf2_exhaustion() -> dict[int, int]:
-    """Exhaustively test every matching of BF(2); none may force.
-
-    Returns the count of matchings tested per size.  Raises if any matching
-    turns out to be edge-forcing; the enumeration is the proof that none is.
-    """
-    from .graph import all_matchings  # local import keeps module load light
-
-    g = build_butterfly(2)
-    counts: dict[int, int] = {}
-    for size, matching in all_matchings(g):
-        counts[size] = counts.get(size, 0) + 1
-        if is_edge_forcing_set(g, matching):
-            raise ConstructionError(
-                f"unexpected edge-forcing matching of BF(2): {sorted(matching)}")
-    return counts
-
-
 # ---------------------------------------------------------------------------
 # bounds
 # ---------------------------------------------------------------------------

@@ -173,28 +173,3 @@ def matchings_of_size(g: Graph, k: int) -> Iterator[frozenset[Edge]]:
             used.discard(v)
 
     yield from extend(0, k)
-
-
-def all_matchings(g: Graph) -> Iterator[tuple[int, frozenset[Edge]]]:
-    """Yield (size, matching) for every size from 1 upward until none exist."""
-    k = 1
-    while True:
-        empty = True
-        for match in matchings_of_size(g, k):
-            empty = False
-            yield k, match
-        if empty:
-            return
-        k += 1
-
-
-def maximum_matching_size(g: Graph) -> int:
-    """Largest k for which a k-edge matching exists (greedy-free, exact)."""
-    best = 0
-    k = 1
-    while True:
-        found = next(matchings_of_size(g, k), None)
-        if found is None:
-            return best
-        best = k
-        k += 1

@@ -1,86 +1,29 @@
-"""Closure propagation kernels.
+"""Closure propagation kernel.
 
-Two interchangeable backends compute the round-synchronous closure:
-
-* a numba ``@njit`` kernel over CSR adjacency (default when numba imports), and
-* a vectorized numpy fallback.
-
-Set ``EDGEFORCE_FORCE_NUMPY=1`` to force the numpy path; the benchmark in
-``benchmarks/bench_closure.py`` compares the two.
-
-Both backends implement the same reference schedule: each round scans
-vertices in ascending index, collects every black vertex whose unique white
-neighbor is still unclaimed this round (smallest-index forcer wins a tie),
-then applies all collected forces at once.
+A vectorized numpy kernel computes the round-synchronous closure under the
+reference schedule: each round scans vertices in ascending index, collects
+every black vertex whose unique white neighbor is still unclaimed this
+round (smallest-index forcer wins a tie), then applies all collected
+forces at once.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_FORCE_NUMPY = os.environ.get("EDGEFORCE_FORCE_NUMPY", "") not in ("", "0")
 
-try:  # pragma: no cover - import guard
-    if _FORCE_NUMPY:
-        raise ImportError
-    from numba import njit
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        def wrap(f):
-            return f
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
+def backend_name() -> str:
+    """Name of the closure kernel, for environment stamps."""
+    return "numpy"
 
 
-@njit(cache=True)
-def _closure_csr(indptr, indices, black):  # pragma: no cover - jitted
-    n = black.shape[0]
-    ev_round = np.empty(n, dtype=np.int32)
-    ev_forcer = np.empty(n, dtype=np.int32)
-    ev_forced = np.empty(n, dtype=np.int32)
-    nev = 0
-    rnd = 0
-    snapshot = black.copy()
-    claimed = np.zeros(n, dtype=np.uint8)
-    targets = np.empty(n, dtype=np.int32)
-    while True:
-        rnd += 1
-        ntargets = 0
-        for v in range(n):
-            if snapshot[v] == 0:
-                continue
-            cnt = 0
-            w = -1
-            for j in range(indptr[v], indptr[v + 1]):
-                u = indices[j]
-                if snapshot[u] == 0:
-                    cnt += 1
-                    w = u
-                    if cnt > 1:
-                        break
-            if cnt == 1 and claimed[w] == 0:
-                claimed[w] = 1
-                ev_round[nev] = rnd
-                ev_forcer[nev] = v
-                ev_forced[nev] = w
-                nev += 1
-                targets[ntargets] = w
-                ntargets += 1
-        if ntargets == 0:
-            break
-        for t in range(ntargets):
-            snapshot[targets[t]] = 1
-            claimed[targets[t]] = 0
-    return snapshot, ev_round[:nev], ev_forcer[:nev], ev_forced[:nev]
+def run_closure(graph, black: np.ndarray):
+    """Closure of `black` under the reference schedule.
 
-
-def _closure_numpy(indptr, indices, black, src, dst):
+    `black` is a uint8 array of length vertex_count; returns
+    (final_black, ev_round, ev_forcer, ev_forced).
+    """
+    src, dst = graph.directed_pairs
     n = black.shape[0]
     state = black.astype(bool).copy()
     rounds: list[np.ndarray] = []
@@ -122,20 +65,3 @@ def _closure_numpy(indptr, indices, black, src, dst):
         ev_forcer = np.empty(0, dtype=np.int32)
         ev_forced = np.empty(0, dtype=np.int32)
     return state.astype(np.uint8), ev_round, ev_forcer, ev_forced
-
-
-def backend_name() -> str:
-    return "numba" if HAS_NUMBA else "numpy"
-
-
-def run_closure(graph, black: np.ndarray):
-    """Dispatch to the active backend.
-
-    `black` is a uint8 array of length vertex_count; returns
-    (final_black, ev_round, ev_forcer, ev_forced).
-    """
-    indptr, indices = graph.csr
-    if HAS_NUMBA:
-        return _closure_csr(indptr, indices, black.astype(np.uint8))
-    src, dst = graph.directed_pairs
-    return _closure_numpy(indptr, indices, black, src, dst)

@@ -3,24 +3,15 @@
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from dataclasses import dataclass, field
+from typing import Optional
 
-from .constructions import Obstruction, structural_lower_bound
+from .constructions import structural_lower_bound
 from .engine import forces_all, matching_endpoints
 from .graph import Edge, Graph, matchings_of_size
 
 DEFAULT_MAX_VERTICES = 24
 DEFAULT_MAX_EDGES = 40
-
-
-def default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("EDGEFORCE_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 class InstanceTooLarge(RuntimeError):
@@ -33,9 +24,11 @@ class EdgeForcingVerdict:
 
     kind is "exists" (with optimal value and a witness) or "not-exists"
     (no matching of any size forces; max_matching_size_searched documents
-    how far the exhaustion went).  `explored` counts candidate matchings
-    tested; `canonical_witness` is False when a parallel search returned
-    an arbitrary optimum instead of the lexicographically first one.
+    how far the exhaustion went).  `explored` counts the candidate
+    matchings the search tested, from the lower bound up.
+    `matchings_tested_per_size` maps each size to its count of matchings
+    tested; for a not-exists verdict it covers every size from 1, the
+    sizes below the lower bound included, so it is the whole exhaustion.
     """
 
     kind: str
@@ -43,7 +36,7 @@ class EdgeForcingVerdict:
     witness: Optional[frozenset[Edge]] = None
     max_matching_size_searched: int = 0
     explored: int = 0
-    canonical_witness: bool = True
+    matchings_tested_per_size: dict[int, int] = field(default_factory=dict)
 
     @property
     def exists(self) -> bool:
@@ -73,143 +66,60 @@ def min_zero_forcing(g: Graph,
     raise AssertionError("unreachable: V itself is always zero-forcing")
 
 
-def _pruned_matchings(g: Graph, k: int,
-                      obstructions: list[Obstruction]) -> Iterator[frozenset[Edge]]:
-    """k-matchings containing at least one edge of every obstruction cycle.
+def exhaust_matchings(g: Graph, start: int = 1, stop: Optional[int] = None
+                      ) -> tuple[Optional[frozenset[Edge]], dict[int, int]]:
+    """Test every matching of size start, start+1, ... (below `stop`).
 
-    The obstructions are pairwise edge-disjoint, so fewer than
-    len(obstructions) edges can never hit them all; callers rely on the
-    stream being empty in that case.
+    Sizes rise until a matching forces the whole graph or a size has no
+    matching at all.  Returns the first forcing matching in lexicographic
+    edge order (None if there is none) and the number of matchings tested
+    at each size that had any.
     """
-    if k < len(obstructions):
-        return
-    cycles = [o.cycle_edges() for o in obstructions]
-    free_budget = k - len(cycles)
-    cycle_edges = {e for c in cycles for e in c}
-    free_edges = [e for e in g.edges if e not in cycle_edges]
-
-    def pick_cycles(i: int, chosen: list[Edge], used: set[int]
-                    ) -> Iterator[tuple[list[Edge], set[int]]]:
-        if i == len(cycles):
-            yield chosen, used
-            return
-        for e in cycles[i]:
-            if e[0] in used or e[1] in used:
-                continue
-            yield from pick_cycles(i + 1, chosen + [e], used | set(e))
-
-    seen: set[frozenset[Edge]] = set()
-    for chosen, used in pick_cycles(0, [], set()):
-        def extend(start: int, need: int, cur: list[Edge], cur_used: set[int]):
-            if need == 0:
-                m = frozenset(cur)
-                if m not in seen:
-                    seen.add(m)
-                    yield m
-                return
-            for j in range(start, len(free_edges)):
-                e = free_edges[j]
-                if e[0] in cur_used or e[1] in cur_used:
-                    continue
-                yield from extend(j + 1, need - 1, cur + [e], cur_used | set(e))
-        yield from extend(0, free_budget, chosen, used)
-
-
-def _search_size_k(g: Graph, k: int, workers: int
-                   ) -> tuple[Optional[frozenset[Edge]], int, bool]:
-    """(first witness of size k or None, candidates tested, any candidate seen)."""
-    if workers <= 1:
-        explored = 0
-        any_seen = False
+    counts: dict[int, int] = {}
+    k = start
+    while stop is None or k < stop:
+        tested = 0
         for m in matchings_of_size(g, k):
-            any_seen = True
-            explored += 1
+            tested += 1
             # the enumerator only yields valid matchings, so the membership
             # test reduces to a closure coverage check
             if forces_all(g, matching_endpoints(m)):
-                return m, explored, True
-        return None, explored, any_seen
-
-    # parallel: partition the stream by first edge index; any optimum is
-    # acceptable but it is flagged non-canonical by the caller.
-    candidates = list(matchings_of_size(g, k))
-    if not candidates:
-        return None, 0, False
-    chunks = [candidates[i::workers] for i in range(workers)]
-
-    def scan(chunk):
-        for m in chunk:
-            if forces_all(g, matching_endpoints(m)):
-                return m
-        return None
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for result in pool.map(scan, chunks):
-            if result is not None:
-                return result, len(candidates), True
-    return None, len(candidates), True
+                counts[k] = tested
+                return m, counts
+        if not tested:
+            break
+        counts[k] = tested
+        k += 1
+    return None, counts
 
 
 def min_edge_forcing(g: Graph,
-                     max_edges: int = DEFAULT_MAX_EDGES,
-                     use_lower_bound: bool = True,
-                     workers: Optional[int] = None) -> EdgeForcingVerdict:
+                     max_edges: int = DEFAULT_MAX_EDGES) -> EdgeForcingVerdict:
     """Exact edge-forcing number, or NotExists after full exhaustion.
 
-    Iterates k ascending over matchings_of_size; with use_lower_bound, k
-    starts at the obstruction lower bound (sizes below it provably fail).
+    k starts at the obstruction lower bound, since smaller matchings
+    provably fail.  A not-exists verdict also counts the matchings below
+    that bound, so its per-size counts cover the whole exhaustion.
     """
-    if workers is None:
-        workers = default_workers()
     if g.edge_count > max_edges:
         raise InstanceTooLarge(
             f"{g.edge_count} edges exceed the exhaustive-search guard "
             f"{max_edges}; raise max_edges explicitly to proceed")
-    start = 1
-    if use_lower_bound:
-        bound, _ = structural_lower_bound(g)
-        start = max(1, bound)
-    explored = 0
-    max_size_seen = start - 1
-    k = start
-    while True:
-        witness, tested, any_seen = _search_size_k(g, k, workers)
-        explored += tested
-        if witness is not None:
-            return EdgeForcingVerdict(
-                kind="exists", value=k, witness=witness,
-                max_matching_size_searched=k, explored=explored,
-                canonical_witness=(workers <= 1))
-        if not any_seen:
-            return EdgeForcingVerdict(
-                kind="not-exists", max_matching_size_searched=max_size_seen,
-                explored=explored)
-        max_size_seen = k
-        k += 1
-
-
-def no_smaller_edge_forcing(g: Graph, k: int,
-                            pruned: bool = False,
-                            max_edges: int = DEFAULT_MAX_EDGES) -> bool:
-    """True iff no matching of size < k is an edge-forcing set.
-
-    With pruned=True, candidates are restricted to matchings hitting every
-    obstruction 4-cycle from structural_lower_bound; the restriction is a
-    proven necessary condition, so exactness is preserved.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not pruned and g.edge_count > max_edges:
-        raise InstanceTooLarge(
-            f"{g.edge_count} edges exceed the exhaustive-search guard "
-            f"{max_edges}; use pruned mode or raise max_edges")
-    obstructions: list[Obstruction] = []
-    if pruned:
-        _, obstructions = structural_lower_bound(g)
-    for size in range(1, k):
-        stream = (_pruned_matchings(g, size, obstructions) if pruned
-                  else matchings_of_size(g, size))
-        for m in stream:
-            if forces_all(g, matching_endpoints(m)):
-                return False
-    return True
+    bound, _ = structural_lower_bound(g)
+    start = max(1, bound)
+    witness, counts = exhaust_matchings(g, start)
+    explored = sum(counts.values())
+    if witness is not None:
+        return EdgeForcingVerdict(
+            kind="exists", value=len(witness), witness=witness,
+            max_matching_size_searched=len(witness), explored=explored,
+            matchings_tested_per_size=counts)
+    below, below_counts = exhaust_matchings(g, 1, start)
+    if below is not None:
+        raise AssertionError(
+            f"matching {sorted(below)} forces below the lower bound {bound}")
+    return EdgeForcingVerdict(
+        kind="not-exists",
+        max_matching_size_searched=max(counts, default=start - 1),
+        explored=explored,
+        matchings_tested_per_size={**below_counts, **counts})

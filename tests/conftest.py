@@ -1,16 +1,7 @@
 import itertools
 import random
 
-import pytest
-
 from edgeforce.graph import Graph, from_edges
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # trigger jit compilation once so timed tests measure the algorithm
-    from edgeforce.engine import closure
-    closure(from_edges(2, [(0, 1)]), {0})
 
 
 def path_graph(n: int) -> Graph:
@@ -29,3 +20,27 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     edges = [e for e in itertools.combinations(range(n), 2)
              if rng.random() < p]
     return from_edges(n, edges)
+
+
+def reference_closure(g: Graph, initial) -> tuple[set[int], list[tuple]]:
+    """The reference schedule as a plain loop: (final set, events).
+
+    Each round scans vertices in ascending index; a black vertex with one
+    white neighbor forces it unless a smaller forcer already claimed it
+    this round; the round's forces are applied together at its end.
+    Events are (round, forcer, forced).
+    """
+    black = set(initial)
+    events = []
+    rnd = 0
+    while True:
+        rnd += 1
+        claimed = {}
+        for v in sorted(black):
+            whites = [u for u in g.adjacency[v] if u not in black]
+            if len(whites) == 1 and whites[0] not in claimed:
+                claimed[whites[0]] = v
+        if not claimed:
+            return black, events
+        events += sorted((rnd, v, w) for w, v in claimed.items())
+        black |= claimed.keys()

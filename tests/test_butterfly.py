@@ -5,7 +5,6 @@ import pytest
 from edgeforce.butterfly import (ButterflyError, binding_diamonds,
                                  build_butterfly, coord_label,
                                  decompose_subcopies, edge_kind,
-                                 induced_subgraph, mirror_vertex,
                                  vertex_coord, vertex_index)
 from edgeforce.graph import from_edges, normalize_edge
 
@@ -179,14 +178,3 @@ class TestStructure:
                      and vertex_coord(r, v)[1] >= r - 1]
         for u, v in top_edges:
             assert u not in copy_vertices and v not in copy_vertices
-
-    def test_mirror(self):
-        r = 3
-        v = vertex_index(r, 4, 2)
-        assert vertex_coord(r, mirror_vertex(r, v)) == (5, 2)
-        assert mirror_vertex(r, mirror_vertex(r, v)) == v
-
-    def test_induced_subgraph(self):
-        g = build_butterfly(2)
-        sub = induced_subgraph(g, frozenset(range(4, 12)))
-        assert sub.vertex_count == 8

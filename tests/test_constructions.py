@@ -4,7 +4,8 @@ import pytest
 
 from edgeforce.butterfly import (binding_diamonds, build_butterfly,
                                  vertex_coord, vertex_index)
-from edgeforce.constructions import (ConstructionError, bf2_exhaustion,
+from edgeforce.certificates import bf2_nonexistence_counts
+from edgeforce.constructions import (ConstructionError,
                                      construct_edge_forcing, find_obstructions,
                                      known_bounds, recursive_upper,
                                      structural_lower_bound,
@@ -56,10 +57,8 @@ class TestStructuralLowerBound:
 
 class TestBF2Nonexistence:
     def test_exhaustion_counts(self):
-        counts = bf2_exhaustion()
-        assert counts[1] == 16  # one per edge
-        assert set(counts) == {1, 2, 3, 4}
-        assert sum(counts.values()) == 432
+        counts = bf2_nonexistence_counts(build_butterfly(2))
+        assert counts == {1: 16, 2: 88, 3: 192, 4: 136}
 
 
 class TestConstructions:

@@ -1,18 +1,22 @@
+import functools
+import itertools
 import random
-import subprocess
-import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgeforce.butterfly import build_butterfly
 from edgeforce.constructions import construct_edge_forcing
 from edgeforce.engine import (closure, closure_sequential, forces_all,
                               is_edge_forcing_set, is_zero_forcing_set,
                               matching_endpoints)
-from edgeforce.kernels import _closure_numpy, run_closure
+from edgeforce.graph import from_edges
+from edgeforce.kernels import run_closure
 
-from conftest import complete_graph, cycle_graph, path_graph, random_graph
+from conftest import (complete_graph, cycle_graph, path_graph, random_graph,
+                      reference_closure)
 
 
 class TestClosure:
@@ -36,7 +40,6 @@ class TestClosure:
         assert closure(path_graph(3), set()).final == frozenset()
 
     def test_isolated_vertex_never_forced(self):
-        from edgeforce.graph import from_edges
         g = from_edges(3, [(0, 1)])
         assert closure(g, {0}).final == frozenset({0, 1})
 
@@ -121,31 +124,32 @@ class TestScheduleProperties:
             assert result.trace.replay(g) == result.final
 
 
-class TestBackends:
-    def test_numpy_fallback_agrees(self):
-        rng = random.Random(21)
-        for _ in range(50):
-            g = random_graph(rng, rng.randint(1, 12), rng.uniform(0.1, 0.8))
-            black = np.zeros(g.vertex_count, dtype=np.uint8)
-            for v in range(g.vertex_count):
-                if rng.random() < 0.4:
-                    black[v] = 1
-            fa, ra, fca, xa = run_closure(g, black.copy())
-            indptr, indices = g.csr
-            src, dst = g.directed_pairs
-            fb, rb, fcb, xb = _closure_numpy(indptr, indices, black.copy(),
-                                             src, dst)
-            assert np.array_equal(fa, fb)
-            assert np.array_equal(ra, rb)
-            assert np.array_equal(fca, fcb)
-            assert np.array_equal(xa, xb)
+@functools.lru_cache(maxsize=None)
+def butterfly_witness_endpoints(r):
+    return matching_endpoints(construct_edge_forcing(r))
 
-    def test_forced_numpy_env_flag(self):
-        code = (
-            "import os; os.environ['EDGEFORCE_FORCE_NUMPY']='1';"
-            "from edgeforce import kernels, from_edges, closure;"
-            "assert kernels.backend_name() == 'numpy';"
-            "g = from_edges(4, [(0,1),(1,2),(2,3)]);"
-            "assert closure(g, {0}).final == frozenset(range(4))"
-        )
-        subprocess.run([sys.executable, "-c", code], check=True)
+
+class TestKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_reference_schedule(self, data):
+        if data.draw(st.booleans()):
+            # a witness less a few endpoints: long, partly stalled closures
+            r = data.draw(st.integers(3, 5))
+            g = build_butterfly(r)
+            witness = sorted(butterfly_witness_endpoints(r))
+            initial = set(witness) - data.draw(st.sets(st.sampled_from(witness),
+                                                       max_size=4))
+        else:
+            n = data.draw(st.integers(2, 12))
+            pool = list(itertools.combinations(range(n), 2))
+            g = from_edges(n, data.draw(st.lists(st.sampled_from(pool),
+                                                 unique=True)))
+            initial = data.draw(st.sets(st.integers(0, n - 1)))
+        black = np.zeros(g.vertex_count, dtype=np.uint8)
+        black[list(initial)] = 1
+        final, ev_round, ev_forcer, ev_forced = run_closure(g, black)
+        want_final, want_events = reference_closure(g, initial)
+        assert set(np.nonzero(final)[0].tolist()) == want_final
+        assert list(zip(ev_round.tolist(), ev_forcer.tolist(),
+                        ev_forced.tolist())) == want_events

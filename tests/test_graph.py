@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgeforce.graph import (GraphError, from_edges, is_matching,
-                             matching_diagnostic, matchings_of_size,
-                             maximum_matching_size)
+                             matching_diagnostic, matchings_of_size)
 
 from conftest import complete_graph, cycle_graph, path_graph, random_graph
 
@@ -122,10 +121,6 @@ class TestMatchingsOfSize:
         rng = random.Random(3)
         g = random_graph(rng, 8, 0.5)
         assert list(matchings_of_size(g, 3)) == list(matchings_of_size(g, 3))
-
-    def test_maximum_matching_size(self):
-        assert maximum_matching_size(cycle_graph(6)) == 3
-        assert maximum_matching_size(from_edges(4, [(0, 1), (0, 2), (0, 3)])) == 1
 
 
 @settings(max_examples=50, deadline=None)

@@ -229,6 +229,38 @@ class TestCli:
         cert.write_text(json.dumps(doc))
         assert main(["verify", "--cert", str(cert)]) == 1
 
+    def test_verify_nonexistence_at_the_solve_guard(self, tmp_path, capsys):
+        from edgeforce.graph import from_edges
+        star = from_edges(31, [(0, v) for v in range(1, 31)])
+        assert main(["solve", "ef", "--graph",
+                     write_graph(tmp_path, star)]) == 1
+        cert = tmp_path / "star.json"
+        cert.write_text(capsys.readouterr().out)
+        assert main(["verify", "--cert", str(cert)]) == 0
+        assert json.loads(capsys.readouterr().out)["verified"] is True
+
+    @pytest.mark.parametrize("command, text", [
+        ("verify", "[]"),
+        ("verify", json.dumps({"schema_version": "efc-1", "kind": "bounds",
+                               "graph": "butterfly:3", "claim": {}})),
+        ("verify", json.dumps({"schema_version": "efc-1", "kind": "bounds"})),
+        ("verify", json.dumps({"schema_version": "efc-1", "kind": "bounds",
+                               "graph": "butterfly:3", "claim": []})),
+        ("check zfs", "{}"),
+    ], ids=["cert-not-object", "bounds-without-r", "cert-without-graph",
+            "claim-not-object", "set-without-vertices"])
+    def test_malformed_input_exits_2(self, tmp_path, capsys, command, text):
+        doc = tmp_path / "doc.json"
+        doc.write_text(text)
+        if command == "verify":
+            argv = ["verify", "--cert", str(doc)]
+        else:
+            argv = ["check", "zfs", "--graph",
+                    write_graph(tmp_path, cycle_graph(4)), "--set", str(doc)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_missing_file(self, capsys):
         assert main(["closure", "--graph", "/nonexistent.json",
                      "--black", "0"]) == 2

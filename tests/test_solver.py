@@ -7,8 +7,9 @@ from edgeforce.butterfly import build_butterfly
 from edgeforce.engine import is_edge_forcing_set, is_zero_forcing_set
 from edgeforce.graph import from_edges, is_matching, matchings_of_size
 from edgeforce.constructions import structural_lower_bound
-from edgeforce.solver import (InstanceTooLarge, min_edge_forcing,
-                              min_zero_forcing, no_smaller_edge_forcing)
+from edgeforce.certificates import bf2_nonexistence_counts
+from edgeforce.solver import (InstanceTooLarge, exhaust_matchings,
+                              min_edge_forcing, min_zero_forcing)
 
 from conftest import complete_graph, cycle_graph, path_graph, random_graph
 
@@ -115,18 +116,21 @@ class TestMinEdgeForcing:
         rng = random.Random(55)
         for _ in range(15):
             g = random_graph(rng, rng.randint(2, 6), 0.5)
-            a = min_edge_forcing(g, use_lower_bound=True)
-            b = min_edge_forcing(g, use_lower_bound=False)
-            assert a.kind == b.kind and a.value == b.value
+            verdict = min_edge_forcing(g)
+            witness, counts = exhaust_matchings(g, 1)
+            assert verdict.witness == witness
+            if witness is None:
+                assert verdict.matchings_tested_per_size == counts
 
-    def test_parallel_same_value(self):
-        for g in (cycle_graph(6), complete_graph(5), build_butterfly(2)):
-            seq = min_edge_forcing(g, workers=1)
-            par = min_edge_forcing(g, workers=4)
-            assert seq.kind == par.kind and seq.value == par.value
-            if par.exists:
-                assert not par.canonical_witness
-                assert is_edge_forcing_set(g, par.witness)
+    def test_not_exists_counts_are_the_whole_exhaustion(self):
+        star = from_edges(4, [(0, 1), (0, 2), (0, 3)])
+        for g in (star, build_butterfly(2)):
+            verdict = min_edge_forcing(g)
+            assert not verdict.exists
+            assert verdict.matchings_tested_per_size == \
+                bf2_nonexistence_counts(g)
+        # BF(2) searches from its lower bound 4; sizes 1-3 are filled in
+        assert verdict.explored == 136
 
     def test_guard(self):
         with pytest.raises(InstanceTooLarge):
@@ -134,26 +138,15 @@ class TestMinEdgeForcing:
 
 
 class TestNoSmaller:
+    """exhaust_matchings(g, 1, k) finds no witness iff no matching of size
+    below k is edge-forcing."""
+
     def test_vacuous(self):
-        assert no_smaller_edge_forcing(cycle_graph(4), 1)
+        assert exhaust_matchings(cycle_graph(4), 1, 1) == (None, {})
 
     def test_k4(self):
-        assert no_smaller_edge_forcing(complete_graph(4), 2)
-        assert not no_smaller_edge_forcing(complete_graph(4), 3)
-
-    def test_bf3_pruned(self):
-        assert no_smaller_edge_forcing(build_butterfly(3), 8, pruned=True)
-
-    def test_pruned_agrees_with_exhaustive(self):
-        rng = random.Random(77)
-        for _ in range(15):
-            g = random_graph(rng, rng.randint(3, 6), 0.5)
-            for k in (1, 2, 3):
-                a = no_smaller_edge_forcing(g, k)
-                b = no_smaller_edge_forcing(g, k, pruned=True)
-                # any edge-forcing set hits every obstruction, so the
-                # restricted search must reach the same verdict
-                assert a == b
+        assert exhaust_matchings(complete_graph(4), 1, 2)[0] is None
+        assert exhaust_matchings(complete_graph(4), 1, 3)[0] is not None
 
     def test_monotone_failure_recount(self):
         # removing the largest-index edge never flips an all-fail verdict
@@ -161,12 +154,12 @@ class TestNoSmaller:
         for _ in range(10):
             g = random_graph(rng, rng.randint(3, 6), 0.6)
             k = 2
-            if not no_smaller_edge_forcing(g, k + 1):
+            if exhaust_matchings(g, 1, k + 1)[0] is not None:
                 continue
             if g.edge_count < 2:
                 continue
             reduced = from_edges(g.vertex_count, g.edges[:-1])
-            assert no_smaller_edge_forcing(reduced, k + 1)
+            assert exhaust_matchings(reduced, 1, k + 1)[0] is None
             dropped = g.edges[-1]
             with_e = sum(1 for m in matchings_of_size(g, k) if dropped in m)
             without = sum(1 for _ in matchings_of_size(reduced, k))
