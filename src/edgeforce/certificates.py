@@ -31,6 +31,19 @@ class CertificateError(ValueError):
     pass
 
 
+class EdgeForcingSetFound(CertificateError):
+    """Exhaustion found an edge-forcing set where none was expected."""
+
+
+def require_field(doc: Any, key: str, kind: type, where: str) -> Any:
+    """doc[key], which must be a `kind`; CertificateError otherwise."""
+    value = doc.get(key) if isinstance(doc, dict) else None
+    if not isinstance(value, kind):
+        raise CertificateError(
+            f'{where} needs a field "{key}" of type {kind.__name__}')
+    return value
+
+
 @dataclass(frozen=True)
 class Certificate:
     kind: str
@@ -58,22 +71,10 @@ def parse_graph(text: Union[str, dict]) -> Graph:
             raise CertificateError(f"malformed JSON: {exc}") from None
     else:
         doc = text
-    if not isinstance(doc, dict):
-        raise CertificateError("graph document must be a JSON object")
-    if "n" not in doc or not isinstance(doc["n"], int):
-        raise CertificateError('graph document needs an integer field "n"')
-    edges = doc.get("edges")
-    if not isinstance(edges, list):
-        raise CertificateError('graph document needs an array field "edges"')
-    pairs = []
-    for i, e in enumerate(edges):
-        if (not isinstance(e, list) or len(e) != 2
-                or not all(isinstance(x, int) for x in e)):
-            raise CertificateError(
-                f'edges[{i}] must be a 2-element integer array, got {e!r}')
-        pairs.append((e[0], e[1]))
+    n = require_field(doc, "n", int, "graph document")
+    edges = parse_edges(require_field(doc, "edges", list, "graph document"))
     try:
-        return from_edges(doc["n"], pairs)
+        return from_edges(n, edges)
     except GraphError as exc:
         raise CertificateError(str(exc)) from None
 
@@ -101,8 +102,27 @@ def vertex_witness(g: Graph, vertices: Iterable[int]) -> dict:
     return {"vertices": vs, "labels": [g.vertex_label(v) for v in vs]}
 
 
-def _witness_edges(witness: dict) -> list[Edge]:
-    return [tuple(e) for e in witness["edges"]]
+def parse_edges(edges: list) -> list[Edge]:
+    """[[u, v], ...] as (u, v) pairs; CertificateError on a malformed entry."""
+    pairs = []
+    for i, e in enumerate(edges):
+        if (not isinstance(e, list) or len(e) != 2
+                or not all(isinstance(x, int) for x in e)):
+            raise CertificateError(
+                f'edges[{i}] must be a 2-element integer array, got {e!r}')
+        pairs.append((e[0], e[1]))
+    return pairs
+
+
+def _vertex_list(doc: Any, key: str, where: str) -> list[int]:
+    value = require_field(doc, key, list, where)
+    if not all(isinstance(v, int) for v in value):
+        raise CertificateError(f'{where} field "{key}" must hold integers')
+    return value
+
+
+def _witness_edges(witness: Any) -> list[Edge]:
+    return parse_edges(require_field(witness, "edges", list, "witness"))
 
 
 # ---------------------------------------------------------------------------
@@ -155,44 +175,44 @@ def verify_certificate(doc: Union[str, dict, Certificate]
     kind = c.kind
 
     if kind == "closure":
-        final = closure(g, c.claim["initial"]).final
-        expected = set(c.claim["final"])
+        final = closure(g, _vertex_list(c.claim, "initial", "claim")).final
+        expected = set(_vertex_list(c.claim, "final", "claim"))
         if final != frozenset(expected):
             return False, (f"closure mismatch: recomputed {sorted(final)}, "
                            f"certificate says {sorted(expected)}")
         return True, "closure reproduces the recorded final set"
 
     if kind == "zfs-check":
-        got = is_zero_forcing_set(g, c.claim["set"])
-        if got != c.claim["result"]:
+        got = is_zero_forcing_set(g, _vertex_list(c.claim, "set", "claim"))
+        if got != require_field(c.claim, "result", bool, "claim"):
             return False, f"zfs membership recomputed as {got}"
         return True, "zero-forcing membership reproduced"
 
     if kind == "efs-check":
         edges = _witness_edges(c.witness)
-        got = is_edge_forcing_set(g, edges)
-        if not got:
+        size = require_field(c.claim, "size", int, "claim")
+        if not is_edge_forcing_set(g, edges):
             return False, "witness is not an edge-forcing set"
-        if len(edges) != c.claim["size"]:
-            return False, (f"witness size {len(edges)} != claimed "
-                           f"{c.claim['size']}")
+        if len(edges) != size:
+            return False, f"witness size {len(edges)} != claimed {size}"
         return True, f"witness of size {len(edges)} verifies"
 
     if kind == "zf-number":
-        vs = c.witness["vertices"]
+        vs = _vertex_list(c.witness, "vertices", "witness")
+        value = require_field(c.claim, "value", int, "claim")
         if not is_zero_forcing_set(g, vs):
             return False, "witness is not a zero-forcing set"
-        if len(vs) != c.claim["value"]:
-            return False, f"witness size {len(vs)} != value {c.claim['value']}"
+        if len(vs) != value:
+            return False, f"witness size {len(vs)} != value {value}"
         return True, "zero-forcing witness verifies at the claimed value"
 
     if kind == "ef-number":
         edges = _witness_edges(c.witness)
+        value = require_field(c.claim, "value", int, "claim")
         if not is_edge_forcing_set(g, edges):
             return False, "witness is not an edge-forcing set"
-        if len(edges) != c.claim["value"]:
-            return False, (f"witness size {len(edges)} != value "
-                           f"{c.claim['value']}")
+        if len(edges) != value:
+            return False, f"witness size {len(edges)} != value {value}"
         lower = c.claim.get("lower_bound")
         if lower is not None:
             recomputed, _ = structural_lower_bound(g)
@@ -202,19 +222,22 @@ def verify_certificate(doc: Union[str, dict, Certificate]
         return True, "edge-forcing witness verifies at the claimed value"
 
     if kind == "nonexistence":
+        claimed = require_field(c.claim, "matchings_tested_per_size", dict,
+                                "claim")
         if g.edge_count > DEFAULT_MAX_EDGES:
             return False, "nonexistence re-verification limited to small graphs"
-        counts = {str(k): v for k, v in bf2_nonexistence_counts(g).items()}
-        if counts != c.claim["matchings_tested_per_size"]:
+        try:
+            counts = bf2_nonexistence_counts(g)
+        except EdgeForcingSetFound as found:
+            return False, str(found)
+        counts = {str(k): v for k, v in counts.items()}
+        if counts != claimed:
             return False, (f"exhaustion counts {counts} differ from "
-                           f"certificate {c.claim['matchings_tested_per_size']}")
+                           f"certificate {claimed}")
         return True, "exhaustive re-run confirms nonexistence"
 
     if kind == "bounds":
-        if not isinstance(c.claim.get("r"), int):
-            raise CertificateError('bounds certificate needs an integer '
-                                   '"claim.r"')
-        report = known_bounds(c.claim["r"])
+        report = known_bounds(require_field(c.claim, "r", int, "claim"))
         expected = bounds_claim(report)
         if expected != c.claim:
             return False, f"bounds recomputed as {expected}"
@@ -231,10 +254,11 @@ def verify_certificate(doc: Union[str, dict, Certificate]
 
 
 def bf2_nonexistence_counts(g: Graph) -> dict[int, int]:
-    """Exhaustion counts for a small graph with no edge-forcing set."""
+    """Exhaustion counts for a small graph with no edge-forcing set
+    (EdgeForcingSetFound, naming the set, if it has one)."""
     witness, counts = exhaust_matchings(g)
     if witness is not None:
-        raise CertificateError(
+        raise EdgeForcingSetFound(
             f"graph admits an edge-forcing set {sorted(witness)}")
     return counts
 

@@ -15,8 +15,9 @@ from typing import Iterable, Optional
 from .butterfly import ButterflyError, build_butterfly
 from .certificates import (Certificate, CertificateError, bf2_nonexistence,
                            bounds_certificate, construction_certificate,
-                           edge_witness, emit_certificate, parse_graph,
-                           verify_certificate, vertex_witness)
+                           edge_witness, emit_certificate, parse_edges,
+                           parse_graph, require_field, verify_certificate,
+                           vertex_witness)
 from .constructions import (DEFAULT_SEED, ConstructionError,
                             construct_edge_forcing)
 from .engine import closure, is_edge_forcing_set, is_zero_forcing_set
@@ -47,10 +48,7 @@ def _load_graph(path: str) -> Graph:
 def _load_set(path: str, key: str) -> list:
     """The array field `key` of a JSON set file."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or not isinstance(doc.get(key), list):
-        raise CertificateError(f'set file needs an array field "{key}"')
-    return doc[key]
+        return require_field(json.load(fh), key, list, "set file")
 
 
 def _print_cert(cert: Certificate) -> None:
@@ -88,7 +86,7 @@ def cmd_check(args) -> int:
                            claim={"set": sorted(vertices), "result": ok})
         _print_cert(cert)
         return 0 if ok else 1
-    edges = [tuple(e) for e in _load_set(args.set, "edges")]
+    edges = parse_edges(_load_set(args.set, "edges"))
     diagnostics: list[str] = []
     ok = is_edge_forcing_set(g, edges, diagnostics=diagnostics)
     claim = {"size": len(edges), "result": ok}

@@ -48,6 +48,22 @@ class ClosureResult:
     trace: ForcingTrace
 
 
+def _black(g: Graph, vertices: Iterable[int]) -> np.ndarray:
+    """The kernel's uint8 black array with `vertices` set.
+
+    Raises ValueError for a vertex that is not an integer in [0, n), which
+    numpy would otherwise wrap (-1) or reject with an IndexError (n).
+    """
+    n = g.vertex_count
+    black = np.zeros(n, dtype=np.uint8)
+    for v in vertices:
+        if ((type(v) is not int and not isinstance(v, np.integer))
+                or not 0 <= v < n):
+            raise ValueError(f"vertex {v!r} is not an integer in [0, {n})")
+        black[v] = 1
+    return black
+
+
 def closure(g: Graph, initial: Iterable[int]) -> ClosureResult:
     """Closure of the initial black set under the color change rule.
 
@@ -57,13 +73,7 @@ def closure(g: Graph, initial: Iterable[int]) -> ClosureResult:
     smallest-index forcer on ties, forces applied together at round end).
     """
     init = frozenset(initial)
-    for v in init:
-        if not (0 <= v < g.vertex_count):
-            raise ValueError(f"initial vertex {v} out of range")
-    black = np.zeros(g.vertex_count, dtype=np.uint8)
-    for v in init:
-        black[v] = 1
-    final, ev_round, ev_forcer, ev_forced = run_closure(g, black)
+    final, ev_round, ev_forcer, ev_forced = run_closure(g, _black(g, init))
     events = tuple(ForceEvent(int(r), int(f), int(x))
                    for r, f, x in zip(ev_round, ev_forcer, ev_forced))
     final_set = frozenset(int(v) for v in np.nonzero(final)[0])
@@ -94,7 +104,7 @@ def closure_sequential(g: Graph, initial: Iterable[int],
 
 def is_zero_forcing_set(g: Graph, t: Iterable[int]) -> bool:
     """True iff the closure of t is the whole vertex set."""
-    return len(closure(g, t).final) == g.vertex_count
+    return forces_all(g, t)
 
 
 def is_edge_forcing_set(g: Graph, k: Iterable[Edge],
@@ -121,10 +131,7 @@ def matching_endpoints(k: Iterable[Edge]) -> frozenset[int]:
 def forces_all(g: Graph, vertices: Iterable[int]) -> bool:
     """Fast-path membership test: does the closure of `vertices` cover V?
 
-    Skips trace construction; semantics match is_zero_forcing_set.
+    Skips trace construction.
     """
-    black = np.zeros(g.vertex_count, dtype=np.uint8)
-    for v in vertices:
-        black[v] = 1
-    final, _, _, _ = run_closure(g, black)
+    final, _, _, _ = run_closure(g, _black(g, vertices))
     return bool(final.all())

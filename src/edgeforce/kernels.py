@@ -33,16 +33,10 @@ def run_closure(graph, black: np.ndarray):
     while True:
         rnd += 1
         white = ~state
-        if src.size:
-            cnt = np.bincount(src, weights=white[dst].astype(np.float64),
-                              minlength=n)
-        else:
-            cnt = np.zeros(n)
+        cnt = np.bincount(src, weights=white[dst].astype(np.float64),
+                          minlength=n)
         active = state & (cnt == 1)
-        if src.size:
-            mask = active[src] & white[dst]
-        else:
-            mask = np.zeros(0, dtype=bool)
+        mask = active[src] & white[dst]
         if not mask.any():
             break
         # smallest-index forcer per target

@@ -33,10 +33,6 @@ class ReductionMap:
     def prime(self, x: int) -> int:
         return x + self.base.vertex_count
 
-    def unprime(self, v: int) -> int:
-        n = self.base.vertex_count
-        return v - n if v >= n else v
-
 
 def build_gbar(g: Graph) -> ReductionMap:
     """Construct the lifted graph with 2|V| vertices and 3|E| + |V| edges."""

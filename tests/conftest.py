@@ -44,3 +44,17 @@ def reference_closure(g: Graph, initial) -> tuple[set[int], list[tuple]]:
             return black, events
         events += sorted((rnd, v, w) for w, v in claimed.items())
         black |= claimed.keys()
+
+
+def max_edge_disjoint(family) -> int:
+    """Size of a largest pairwise edge-disjoint subfamily, by brute force.
+
+    Tries every subfamily from the largest down; meant for at most a
+    dozen obstructions.
+    """
+    edge_sets = [set(o.cycle_edges()) for o in family]
+    for size in range(len(edge_sets), 0, -1):
+        for combo in itertools.combinations(edge_sets, size):
+            if sum(map(len, combo)) == len(set().union(*combo)):
+                return size
+    return 0

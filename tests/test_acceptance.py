@@ -185,3 +185,15 @@ def test_criterion_7_structure_counts():
                 ok = False
     elapsed = time.perf_counter() - start
     report(7, "butterfly structure counts and decomposition", elapsed, 1.0, ok)
+
+
+def test_criterion_8_linear_obstruction_packing():
+    # five disjoint K2,5 copies: 50 obstructions, 2 disjoint per copy
+    edges = [(7 * c + h, 7 * c + 2 + i)
+             for c in range(5) for h in (0, 1) for i in range(5)]
+    g = from_edges(35, edges)
+    start = time.perf_counter()
+    lower, family = structural_lower_bound(g)
+    elapsed = time.perf_counter() - start
+    report(8, "maximum obstruction packing of 5 K2,5 copies", elapsed, 1.0,
+           lower == len(family) == 10)

@@ -1,6 +1,9 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from edgeforce.butterfly import (binding_diamonds, build_butterfly,
                                  vertex_coord, vertex_index)
@@ -11,9 +14,9 @@ from edgeforce.constructions import (ConstructionError,
                                      structural_lower_bound,
                                      zero_forcing_upper_reference)
 from edgeforce.engine import closure, is_edge_forcing_set, matching_endpoints
-from edgeforce.graph import is_matching, normalize_edge
+from edgeforce.graph import from_edges, is_matching, normalize_edge
 
-from conftest import cycle_graph
+from conftest import cycle_graph, max_edge_disjoint
 
 
 class TestStructuralLowerBound:
@@ -45,6 +48,37 @@ class TestStructuralLowerBound:
             x, y = o.blocked_pair
             assert g.degree(x) == g.degree(y) == 2
             assert g.adjacency[x] == g.adjacency[y]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_packing_is_maximum(self, data):
+        # a random graph, plus K2,s components (K2,2 is C4) whose hubs may
+        # also join the random part
+        n = data.draw(st.integers(0, 8))
+        pool = list(itertools.combinations(range(n), 2))
+        edges = data.draw(st.lists(st.sampled_from(pool), unique=True)
+                          if pool else st.just([]))
+        for s in data.draw(st.lists(st.integers(2, 5), max_size=3)):
+            hubs = (n, n + 1)
+            edges += [(h, n + 2 + i) for h in hubs for i in range(s)]
+            if n:
+                edges += [(h, data.draw(st.integers(0, n - 1)))
+                          for h in hubs if data.draw(st.booleans())]
+            n += s + 2
+        g = from_edges(n, edges)
+        obstructions = find_obstructions(g)
+        assume(len(obstructions) <= 12)
+        value, family = structural_lower_bound(g)
+        assert value == len(family) == max_edge_disjoint(obstructions)
+        cycle_edges = [e for o in family for e in o.cycle_edges()]
+        assert len(cycle_edges) == len(set(cycle_edges))
+
+    @pytest.mark.parametrize("r", range(2, 12))
+    def test_butterfly_family_is_every_binding_diamond(self, r):
+        value, family = structural_lower_bound(build_butterfly(r))
+        assert value == len(family) == 2 ** r
+        cycle_edges = [e for o in family for e in o.cycle_edges()]
+        assert len(cycle_edges) == len(set(cycle_edges))
 
     def test_matches_binding_diamonds_on_butterflies(self):
         for r in (2, 3, 4):

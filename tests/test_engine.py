@@ -85,7 +85,13 @@ class TestMembership:
         for _ in range(30):
             g = random_graph(rng, rng.randint(1, 8), 0.4)
             s = {v for v in range(g.vertex_count) if rng.random() < 0.4}
-            assert forces_all(g, s) == is_zero_forcing_set(g, s)
+            assert forces_all(g, s) == (len(closure(g, s).final)
+                                        == g.vertex_count)
+
+    @pytest.mark.parametrize("vertex", [-1, 2, 1.0, "0", True])
+    def test_forces_all_rejects_non_vertices(self, vertex):
+        with pytest.raises(ValueError):
+            forces_all(path_graph(2), [vertex])
 
 
 class TestScheduleProperties:

@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -12,6 +13,9 @@ from edgeforce.cli import main, to_dot
 from edgeforce.constructions import DEFAULT_SEED, construct_edge_forcing
 
 from conftest import cycle_graph, path_graph
+
+FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
+C4 = {"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]]}
 
 
 class TestParseGraph:
@@ -107,21 +111,21 @@ class TestDot:
 
 class TestFixtures:
     def test_all_checked_in_certificates_verify(self):
-        import pathlib
-        fixtures = sorted(pathlib.Path(__file__).parent.parent
-                          .joinpath("fixtures").glob("*.json"))
+        fixtures = sorted(FIXTURES.glob("*.json"))
         assert len(fixtures) >= 15
         for path in fixtures:
             ok, details = verify_certificate(path.read_text())
             assert ok, f"{path.name}: {details}"
 
-    def test_bf3_fixture_reproducible(self):
-        import pathlib
-        path = (pathlib.Path(__file__).parent.parent
-                / "fixtures" / "bf3-construction.json")
-        cert = construction_certificate(3, sorted(construct_edge_forcing(3)),
-                                        DEFAULT_SEED, [])
-        assert path.read_text() == emit_certificate(cert)
+    @pytest.mark.parametrize("name", sorted(
+        p.stem for p in FIXTURES.glob("*.json")))
+    def test_fixture_reproducible(self, capsys, name):
+        # regenerate exactly as `make fixtures` does
+        r = name.split("-")[0][2:]
+        command = "bounds" if name.endswith("-bounds") else "construct"
+        main([command, "--r", r])
+        expected = (FIXTURES / f"{name}.json").read_text()
+        assert capsys.readouterr().out == expected
 
 
 def write_graph(tmp_path, g, name="g.json"):
@@ -239,6 +243,17 @@ class TestCli:
         assert main(["verify", "--cert", str(cert)]) == 0
         assert json.loads(capsys.readouterr().out)["verified"] is True
 
+    def test_verify_false_nonexistence_claim(self, tmp_path, capsys):
+        cert = tmp_path / "c4.json"
+        cert.write_text(json.dumps({
+            "schema_version": "efc-1", "kind": "nonexistence", "graph": C4,
+            "claim": {"verdict": "not-exists",
+                      "matchings_tested_per_size": {"1": 4}}}))
+        assert main(["verify", "--cert", str(cert)]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["verified"] is False
+        assert "(0, 1)" in out["details"]
+
     @pytest.mark.parametrize("command, text", [
         ("verify", "[]"),
         ("verify", json.dumps({"schema_version": "efc-1", "kind": "bounds",
@@ -246,17 +261,31 @@ class TestCli:
         ("verify", json.dumps({"schema_version": "efc-1", "kind": "bounds"})),
         ("verify", json.dumps({"schema_version": "efc-1", "kind": "bounds",
                                "graph": "butterfly:3", "claim": []})),
+        ("verify", json.dumps({"schema_version": "efc-1",
+                               "kind": "nonexistence", "graph": C4,
+                               "claim": {"verdict": "not-exists"}})),
+        ("verify", json.dumps({"schema_version": "efc-1", "kind": "closure",
+                               "graph": C4, "claim": {"final": [0]}})),
+        ("verify", json.dumps({"schema_version": "efc-1", "kind": "zf-number",
+                               "graph": C4, "claim": {"value": 2},
+                               "witness": None})),
         ("check zfs", "{}"),
+        ("check zfs", json.dumps({"vertices": ["a"]})),
+        ("check efs", json.dumps({"edges": [["a", 1]]})),
     ], ids=["cert-not-object", "bounds-without-r", "cert-without-graph",
-            "claim-not-object", "set-without-vertices"])
+            "claim-not-object", "nonexistence-without-counts",
+            "closure-without-initial", "zf-number-null-witness",
+            "set-without-vertices", "set-with-non-integer",
+            "edge-set-with-non-integer"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, command, text):
         doc = tmp_path / "doc.json"
         doc.write_text(text)
         if command == "verify":
             argv = ["verify", "--cert", str(doc)]
         else:
-            argv = ["check", "zfs", "--graph",
-                    write_graph(tmp_path, cycle_graph(4)), "--set", str(doc)]
+            argv = command.split() + [
+                "--graph", write_graph(tmp_path, cycle_graph(4)),
+                "--set", str(doc)]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
