@@ -2,7 +2,7 @@ PY ?= python3
 # Every target runs from a plain checkout, without installing the package.
 RUN = PYTHONPATH=src $(PY)
 
-.PHONY: test acceptance bench fixtures verify-fixtures
+.PHONY: test acceptance bench fixtures verify-fixtures check
 
 test:
 	$(RUN) -m pytest -v
@@ -28,3 +28,10 @@ verify-fixtures:
 	for f in fixtures/*.json; do \
 		$(RUN) -m edgeforce verify --cert $$f || exit 1; \
 	done
+
+# The gates of a change, in order, stopping at the first failure: the unit
+# and acceptance tests, the benchmark's self-tests, every fixture verified.
+check:
+	$(RUN) -m pytest -q
+	$(RUN) -m pytest perfbench -q
+	$(MAKE) verify-fixtures

@@ -3,13 +3,15 @@
 A certificate carries everything needed to re-check its claim: the graph
 (inline or as a "butterfly:r" descriptor), the claimed value(s), the
 witness by canonical edge identity and by display label, and search
-metadata.  ``verify_certificate`` rebuilds the graph and re-runs the cheap
-side of the claim (closure or membership) or re-validates bounds
-arithmetic.
+metadata.  ``verify_certificate`` rebuilds the graph and re-runs the claim:
+closure or membership, the exhaustion behind a nonexistence claim or the
+minimality of a zf-/ef-number (on graphs within the solver guards), or the
+bounds arithmetic.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import asdict, dataclass, field
 from typing import Any, Iterable, Optional, Union
@@ -19,7 +21,7 @@ from .butterfly import build_butterfly
 from .constructions import BoundsReport, known_bounds, structural_lower_bound
 from .engine import closure, is_edge_forcing_set, is_zero_forcing_set
 from .graph import Edge, Graph, GraphError, from_edges, normalize_edge
-from .solver import DEFAULT_MAX_EDGES, exhaust_matchings
+from .solver import DEFAULT_MAX_EDGES, DEFAULT_MAX_VERTICES, exhaust_matchings
 
 SCHEMA_VERSION = "efc-1"
 
@@ -204,7 +206,18 @@ def verify_certificate(doc: Union[str, dict, Certificate]
             return False, "witness is not a zero-forcing set"
         if len(vs) != value:
             return False, f"witness size {len(vs)} != value {value}"
-        return True, "zero-forcing witness verifies at the claimed value"
+        if g.vertex_count > DEFAULT_MAX_VERTICES:
+            return False, "minimality re-verification limited to small graphs"
+        smaller = None
+        if value:
+            # a superset of a forcing set forces, so size value - 1 decides
+            smaller = next((s for s in itertools.combinations(
+                range(g.vertex_count), value - 1)
+                if is_zero_forcing_set(g, s)), None)
+        if smaller is not None:
+            return False, (f"smaller zero-forcing set {list(smaller)} "
+                           f"of size {value - 1}")
+        return True, "zero-forcing witness verifies; no smaller set forces"
 
     if kind == "ef-number":
         edges = _witness_edges(c.witness)
@@ -213,13 +226,18 @@ def verify_certificate(doc: Union[str, dict, Certificate]
             return False, "witness is not an edge-forcing set"
         if len(edges) != value:
             return False, f"witness size {len(edges)} != value {value}"
+        bound, _ = structural_lower_bound(g)
         lower = c.claim.get("lower_bound")
-        if lower is not None:
-            recomputed, _ = structural_lower_bound(g)
-            if recomputed != lower:
-                return False, (f"lower bound recomputed as {recomputed}, "
-                               f"certificate says {lower}")
-        return True, "edge-forcing witness verifies at the claimed value"
+        if lower is not None and bound != lower:
+            return False, (f"lower bound recomputed as {bound}, "
+                           f"certificate says {lower}")
+        if g.edge_count > DEFAULT_MAX_EDGES:
+            return False, "minimality re-verification limited to small graphs"
+        smaller, _ = exhaust_matchings(g, max(1, bound), value)
+        if smaller is not None:
+            return False, (f"smaller edge-forcing set {sorted(smaller)} "
+                           f"of size {len(smaller)}")
+        return True, "edge-forcing witness verifies; no smaller matching forces"
 
     if kind == "nonexistence":
         claimed = require_field(c.claim, "matchings_tested_per_size", dict,

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional
 
 import numpy as np
@@ -44,8 +45,18 @@ class ForcingTrace:
 
 @dataclass(frozen=True)
 class ClosureResult:
+    """Final black set of a closure, with the kernel's event arrays
+    (round, forcer, forced); `trace` builds the ForceEvents on first read."""
+
     final: frozenset[int]
-    trace: ForcingTrace
+    initial: frozenset[int]
+    events: tuple[np.ndarray, np.ndarray, np.ndarray] = field(
+        compare=False, repr=False)
+
+    @cached_property
+    def trace(self) -> ForcingTrace:
+        return ForcingTrace(self.initial, tuple(
+            map(ForceEvent, *(a.tolist() for a in self.events))))
 
 
 def _black(g: Graph, vertices: Iterable[int]) -> np.ndarray:
@@ -73,11 +84,9 @@ def closure(g: Graph, initial: Iterable[int]) -> ClosureResult:
     smallest-index forcer on ties, forces applied together at round end).
     """
     init = frozenset(initial)
-    final, ev_round, ev_forcer, ev_forced = run_closure(g, _black(g, init))
-    events = tuple(ForceEvent(int(r), int(f), int(x))
-                   for r, f, x in zip(ev_round, ev_forcer, ev_forced))
-    final_set = frozenset(int(v) for v in np.nonzero(final)[0])
-    return ClosureResult(final_set, ForcingTrace(init, events))
+    final, *events = run_closure(g, _black(g, init))
+    return ClosureResult(frozenset(np.flatnonzero(final).tolist()), init,
+                         tuple(events))
 
 
 def closure_sequential(g: Graph, initial: Iterable[int],

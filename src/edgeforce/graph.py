@@ -48,14 +48,13 @@ class Graph:
 
     @cached_property
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Adjacency in CSR form (indptr, indices), both int32."""
+        """Adjacency in CSR form (indptr, indices), both int32, each
+        vertex's neighbors ascending as in `adjacency`."""
+        src, dst = self.directed_pairs
         indptr = np.zeros(self.vertex_count + 1, dtype=np.int32)
-        for i, nbrs in enumerate(self.adjacency):
-            indptr[i + 1] = indptr[i] + len(nbrs)
-        indices = np.empty(indptr[-1], dtype=np.int32)
-        for i, nbrs in enumerate(self.adjacency):
-            indices[indptr[i]:indptr[i + 1]] = nbrs
-        return indptr, indices
+        np.cumsum(np.bincount(src, minlength=self.vertex_count),
+                  out=indptr[1:])
+        return indptr, dst[np.lexsort((dst, src))]
 
     @cached_property
     def directed_pairs(self) -> tuple[np.ndarray, np.ndarray]:

@@ -1,10 +1,13 @@
 """Closure propagation kernel.
 
-A vectorized numpy kernel computes the round-synchronous closure under the
-reference schedule: each round scans vertices in ascending index, collects
-every black vertex whose unique white neighbor is still unclaimed this
-round (smallest-index forcer wins a tie), then applies all collected
-forces at once.
+The kernel replays the round-synchronous reference schedule: each round
+scans the active black vertices (those with exactly one white neighbor)
+in ascending index, each claims its white neighbor unless a smaller
+forcer already did this round, and the round's forces apply together.
+White-neighbor counts are seeded once; after that a round touches only
+its frontier and the neighbors of the vertices it forces.  An active
+vertex's count drops to zero in its round, so no vertex is active twice
+and a closure costs O((n + m) log n), the log for sorting each frontier.
 """
 
 from __future__ import annotations
@@ -14,48 +17,44 @@ import numpy as np
 
 def backend_name() -> str:
     """Name of the closure kernel, for environment stamps."""
-    return "numpy"
+    return "frontier"
 
 
 def run_closure(graph, black: np.ndarray):
     """Closure of `black` under the reference schedule.
 
     `black` is a uint8 array of length vertex_count; returns
-    (final_black, ev_round, ev_forcer, ev_forced).
+    (final_black, ev_round, ev_forcer, ev_forced), events sorted by round
+    then forcer.
     """
     src, dst = graph.directed_pairs
-    n = black.shape[0]
-    state = black.astype(bool).copy()
-    rounds: list[np.ndarray] = []
-    forcers: list[np.ndarray] = []
-    forced: list[np.ndarray] = []
+    final = black.astype(bool).view(np.uint8)
+    counts = np.bincount(src[final[dst] == 0], minlength=black.shape[0])
+    frontier = np.flatnonzero((counts == 1) & (final == 1)).tolist()
+    ptr, nbr = map(memoryview, graph.csr)
+    state, cnt = memoryview(final), counts.tolist()
+    rounds: list[int] = []
+    forcers: list[int] = []
+    forced: list[int] = []
     rnd = 0
-    while True:
+    while frontier:
         rnd += 1
-        white = ~state
-        cnt = np.bincount(src, weights=white[dst].astype(np.float64),
-                          minlength=n)
-        active = state & (cnt == 1)
-        mask = active[src] & white[dst]
-        if not mask.any():
-            break
-        # smallest-index forcer per target
-        chosen = np.full(n, n, dtype=np.int64)
-        np.minimum.at(chosen, dst[mask], src[mask])
-        new = np.nonzero(chosen < n)[0]
-        rounds.append(np.full(new.size, rnd, dtype=np.int32))
-        forcers.append(chosen[new].astype(np.int32))
-        forced.append(new.astype(np.int32))
-        state[new] = True
-    if rounds:
-        ev_round = np.concatenate(rounds)
-        ev_forcer = np.concatenate(forcers)
-        ev_forced = np.concatenate(forced)
-        order = np.lexsort((ev_forcer, ev_round))
-        ev_round, ev_forcer, ev_forced = (ev_round[order], ev_forcer[order],
-                                          ev_forced[order])
-    else:
-        ev_round = np.empty(0, dtype=np.int32)
-        ev_forcer = np.empty(0, dtype=np.int32)
-        ev_forced = np.empty(0, dtype=np.int32)
-    return state.astype(np.uint8), ev_round, ev_forcer, ev_forced
+        claimed: dict[int, int] = {}  # forced -> forcer, in forcer order
+        for v in frontier:
+            for w in nbr[ptr[v]:ptr[v + 1]]:
+                if not state[w]:
+                    break
+            if w not in claimed:
+                claimed[w] = v
+        touched = list(claimed)
+        for w in claimed:
+            state[w] = 1
+            for u in nbr[ptr[w]:ptr[w + 1]]:
+                cnt[u] -= 1
+                touched.append(u)
+        rounds += [rnd] * len(claimed)
+        forcers += claimed.values()
+        forced += claimed
+        frontier = sorted({u for u in touched if cnt[u] == 1 and state[u]})
+    return (final, np.array(rounds, dtype=np.int32),
+            np.array(forcers, dtype=np.int32), np.array(forced, dtype=np.int32))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 from dataclasses import dataclass
 
 from .engine import is_edge_forcing_set
@@ -22,6 +23,9 @@ from .graph import Edge, Graph, from_edges, matching_diagnostic, normalize_edge
 from .solver import min_edge_forcing, min_zero_forcing
 
 log = logging.getLogger(__name__)
+
+# normalize_and_project refuses to search more twin-replacement candidates
+MAX_PROJECTION_CANDIDATES = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -76,7 +80,8 @@ def normalize_and_project(m: ReductionMap, x: set[Edge] | frozenset[Edge]
     deterministic order, primed endpoint first for E'' edges and lower
     index first for E edges) for a same-size twin matching that still
     forces the lifted graph.  Non-forcing inputs take the first choice
-    for every edge, with any collision de-duplicated and logged.
+    for every edge, with any collision de-duplicated and logged.  A search
+    over more than MAX_PROJECTION_CANDIDATES choices raises ValueError.
     """
     edges = sorted(normalize_edge(u, v) for u, v in x)
     diag = matching_diagnostic(m.lifted, edges)
@@ -96,6 +101,11 @@ def normalize_and_project(m: ReductionMap, x: set[Edge] | frozenset[Edge]
             a, b = e
             candidates.append((a, b))
     if is_edge_forcing_set(m.lifted, edges):
+        count = math.prod(map(len, candidates))
+        if count > MAX_PROJECTION_CANDIDATES:
+            raise ValueError(
+                f"{count} twin-replacement candidates exceed the limit "
+                f"{MAX_PROJECTION_CANDIDATES}")
         for combo in itertools.product(*candidates):
             chosen = set(combo)
             if len(chosen) < len(edges):

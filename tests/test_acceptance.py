@@ -197,3 +197,16 @@ def test_criterion_8_linear_obstruction_packing():
     elapsed = time.perf_counter() - start
     report(8, "maximum obstruction packing of 5 K2,5 copies", elapsed, 1.0,
            lower == len(family) == 10)
+
+
+def test_criterion_9_linear_closure():
+    # one force per round: a per-round rescan of every edge is quadratic
+    g = path_graph(16000)
+    start = time.perf_counter()
+    result = closure(g, [0])
+    trace = result.trace
+    elapsed = time.perf_counter() - start
+    report(9, "closure of P_16000 from one end", elapsed, 1.0,
+           len(result.final) == g.vertex_count
+           and len(trace.events) == g.vertex_count - 1
+           and trace.replay(g) == result.final)

@@ -146,12 +146,29 @@ class TestKernel:
             witness = sorted(butterfly_witness_endpoints(r))
             initial = set(witness) - data.draw(st.sets(st.sampled_from(witness),
                                                        max_size=4))
+        elif data.draw(st.booleans()):
+            # long chains as in the benchmark: P_n or P_n x K_2, renumbered,
+            # closed from one end, plus a few black vertices anywhere
+            n = data.draw(st.integers(1, 300))
+            ladder = data.draw(st.booleans())
+            size = 2 * n if ladder else n
+            perm = data.draw(st.permutations(range(size)))
+            edges = [(i, i + 1) for i in range(n - 1)]
+            if ladder:
+                edges += [(n + i, n + i + 1) for i in range(n - 1)]
+                edges += [(i, n + i) for i in range(n)]
+            g = from_edges(size, [(perm[u], perm[v]) for u, v in edges])
+            initial = {perm[0], perm[n]} if ladder else {perm[0]}
+            initial |= data.draw(st.sets(st.integers(0, size - 1),
+                                         max_size=3))
         else:
+            # edges may be empty, and trailing vertices are always isolated
             n = data.draw(st.integers(2, 12))
+            size = n + data.draw(st.integers(0, 3))
             pool = list(itertools.combinations(range(n), 2))
-            g = from_edges(n, data.draw(st.lists(st.sampled_from(pool),
-                                                 unique=True)))
-            initial = data.draw(st.sets(st.integers(0, n - 1)))
+            g = from_edges(size, data.draw(st.lists(st.sampled_from(pool),
+                                                    unique=True)))
+            initial = data.draw(st.sets(st.integers(0, size - 1)))
         black = np.zeros(g.vertex_count, dtype=np.uint8)
         black[list(initial)] = 1
         final, ev_round, ev_forcer, ev_forced = run_closure(g, black)

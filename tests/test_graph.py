@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -59,6 +60,21 @@ class TestFromEdges:
             assert list(nbrs) == sorted(nbrs)
             for u in nbrs:
                 assert v in g.adjacency[u]
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_csr_lists_adjacency(self, data):
+        n = data.draw(st.integers(2, 10))
+        pool = list(itertools.combinations(range(n), 2))
+        edges = data.draw(st.lists(st.sampled_from(pool), unique=True))
+        # trailing isolated vertices end the CSR with empty rows
+        g = from_edges(n + data.draw(st.integers(0, 3)), edges)
+        indptr, indices = g.csr
+        assert indptr.dtype == indices.dtype == np.int32
+        assert indptr.size == g.vertex_count + 1
+        assert indptr[-1] == indices.size
+        assert [tuple(indices[indptr[v]:indptr[v + 1]].tolist())
+                for v in range(g.vertex_count)] == list(g.adjacency)
 
     def test_json_round_trip(self):
         g = from_edges(5, [(0, 1), (2, 3), (1, 4)])

@@ -254,6 +254,38 @@ class TestCli:
         assert out["verified"] is False
         assert "(0, 1)" in out["details"]
 
+    @pytest.mark.parametrize("what", ["zf", "ef"])
+    def test_solve_certificate_verifies(self, tmp_path, capsys, what):
+        assert main(["solve", what, "--graph",
+                     write_graph(tmp_path, cycle_graph(4))]) == 0
+        cert = tmp_path / "c4.json"
+        cert.write_text(capsys.readouterr().out)
+        assert main(["verify", "--cert", str(cert)]) == 0
+        assert json.loads(capsys.readouterr().out)["verified"] is True
+
+    @pytest.mark.parametrize("graph, kind, claim, witness, details", [
+        (C4, "zf-number", {"value": 4}, {"vertices": [0, 1, 2, 3]},
+         "smaller zero-forcing set [0, 1, 2] of size 3"),
+        (C4, "ef-number", {"value": 2}, {"edges": [[0, 1], [2, 3]]},
+         "smaller edge-forcing set [(0, 1)] of size 1"),
+        (path_graph(25).to_json_dict(), "zf-number", {"value": 1},
+         {"vertices": [0]},
+         "minimality re-verification limited to small graphs"),
+        (cycle_graph(41).to_json_dict(), "ef-number", {"value": 1},
+         {"edges": [[0, 1]]},
+         "minimality re-verification limited to small graphs"),
+    ], ids=["zf-number-not-minimum", "ef-number-not-minimum",
+            "zf-number-above-guard", "ef-number-above-guard"])
+    def test_verify_minimality(self, tmp_path, capsys, graph, kind, claim,
+                               witness, details):
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps({
+            "schema_version": "efc-1", "kind": kind, "graph": graph,
+            "claim": claim, "witness": witness}))
+        assert main(["verify", "--cert", str(cert)]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["verified"] is False and out["details"] == details
+
     @pytest.mark.parametrize("command, text", [
         ("verify", "[]"),
         ("verify", json.dumps({"schema_version": "efc-1", "kind": "bounds",

@@ -90,6 +90,18 @@ class TestProject:
         with pytest.raises(ValueError, match="not a matching"):
             normalize_and_project(m, {(0, 1), (1, 2)})
 
+    def test_candidate_guard(self):
+        # 21 disjoint base edges; each E'' edge (1, 0') forces its own copy
+        # of the lifted K2, and offers two candidates: 2**21 in all
+        k = 21
+        m = build_gbar(from_edges(2 * k, [(2 * i, 2 * i + 1)
+                                          for i in range(k)]))
+        matching = [normalize_edge(2 * i + 1, m.prime(2 * i))
+                    for i in range(k)]
+        assert is_edge_forcing_set(m.lifted, matching)
+        with pytest.raises(ValueError, match="2097152 twin-replacement"):
+            normalize_and_project(m, matching)
+
     def test_cardinality_preserved(self):
         rng = random.Random(14)
         for _ in range(30):
