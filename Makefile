@@ -16,9 +16,10 @@ bench:
 	done
 
 # Regenerate the checked-in certificates.  The BF(2) command exits 1 by
-# design (nonexistence), hence the leading dash.
+# design (nonexistence); any other exit status is a failure.
 fixtures:
-	-$(RUN) -m edgeforce construct --r 2 > fixtures/bf2-nonexistence.json
+	$(RUN) -m edgeforce construct --r 2 > fixtures/bf2-nonexistence.json; \
+		test $$? -eq 1
 	for r in 3 4 5 6 7 8 9; do \
 		$(RUN) -m edgeforce construct --r $$r > fixtures/bf$$r-construction.json; \
 		$(RUN) -m edgeforce bounds --r $$r > fixtures/bf$$r-bounds.json; \

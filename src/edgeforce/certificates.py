@@ -3,10 +3,12 @@
 A certificate carries everything needed to re-check its claim: the graph
 (inline or as a "butterfly:r" descriptor), the claimed value(s), the
 witness by canonical edge identity and by display label, and search
-metadata.  ``verify_certificate`` rebuilds the graph and re-runs the claim:
-closure or membership, the exhaustion behind a nonexistence claim or the
-minimality of a zf-/ef-number (on graphs within the solver guards), or the
-bounds arithmetic.
+metadata, including the guard an exact search ran under.  Each claim kind
+has one builder here, which the CLI emits.  ``verify_certificate`` rebuilds
+a closure, zfs-check, efs-check, nonexistence, bounds or
+reduction-equivalence certificate from its inputs with the same builder and
+compares claim and trace; a zf-number or ef-number claim is re-checked by
+its witness and by minimality, within the recorded search guard.
 """
 
 from __future__ import annotations
@@ -18,10 +20,12 @@ from typing import Any, Iterable, Optional, Union
 
 from . import __version__
 from .butterfly import build_butterfly
-from .constructions import BoundsReport, known_bounds, structural_lower_bound
+from .constructions import known_bounds, structural_lower_bound
 from .engine import closure, is_edge_forcing_set, is_zero_forcing_set
 from .graph import Edge, Graph, GraphError, from_edges, normalize_edge
-from .solver import DEFAULT_MAX_EDGES, DEFAULT_MAX_VERTICES, exhaust_matchings
+from .reduction import solve_equivalence
+from .solver import (DEFAULT_MAX_EDGES, DEFAULT_MAX_VERTICES, exhaust_matchings,
+                     min_edge_forcing, min_zero_forcing)
 
 SCHEMA_VERSION = "efc-1"
 
@@ -169,35 +173,18 @@ def parse_certificate(doc: Union[str, dict]) -> Certificate:
 # verification
 # ---------------------------------------------------------------------------
 
+def _guard(c: Certificate, key: str, default: int) -> int:
+    """The search guard recorded as search[key], else the solver default."""
+    search = c.search if isinstance(c.search, dict) else {}
+    return require_field(search, key, int, "search") if key in search else default
+
+
 def verify_certificate(doc: Union[str, dict, Certificate]
                        ) -> tuple[bool, str]:
     """Re-check a certificate from its own contents; (ok, details)."""
     c = doc if isinstance(doc, Certificate) else parse_certificate(doc)
     g = resolve_graph(c.graph)
     kind = c.kind
-
-    if kind == "closure":
-        final = closure(g, _vertex_list(c.claim, "initial", "claim")).final
-        expected = set(_vertex_list(c.claim, "final", "claim"))
-        if final != frozenset(expected):
-            return False, (f"closure mismatch: recomputed {sorted(final)}, "
-                           f"certificate says {sorted(expected)}")
-        return True, "closure reproduces the recorded final set"
-
-    if kind == "zfs-check":
-        got = is_zero_forcing_set(g, _vertex_list(c.claim, "set", "claim"))
-        if got != require_field(c.claim, "result", bool, "claim"):
-            return False, f"zfs membership recomputed as {got}"
-        return True, "zero-forcing membership reproduced"
-
-    if kind == "efs-check":
-        edges = _witness_edges(c.witness)
-        size = require_field(c.claim, "size", int, "claim")
-        if not is_edge_forcing_set(g, edges):
-            return False, "witness is not an edge-forcing set"
-        if len(edges) != size:
-            return False, f"witness size {len(edges)} != claimed {size}"
-        return True, f"witness of size {len(edges)} verifies"
 
     if kind == "zf-number":
         vs = _vertex_list(c.witness, "vertices", "witness")
@@ -206,7 +193,7 @@ def verify_certificate(doc: Union[str, dict, Certificate]
             return False, "witness is not a zero-forcing set"
         if len(vs) != value:
             return False, f"witness size {len(vs)} != value {value}"
-        if g.vertex_count > DEFAULT_MAX_VERTICES:
+        if g.vertex_count > _guard(c, "max_n", DEFAULT_MAX_VERTICES):
             return False, "minimality re-verification limited to small graphs"
         smaller = None
         if value:
@@ -226,49 +213,43 @@ def verify_certificate(doc: Union[str, dict, Certificate]
             return False, "witness is not an edge-forcing set"
         if len(edges) != value:
             return False, f"witness size {len(edges)} != value {value}"
-        bound, _ = structural_lower_bound(g)
-        lower = c.claim.get("lower_bound")
-        if lower is not None and bound != lower:
-            return False, (f"lower bound recomputed as {bound}, "
-                           f"certificate says {lower}")
-        if g.edge_count > DEFAULT_MAX_EDGES:
+        if g.edge_count > _guard(c, "max_edges", DEFAULT_MAX_EDGES):
             return False, "minimality re-verification limited to small graphs"
+        bound, _ = structural_lower_bound(g)
         smaller, _ = exhaust_matchings(g, max(1, bound), value)
         if smaller is not None:
             return False, (f"smaller edge-forcing set {sorted(smaller)} "
                            f"of size {len(smaller)}")
         return True, "edge-forcing witness verifies; no smaller matching forces"
 
-    if kind == "nonexistence":
-        claimed = require_field(c.claim, "matchings_tested_per_size", dict,
-                                "claim")
-        if g.edge_count > DEFAULT_MAX_EDGES:
+    if kind == "closure":
+        rebuilt = closure_certificate(
+            g, _vertex_list(c.claim, "initial", "claim"), c.graph)
+    elif kind == "zfs-check":
+        rebuilt = zfs_check_certificate(
+            g, _vertex_list(c.claim, "set", "claim"), c.graph)
+    elif kind == "efs-check":
+        rebuilt = efs_check_certificate(g, _witness_edges(c.witness), c.graph)
+    elif kind == "nonexistence":
+        require_field(c.claim, "matchings_tested_per_size", dict, "claim")
+        if g.edge_count > _guard(c, "max_edges", DEFAULT_MAX_EDGES):
             return False, "nonexistence re-verification limited to small graphs"
         try:
             counts = bf2_nonexistence_counts(g)
         except EdgeForcingSetFound as found:
             return False, str(found)
-        counts = {str(k): v for k, v in counts.items()}
-        if counts != claimed:
-            return False, (f"exhaustion counts {counts} differ from "
-                           f"certificate {claimed}")
-        return True, "exhaustive re-run confirms nonexistence"
-
-    if kind == "bounds":
-        report = known_bounds(require_field(c.claim, "r", int, "claim"))
-        expected = bounds_claim(report)
-        if expected != c.claim:
-            return False, f"bounds recomputed as {expected}"
-        return True, "bounds arithmetic re-validated"
-
-    if kind == "reduction-equivalence":
-        from .reduction import verify_equivalence
-        ok = verify_equivalence(g)
-        if not ok:
-            return False, "equivalence no longer holds on re-run"
-        return True, "reduction equivalence re-verified"
-
-    return False, f"unknown claim kind {kind!r}"
+        rebuilt = nonexistence_certificate(c.graph, counts)
+    elif kind == "bounds":
+        rebuilt = bounds_certificate(require_field(c.claim, "r", int, "claim"))
+    elif kind == "reduction-equivalence":
+        rebuilt = reduction_certificate(g, c.graph)
+    else:
+        return False, f"unknown claim kind {kind!r}"
+    if rebuilt.claim != c.claim:
+        return False, f"claim recomputed as {rebuilt.claim}"
+    if rebuilt.trace != c.trace:
+        return False, "trace recomputed differs from the certificate's"
+    return True, f"{kind} claim and trace recomputed from the inputs"
 
 
 def bf2_nonexistence_counts(g: Graph) -> dict[int, int]:
@@ -281,24 +262,87 @@ def bf2_nonexistence_counts(g: Graph) -> dict[int, int]:
     return counts
 
 
-def bounds_claim(report: BoundsReport) -> dict:
-    return {k: v for k, v in asdict(report).items()}
+# ---------------------------------------------------------------------------
+# certificate builders, one per claim kind; verify passes the `graph` field
+# ---------------------------------------------------------------------------
+
+def closure_certificate(g: Graph, initial: list[int],
+                        graph: Union[str, dict, None] = None) -> Certificate:
+    result = closure(g, initial)
+    return Certificate(
+        kind="closure", graph=g.to_json_dict() if graph is None else graph,
+        claim={"initial": sorted(initial), "final": sorted(result.final),
+               "covers_all": len(result.final) == g.vertex_count},
+        trace=[list(ev) for ev in zip(*(a.tolist() for a in result.events))])
 
 
-# ---------------------------------------------------------------------------
-# certificate builders
-# ---------------------------------------------------------------------------
+def zfs_check_certificate(g: Graph, vertices: list[int],
+                          graph: Union[str, dict, None] = None) -> Certificate:
+    ok = is_zero_forcing_set(g, vertices)
+    return Certificate(kind="zfs-check",
+                       graph=g.to_json_dict() if graph is None else graph,
+                       claim={"set": sorted(vertices), "result": ok})
+
+
+def efs_check_certificate(g: Graph, edges: list[Edge],
+                          graph: Union[str, dict, None] = None) -> Certificate:
+    diagnostics: list[str] = []
+    ok = is_edge_forcing_set(g, edges, diagnostics=diagnostics)
+    claim = {"size": len(edges), "result": ok}
+    if diagnostics:
+        claim["diagnostic"] = diagnostics[0]
+    return Certificate(kind="efs-check",
+                       graph=g.to_json_dict() if graph is None else graph,
+                       claim=claim, witness={"edges": [list(e) for e in edges]})
+
+
+def zf_number_certificate(g: Graph, max_n: int) -> Certificate:
+    value, witness = min_zero_forcing(g, max_vertices=max_n)
+    return Certificate(kind="zf-number", graph=g.to_json_dict(),
+                       claim={"value": value}, search={"max_n": max_n},
+                       witness=vertex_witness(g, witness))
+
+
+def ef_number_certificate(g: Graph, max_edges: int) -> Certificate:
+    """The ef-number certificate, or nonexistence when no matching forces."""
+    verdict = min_edge_forcing(g, max_edges=max_edges)
+    search = {"explored": verdict.explored, "max_edges": max_edges,
+              "max_matching_size_searched": verdict.max_matching_size_searched}
+    if not verdict.exists:
+        return nonexistence_certificate(
+            g.to_json_dict(), verdict.matchings_tested_per_size, search)
+    return Certificate(kind="ef-number", graph=g.to_json_dict(),
+                       claim={"value": verdict.value},
+                       witness=edge_witness(g, sorted(verdict.witness)),
+                       search=search)
+
+
+def nonexistence_certificate(graph: Union[str, dict], counts: dict[int, int],
+                             search: Optional[dict] = None) -> Certificate:
+    tested = {str(k): v for k, v in sorted(counts.items())}
+    return Certificate(kind="nonexistence", graph=graph, search=search, claim={
+        "matchings_tested_per_size": tested, "verdict": "not-exists"})
+
 
 def bf2_nonexistence() -> Certificate:
     """Exhaustive nonexistence certificate for BF(2)."""
     counts = bf2_nonexistence_counts(build_butterfly(2))
+    return nonexistence_certificate("butterfly:2", counts, {
+        "mode": "exhaustive", "explored": sum(counts.values())})
+
+
+def reduction_certificate(g: Graph, graph: Union[str, dict, None] = None
+                          ) -> Certificate:
+    zf, zf_witness, verdict = solve_equivalence(g)
     return Certificate(
-        kind="nonexistence",
-        graph="butterfly:2",
-        claim={"matchings_tested_per_size": {str(k): v
-                                             for k, v in sorted(counts.items())},
-               "verdict": "not-exists"},
-        search={"mode": "exhaustive", "explored": sum(counts.values())})
+        kind="reduction-equivalence",
+        graph=g.to_json_dict() if graph is None else graph,
+        claim={"zero_forcing_number": zf,
+               "lifted_edge_forcing_number": verdict.value,
+               "equal": verdict.exists and verdict.value == zf},
+        witness={"base_vertices": sorted(zf_witness),
+                 "lifted_edges": [list(e) for e in sorted(verdict.witness)]
+                 if verdict.witness else None})
 
 
 def construction_certificate(r: int, witness: list[Edge], seed: int,
@@ -315,4 +359,4 @@ def construction_certificate(r: int, witness: list[Edge], seed: int,
 
 def bounds_certificate(r: int) -> Certificate:
     return Certificate(kind="bounds", graph=f"butterfly:{r}",
-                       claim=bounds_claim(known_bounds(r)))
+                       claim=asdict(known_bounds(r)))

@@ -13,18 +13,18 @@ import sys
 from typing import Iterable, Optional
 
 from .butterfly import ButterflyError, build_butterfly
-from .certificates import (Certificate, CertificateError, bf2_nonexistence,
-                           bounds_certificate, construction_certificate,
-                           edge_witness, emit_certificate, parse_edges,
-                           parse_graph, require_field, verify_certificate,
-                           vertex_witness)
+from .certificates import (CertificateError, bf2_nonexistence,
+                           bounds_certificate, closure_certificate,
+                           construction_certificate, efs_check_certificate,
+                           emit_certificate, ef_number_certificate,
+                           parse_edges, parse_graph, reduction_certificate,
+                           require_field, verify_certificate,
+                           zf_number_certificate, zfs_check_certificate)
 from .constructions import (DEFAULT_SEED, ConstructionError,
                             construct_edge_forcing)
-from .engine import closure, is_edge_forcing_set, is_zero_forcing_set
 from .graph import Edge, Graph
 from .reduction import build_gbar
-from .solver import (DEFAULT_MAX_EDGES, DEFAULT_MAX_VERTICES,
-                     InstanceTooLarge, min_edge_forcing, min_zero_forcing)
+from .solver import DEFAULT_MAX_EDGES, DEFAULT_MAX_VERTICES, InstanceTooLarge
 
 
 def to_dot(g: Graph, highlight: Optional[Iterable[Edge]] = None) -> str:
@@ -51,10 +51,6 @@ def _load_set(path: str, key: str) -> list:
         return require_field(json.load(fh), key, list, "set file")
 
 
-def _print_cert(cert: Certificate) -> None:
-    sys.stdout.write(emit_certificate(cert))
-
-
 def cmd_generate(args) -> int:
     g = build_butterfly(args.r)
     if args.dot:
@@ -67,71 +63,32 @@ def cmd_generate(args) -> int:
 def cmd_closure(args) -> int:
     g = _load_graph(args.graph)
     initial = [int(x) for x in args.black.split(",") if x != ""]
-    result = closure(g, initial)
-    cert = Certificate(
-        kind="closure", graph=g.to_json_dict(),
-        claim={"initial": sorted(initial), "final": sorted(result.final),
-               "covers_all": len(result.final) == g.vertex_count},
-        trace=[[e.round, e.forcer, e.forced] for e in result.trace.events])
-    _print_cert(cert)
+    sys.stdout.write(emit_certificate(closure_certificate(g, initial)))
     return 0
 
 
 def cmd_check(args) -> int:
     g = _load_graph(args.graph)
     if args.what == "zfs":
-        vertices = _load_set(args.set, "vertices")
-        ok = is_zero_forcing_set(g, vertices)
-        cert = Certificate(kind="zfs-check", graph=g.to_json_dict(),
-                           claim={"set": sorted(vertices), "result": ok})
-        _print_cert(cert)
-        return 0 if ok else 1
-    edges = parse_edges(_load_set(args.set, "edges"))
-    diagnostics: list[str] = []
-    ok = is_edge_forcing_set(g, edges, diagnostics=diagnostics)
-    claim = {"size": len(edges), "result": ok}
-    if diagnostics:
-        claim["diagnostic"] = diagnostics[0]
-    cert = Certificate(kind="efs-check", graph=g.to_json_dict(), claim=claim,
-                       witness={"edges": [list(e) for e in edges]})
-    _print_cert(cert)
-    return 0 if ok else 1
+        cert = zfs_check_certificate(g, _load_set(args.set, "vertices"))
+    else:
+        cert = efs_check_certificate(
+            g, parse_edges(_load_set(args.set, "edges")))
+    sys.stdout.write(emit_certificate(cert))
+    return 0 if cert.claim["result"] else 1
 
 
 def cmd_solve(args) -> int:
     g = _load_graph(args.graph)
-    if args.what == "zf":
-        value, witness = min_zero_forcing(g, max_vertices=args.max_n)
-        cert = Certificate(kind="zf-number", graph=g.to_json_dict(),
-                           claim={"value": value},
-                           witness=vertex_witness(g, witness))
-        _print_cert(cert)
-        return 0
-    verdict = min_edge_forcing(g, max_edges=args.max_edges)
-    search = {"explored": verdict.explored,
-              "max_matching_size_searched": verdict.max_matching_size_searched}
-    if verdict.exists:
-        cert = Certificate(kind="ef-number", graph=g.to_json_dict(),
-                           claim={"value": verdict.value},
-                           witness=edge_witness(g, sorted(verdict.witness)),
-                           search=search)
-        _print_cert(cert)
-        return 0
-    counts = verdict.matchings_tested_per_size
-    cert = Certificate(
-        kind="nonexistence", graph=g.to_json_dict(),
-        claim={"verdict": "not-exists",
-               "matchings_tested_per_size": {str(k): v
-                                             for k, v in sorted(counts.items())}},
-        search=search)
-    _print_cert(cert)
-    return 1
+    cert = (zf_number_certificate(g, args.max_n) if args.what == "zf"
+            else ef_number_certificate(g, args.max_edges))
+    sys.stdout.write(emit_certificate(cert))
+    return 1 if cert.kind == "nonexistence" else 0
 
 
 def cmd_construct(args) -> int:
     if args.r == 2:
-        cert = bf2_nonexistence()
-        _print_cert(cert)
+        sys.stdout.write(emit_certificate(bf2_nonexistence()))
         return 1
     repairs: list[str] = []
     witness = construct_edge_forcing(args.r, seed=args.seed,
@@ -140,34 +97,23 @@ def cmd_construct(args) -> int:
     if args.dot:
         sys.stdout.write(to_dot(build_butterfly(args.r), highlight=witness))
     else:
-        _print_cert(cert)
+        sys.stdout.write(emit_certificate(cert))
     return 0
 
 
 def cmd_bounds(args) -> int:
-    _print_cert(bounds_certificate(args.r))
+    sys.stdout.write(emit_certificate(bounds_certificate(args.r)))
     return 0
 
 
 def cmd_reduce(args) -> int:
     g = _load_graph(args.graph)
-    m = build_gbar(g)
     if not args.verify:
-        sys.stdout.write(json.dumps(m.lifted.to_json_dict()) + "\n")
+        sys.stdout.write(json.dumps(build_gbar(g).lifted.to_json_dict()) + "\n")
         return 0
-    zf, zf_witness = min_zero_forcing(g)
-    verdict = min_edge_forcing(m.lifted, max_edges=120)
-    equal = verdict.exists and verdict.value == zf
-    cert = Certificate(
-        kind="reduction-equivalence", graph=g.to_json_dict(),
-        claim={"zero_forcing_number": zf,
-               "lifted_edge_forcing_number": verdict.value,
-               "equal": equal},
-        witness={"base_vertices": sorted(zf_witness),
-                 "lifted_edges": [list(e) for e in sorted(verdict.witness)]
-                 if verdict.witness else None})
-    _print_cert(cert)
-    return 0 if equal else 1
+    cert = reduction_certificate(g)
+    sys.stdout.write(emit_certificate(cert))
+    return 0 if cert.claim["equal"] else 1
 
 
 def cmd_verify(args) -> int:

@@ -23,8 +23,8 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .butterfly import (ButterflyError, build_butterfly, decompose_subcopies,
-                        vertex_index)
+from .butterfly import (MAX_DIMENSION, ButterflyError, build_butterfly,
+                        decompose_subcopies, vertex_index)
 from .engine import closure, is_edge_forcing_set, matching_endpoints
 from .graph import Edge, Graph, normalize_edge
 
@@ -33,6 +33,8 @@ EXACT_VALUES = {3: 8, 4: 25, 5: 47}
 CITED_LOWER = {4: 25, 5: 47}
 
 DEFAULT_SEED = 12345
+# greedy completions tried per skeleton before the seeded search gives up
+RESTARTS = 200
 
 
 class ConstructionError(RuntimeError):
@@ -174,15 +176,14 @@ def _greedy_complete(g: Graph, base: list[Edge], candidates: list[Edge],
 
 
 def _seeded_search(r: int, target: int, h_modes: list[str],
-                   level_pairs: list[int], seed: int,
-                   restarts: int = 200) -> list[Edge]:
+                   level_pairs: list[int], seed: int) -> list[Edge]:
     g = build_butterfly(r)
     candidates = _middle_candidates(r, level_pairs)
     extra = target - (1 << r)
     rng = random.Random(seed)
     for mode in h_modes:
         base = _vertical_skeleton(r) + _horizontal_skeleton(r, mode)
-        for _ in range(restarts):
+        for _ in range(RESTARTS):
             full = _greedy_complete(g, base, candidates, extra, rng)
             if full is not None:
                 return sorted(full)
@@ -314,9 +315,9 @@ def zero_forcing_upper_reference(r: int) -> int:
 
 
 def known_bounds(r: int) -> BoundsReport:
-    """Bounds ledger for the edge-forcing number of BF(r), r >= 2."""
-    if r < 2:
-        raise ButterflyError(f"bounds need r >= 2, got {r}")
+    """Edge-forcing bounds ledger for BF(r), 2 <= r <= MAX_DIMENSION."""
+    if not 2 <= r <= MAX_DIMENSION:
+        raise ButterflyError(f"bounds need 2 <= r <= {MAX_DIMENSION}, got {r}")
     if r == 2:
         return BoundsReport(r=2, exists=False, lower=None, exact=None,
                             upper_formula=None, upper_recursive=None,

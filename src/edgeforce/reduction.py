@@ -20,12 +20,14 @@ from dataclasses import dataclass
 
 from .engine import is_edge_forcing_set
 from .graph import Edge, Graph, from_edges, matching_diagnostic, normalize_edge
-from .solver import min_edge_forcing, min_zero_forcing
+from .solver import EdgeForcingVerdict, min_edge_forcing, min_zero_forcing
 
 log = logging.getLogger(__name__)
 
 # normalize_and_project refuses to search more twin-replacement candidates
 MAX_PROJECTION_CANDIDATES = 2 ** 20
+# edge guard of the exact edge-forcing search on a lifted graph
+MAX_LIFTED_EDGES = 120
 
 
 @dataclass(frozen=True)
@@ -121,10 +123,14 @@ def normalize_and_project(m: ReductionMap, x: set[Edge] | frozenset[Edge]
     return frozenset(chosen)
 
 
-def verify_equivalence(g: Graph, max_vertices: int = 24,
-                       max_edges: int = 100) -> bool:
-    """Exact check that the base zero-forcing number equals the lifted
-    edge-forcing number."""
-    zf, _ = min_zero_forcing(g, max_vertices=max_vertices)
-    verdict = min_edge_forcing(build_gbar(g).lifted, max_edges=max_edges)
+def solve_equivalence(g: Graph) -> tuple[int, frozenset[int], EdgeForcingVerdict]:
+    """zf(g) with its witness, and the exact verdict on the lifted graph."""
+    zf, witness = min_zero_forcing(g)
+    lifted = build_gbar(g).lifted
+    return zf, witness, min_edge_forcing(lifted, max_edges=MAX_LIFTED_EDGES)
+
+
+def verify_equivalence(g: Graph) -> bool:
+    """Exact check that zf(g) equals the lifted edge-forcing number."""
+    zf, _, verdict = solve_equivalence(g)
     return verdict.exists and verdict.value == zf

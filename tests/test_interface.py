@@ -1,7 +1,10 @@
+import itertools
 import json
 import pathlib
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from edgeforce.butterfly import build_butterfly
 from edgeforce.certificates import (CertificateError, bf2_nonexistence,
@@ -11,11 +14,31 @@ from edgeforce.certificates import (CertificateError, bf2_nonexistence,
                                     resolve_graph, verify_certificate)
 from edgeforce.cli import main, to_dot
 from edgeforce.constructions import DEFAULT_SEED, construct_edge_forcing
+from edgeforce.graph import from_edges
 
 from conftest import cycle_graph, path_graph
 
 FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
 C4 = {"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]]}
+K13 = {"n": 4, "edges": [[0, 1], [0, 2], [0, 3]]}
+# two 12-vertex paths joined by rungs at 0, 3, 7, 11: 26 edges, 102 lifted
+LADDER = {"n": 24, "edges": [[i, i + 1] for i in range(11)]
+          + [[i, i + 1] for i in range(12, 23)]
+          + [[i, i + 12] for i in (0, 3, 7, 11)]}
+
+
+def run_json(capsys, argv):
+    """(exit code, parsed stdout) of one CLI run."""
+    code = main([str(a) for a in argv])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def emit_and_verify(tmp_path, capsys, argv):
+    """Run an emitting command, then `verify` on its certificate."""
+    code, doc = run_json(capsys, argv)
+    cert = tmp_path / "emitted.json"
+    cert.write_text(json.dumps(doc))
+    return code, run_json(capsys, ["verify", "--cert", cert])
 
 
 class TestParseGraph:
@@ -322,6 +345,118 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("graph, argv, set_doc, code", [
+        (K13, ["check", "efs"], {"edges": [[0, 1]]}, 1),
+        (LADDER, ["reduce", "--verify"], None, 0),
+        (cycle_graph(41).to_json_dict(),
+         ["solve", "ef", "--max-edges", "50"], None, 0),
+        (path_graph(25).to_json_dict(), ["solve", "zf", "--max-n", "30"],
+         None, 0),
+    ], ids=["efs-check-false", "reduce-ladder-26-edges",
+            "solve-ef-raised-guard", "solve-zf-raised-guard"])
+    def test_emitted_certificate_verifies(self, tmp_path, capsys, graph,
+                                          argv, set_doc, code):
+        gpath = tmp_path / "g.json"
+        gpath.write_text(json.dumps(graph))
+        argv = argv + ["--graph", gpath]
+        if set_doc is not None:
+            (tmp_path / "s.json").write_text(json.dumps(set_doc))
+            argv += ["--set", tmp_path / "s.json"]
+        emitted, (verified, out) = emit_and_verify(tmp_path, capsys, argv)
+        assert emitted == code
+        assert verified == 0 and out["verified"] is True, out["details"]
+
+    @pytest.mark.parametrize("argv, field, value", [
+        (["check", "efs", "--set", "s.json"], "result", False),
+        (["reduce", "--verify"], "zero_forcing_number", 99),
+        (["reduce", "--verify"], "lifted_edge_forcing_number", 99),
+        (["closure", "--black", "0,1"], "covers_all", False),
+    ], ids=["efs-check-result-flipped", "reduce-zf-forged",
+            "reduce-lifted-ef-forged", "closure-forged"])
+    def test_forged_claim_recomputed(self, tmp_path, capsys, monkeypatch,
+                                     argv, field, value):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "s.json").write_text('{"edges": [[0, 1]]}')
+        gpath = write_graph(tmp_path, cycle_graph(4))
+        code, doc = run_json(capsys, argv + ["--graph", gpath])
+        assert code == 0
+        doc["claim"][field] = value
+        if doc["kind"] == "closure":
+            doc["trace"] = [[0, 1, 2]]
+        cert = tmp_path / "forged.json"
+        cert.write_text(json.dumps(doc))
+        code, out = run_json(capsys, ["verify", "--cert", cert])
+        assert code == 1 and out["verified"] is False
+        assert "recomputed" in out["details"]
+
+    def test_forged_closure_trace_alone(self, tmp_path, capsys):
+        gpath = write_graph(tmp_path, path_graph(4))
+        code, doc = run_json(capsys, ["closure", "--graph", gpath,
+                                      "--black", "0"])
+        doc["trace"][0] = [0, 1, 2]
+        cert = tmp_path / "forged.json"
+        cert.write_text(json.dumps(doc))
+        code, out = run_json(capsys, ["verify", "--cert", cert])
+        assert code == 1 and "recomputed" in out["details"]
+
+    @pytest.mark.parametrize("argv, cert_claim_r", [
+        (["bounds", "--r", "17"], None),
+        (["bounds", "--r", "1100"], None),
+        (["bounds", "--r", "3000"], None),
+        (["verify", "--cert"], 5000),
+    ], ids=["bounds-r17", "bounds-r1100", "bounds-r3000", "verify-r5000"])
+    def test_bounds_above_butterfly_guard(self, tmp_path, capsys, argv,
+                                          cert_claim_r):
+        if cert_claim_r is not None:
+            doc = json.loads(emit_certificate(bounds_certificate(3)))
+            doc["claim"]["r"] = cert_claim_r
+            cert = tmp_path / "bounds.json"
+            cert.write_text(json.dumps(doc))
+            argv = argv + [str(cert)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_missing_file(self, capsys):
         assert main(["closure", "--graph", "/nonexistent.json",
                      "--black", "0"]) == 2
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 6))
+    pairs = list(itertools.combinations(range(n), 2))
+    mask = draw(st.integers(0, (1 << len(pairs)) - 1))
+    return from_edges(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+
+
+class TestRoundTrip:
+    """Every certificate the CLI emits passes `verify`."""
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(g=small_graphs(), data=st.data())
+    def test_emitted_certificates_verify(self, tmp_path, capsys, g, data):
+        n = g.vertex_count
+        pairs = list(itertools.permutations(range(n), 2))
+        black = data.draw(st.sets(st.integers(0, n - 1)))
+        vertices = data.draw(st.sets(st.integers(0, n - 1)))
+        # any edge list: non-edges, shared endpoints and repeats included
+        edges = data.draw(st.lists(st.sampled_from(pairs), max_size=3)
+                          if pairs else st.just([]))
+        gpath = write_graph(tmp_path, g)
+        sets = {"zfs": {"vertices": sorted(vertices)},
+                "efs": {"edges": [list(e) for e in edges]}}
+        for name, doc in sets.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        commands = [
+            ["closure", "--black", ",".join(map(str, sorted(black)))],
+            ["check", "zfs", "--set", tmp_path / "zfs.json"],
+            ["check", "efs", "--set", tmp_path / "efs.json"],
+            ["solve", "zf"], ["solve", "ef"], ["reduce", "--verify"],
+        ]
+        for argv in commands:
+            emitted, (verified, out) = emit_and_verify(
+                tmp_path, capsys, argv + ["--graph", gpath])
+            assert emitted in (0, 1), argv
+            assert verified == 0, (argv, out["details"])
