@@ -21,8 +21,9 @@ fixtures:
 	$(RUN) -m edgeforce construct --r 2 > fixtures/bf2-nonexistence.json; \
 		test $$? -eq 1
 	for r in 3 4 5 6 7 8 9; do \
-		$(RUN) -m edgeforce construct --r $$r > fixtures/bf$$r-construction.json; \
-		$(RUN) -m edgeforce bounds --r $$r > fixtures/bf$$r-bounds.json; \
+		$(RUN) -m edgeforce construct --r $$r > fixtures/bf$$r-construction.json \
+			|| exit 1; \
+		$(RUN) -m edgeforce bounds --r $$r > fixtures/bf$$r-bounds.json || exit 1; \
 	done
 
 verify-fixtures:

@@ -7,8 +7,9 @@ metadata, including the guard an exact search ran under.  Each claim kind
 has one builder here, which the CLI emits.  ``verify_certificate`` rebuilds
 a closure, zfs-check, efs-check, nonexistence, bounds or
 reduction-equivalence certificate from its inputs with the same builder and
-compares claim and trace; a zf-number or ef-number claim is re-checked by
-its witness and by minimality, within the recorded search guard.
+compares claim, graph and trace; a zf-number or ef-number claim is
+re-checked by its witness and by minimality, within the recorded search
+guard.
 """
 
 from __future__ import annotations
@@ -139,7 +140,7 @@ def emit_certificate(c: Certificate) -> str:
     """Deterministic JSON: sorted keys, stable indentation."""
     if c.kind not in CLAIM_KINDS:
         raise CertificateError(f"unknown claim kind {c.kind!r}")
-    return json.dumps(asdict(c), sort_keys=True, indent=2) + "\n"
+    return json.dumps(vars(c), sort_keys=True, indent=2) + "\n"
 
 
 def parse_certificate(doc: Union[str, dict]) -> Certificate:
@@ -183,8 +184,9 @@ def verify_certificate(doc: Union[str, dict, Certificate]
                        ) -> tuple[bool, str]:
     """Re-check a certificate from its own contents; (ok, details)."""
     c = doc if isinstance(doc, Certificate) else parse_certificate(doc)
-    g = resolve_graph(c.graph)
     kind = c.kind
+    # a bounds certificate is rebuilt from claim.r alone, graph field included
+    g = None if kind == "bounds" else resolve_graph(c.graph)
 
     if kind == "zf-number":
         vs = _vertex_list(c.witness, "vertices", "witness")
@@ -247,6 +249,8 @@ def verify_certificate(doc: Union[str, dict, Certificate]
         return False, f"unknown claim kind {kind!r}"
     if rebuilt.claim != c.claim:
         return False, f"claim recomputed as {rebuilt.claim}"
+    if rebuilt.graph != c.graph:
+        return False, f"graph recomputed as {rebuilt.graph}"
     if rebuilt.trace != c.trace:
         return False, "trace recomputed differs from the certificate's"
     return True, f"{kind} claim and trace recomputed from the inputs"

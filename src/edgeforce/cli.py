@@ -93,11 +93,11 @@ def cmd_construct(args) -> int:
     repairs: list[str] = []
     witness = construct_edge_forcing(args.r, seed=args.seed,
                                      repair_log=repairs)
-    cert = construction_certificate(args.r, witness, args.seed, repairs)
     if args.dot:
         sys.stdout.write(to_dot(build_butterfly(args.r), highlight=witness))
     else:
-        sys.stdout.write(emit_certificate(cert))
+        sys.stdout.write(emit_certificate(
+            construction_certificate(args.r, witness, args.seed, repairs)))
     return 0
 
 

@@ -175,9 +175,8 @@ def _greedy_complete(g: Graph, base: list[Edge], candidates: list[Edge],
     return full if is_edge_forcing_set(g, full) else None
 
 
-def _seeded_search(r: int, target: int, h_modes: list[str],
+def _seeded_search(g: Graph, r: int, target: int, h_modes: list[str],
                    level_pairs: list[int], seed: int) -> list[Edge]:
-    g = build_butterfly(r)
     candidates = _middle_candidates(r, level_pairs)
     extra = target - (1 << r)
     rng = random.Random(seed)
@@ -200,7 +199,7 @@ def _bf3_witness() -> list[Edge]:
     return sorted(edges)
 
 
-def _recursive_witness(r: int, seed: int,
+def _recursive_witness(g: Graph, r: int, seed: int,
                        repairs: Optional[list[str]] = None) -> list[Edge]:
     if repairs is None:
         repairs = []
@@ -215,15 +214,13 @@ def _recursive_witness(r: int, seed: int,
                 vertex_index(r, copy.high_bits * quarter + lu, lvl_u),
                 vertex_index(r, copy.high_bits * quarter + lv, lvl_v)))
     edges += _horizontal_skeleton(r, "straight_low")
-    g = build_butterfly(r)
     if is_edge_forcing_set(g, edges):
         return sorted(edges)
     # bounded local repair: re-choose horizontal diamond edges one at a time
     half = 1 << (r - 1)
     core = edges[:-half]
     h_edges = edges[-half:]
-    for idx in range(half):
-        w = idx
+    for w in range(half):
         options = [
             normalize_edge(vertex_index(r, w, r - 1), vertex_index(r, w, r)),
             normalize_edge(vertex_index(r, w + half, r - 1),
@@ -234,10 +231,10 @@ def _recursive_witness(r: int, seed: int,
                            vertex_index(r, w + half, r)),
         ]
         for opt in options:
-            trial = core + h_edges[:idx] + [opt] + h_edges[idx + 1:]
+            trial = core + h_edges[:w] + [opt] + h_edges[w + 1:]
             if is_edge_forcing_set(g, trial):
                 repairs.append(
-                    f"BF({r}) diamond {w}: replaced {h_edges[idx]} with {opt}")
+                    f"BF({r}) diamond {w}: replaced {h_edges[w]} with {opt}")
                 return sorted(trial)
     unforced = frozenset(range(g.vertex_count)) - closure(
         g, matching_endpoints(edges)).final
@@ -253,31 +250,26 @@ def construct_edge_forcing(r: int, seed: int = DEFAULT_SEED,
     Sizes: 8 (r=3), 25 (r=4), 47 (r=5); for r >= 6 the recursive set of
     size u(r) = 4*u(r-2) + 2^(r-1), within the parity upper bound.  Any
     local repairs applied to the recursive set are appended to repair_log.
+    BF(r) is built once, before the recursion, so a dimension above the
+    butterfly guard fails at once; each level verifies its own witness.
     """
     if r == 2:
         raise ConstructionError("no edge-forcing set exists for BF(2)")
     if r < 2:
         raise ButterflyError(f"construction needs r >= 3, got {r}")
+    g = build_butterfly(r)
     if r == 3:
         witness = _bf3_witness()
-    elif r == 4:
-        witness = _seeded_search(4, 25, ["cross_mix", "straight_low",
+        if not is_edge_forcing_set(g, witness):
+            raise ConstructionError("BF(3) witness failed verification")
+        return witness
+    if r == 4:
+        return _seeded_search(g, 4, 25, ["cross_mix", "straight_low",
                                          "straight_high"], [1, 2], seed)
-    elif r == 5:
-        witness = _seeded_search(5, 47, ["straight_low", "cross_mix",
+    if r == 5:
+        return _seeded_search(g, 5, 47, ["straight_low", "cross_mix",
                                          "straight_high"], [2, 3], seed)
-    else:
-        witness = _recursive_witness(r, seed, repairs=repair_log)
-    g = build_butterfly(r)
-    if not is_edge_forcing_set(g, witness):
-        unforced = frozenset(range(g.vertex_count)) - closure(
-            g, matching_endpoints(witness)).final
-        raise ConstructionError(
-            f"BF({r}) witness failed verification", unforced=unforced)
-    if r in EXACT_VALUES and len(witness) != EXACT_VALUES[r]:
-        raise ConstructionError(
-            f"BF({r}) witness has size {len(witness)}, expected {EXACT_VALUES[r]}")
-    return witness
+    return _recursive_witness(g, r, seed, repairs=repair_log)
 
 
 # ---------------------------------------------------------------------------

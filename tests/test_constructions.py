@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from edgeforce import constructions
 from edgeforce.butterfly import (binding_diamonds, build_butterfly,
                                  vertex_coord, vertex_index)
 from edgeforce.certificates import bf2_nonexistence_counts
@@ -144,6 +145,33 @@ class TestConstructions:
     def test_bf2_raises(self):
         with pytest.raises(ConstructionError, match="BF\\(2\\)"):
             construct_edge_forcing(2)
+
+    def test_each_level_builds_its_butterfly_once(self, monkeypatch):
+        built = []
+
+        def counting_build(r):
+            built.append(r)
+            return build_butterfly(r)
+
+        monkeypatch.setattr(constructions, "build_butterfly", counting_build)
+        construct_edge_forcing(9)
+        assert built == [9, 7, 5]
+
+    def test_each_recursive_level_checks_its_witness_once(self, monkeypatch):
+        sizes = []
+
+        def counting_check(g, edges, **kwargs):
+            sizes.append(g.vertex_count)
+            return is_edge_forcing_set(g, edges, **kwargs)
+
+        monkeypatch.setattr(constructions, "is_edge_forcing_set",
+                            counting_check)
+        log = []
+        construct_edge_forcing(9, repair_log=log)
+        assert log == []
+        bf5 = build_butterfly(5).vertex_count
+        assert [n for n in sizes if n > bf5] == [
+            build_butterfly(7).vertex_count, build_butterfly(9).vertex_count]
 
 
 class TestObstructionSoundness:

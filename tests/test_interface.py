@@ -1,11 +1,13 @@
 import itertools
 import json
 import pathlib
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from edgeforce import certificates, cli
 from edgeforce.butterfly import build_butterfly
 from edgeforce.certificates import (CertificateError, bf2_nonexistence,
                                     bounds_certificate,
@@ -104,6 +106,13 @@ class TestCertificates:
         doc["claim"]["exact"] = 46
         ok, details = verify_certificate(doc)
         assert not ok and "recomputed" in details
+
+    def test_bounds_verified_without_a_graph(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(certificates, "build_butterfly", built.append)
+        ok, details = verify_certificate(bounds_certificate(12))
+        assert ok, details
+        assert built == []
 
     def test_bf2_nonexistence_verifies(self):
         ok, details = verify_certificate(bf2_nonexistence())
@@ -230,6 +239,31 @@ class TestCli:
     def test_construct_dot(self, capsys):
         assert main(["construct", "--r", "3", "--dot"]) == 0
         assert capsys.readouterr().out.count("color=red") == 8
+
+    def test_construct_dot_builds_no_certificate(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("certificate built for --dot")
+
+        monkeypatch.setattr(cli, "construction_certificate", refuse)
+        assert main(["construct", "--r", "3", "--dot"]) == 0
+        assert capsys.readouterr().out.startswith("graph G {")
+
+    @pytest.mark.parametrize("r", [17, 18, 2001])
+    def test_construct_above_butterfly_guard(self, capsys, r):
+        start = time.perf_counter()
+        assert main(["construct", "--r", str(r)]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_bounds_graph_must_match_r(self, tmp_path, capsys):
+        doc = json.loads(emit_certificate(bounds_certificate(5)))
+        doc["graph"] = "butterfly:3"
+        cert = tmp_path / "bounds.json"
+        cert.write_text(json.dumps(doc))
+        code, out = run_json(capsys, ["verify", "--cert", cert])
+        assert code == 1 and out == {
+            "verified": False, "details": "graph recomputed as butterfly:5"}
 
     def test_bounds(self, capsys):
         assert main(["bounds", "--r", "5"]) == 0
