@@ -15,15 +15,21 @@ bench:
 		$(RUN) perfbench/run.py --workload $$w || exit 1; \
 	done
 
-# Regenerate the checked-in certificates.  The BF(2) command exits 1 by
+# Regenerate the checked-in certificates.  Each command writes a temporary
+# file that replaces its fixture only when the command succeeds, so a
+# failure leaves the old fixture in place.  The BF(2) command exits 1 by
 # design (nonexistence); any other exit status is a failure.
 fixtures:
-	$(RUN) -m edgeforce construct --r 2 > fixtures/bf2-nonexistence.json; \
-		test $$? -eq 1
+	f=fixtures/bf2-nonexistence.json; \
+	$(RUN) -m edgeforce construct --r 2 > $$f.tmp; \
+	if [ $$? -eq 1 ]; then mv $$f.tmp $$f; else rm -f $$f.tmp; exit 1; fi
 	for r in 3 4 5 6 7 8 9; do \
-		$(RUN) -m edgeforce construct --r $$r > fixtures/bf$$r-construction.json \
-			|| exit 1; \
-		$(RUN) -m edgeforce bounds --r $$r > fixtures/bf$$r-bounds.json || exit 1; \
+		f=fixtures/bf$$r-construction.json; \
+		$(RUN) -m edgeforce construct --r $$r > $$f.tmp && mv $$f.tmp $$f \
+			|| { rm -f $$f.tmp; exit 1; }; \
+		f=fixtures/bf$$r-bounds.json; \
+		$(RUN) -m edgeforce bounds --r $$r > $$f.tmp && mv $$f.tmp $$f \
+			|| { rm -f $$f.tmp; exit 1; }; \
 	done
 
 verify-fixtures:

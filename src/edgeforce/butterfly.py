@@ -8,8 +8,10 @@ level * 2^r + row; the display label is "[row,level]".
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Literal
+from typing import Iterator, Literal
 
 from .graph import Edge, Graph, GraphError, from_edges, normalize_edge
 
@@ -34,6 +36,33 @@ def coord_label(row: int, level: int) -> str:
     return f"[{row},{level}]"
 
 
+class ButterflyLabels(Mapping):
+    """The "[row,level]" display labels of BF(r), computed on lookup.
+
+    Holds no per-vertex data: a stored dict of labels would cost more
+    memory than BF(r)'s adjacency for the one lookup per witness vertex
+    that certificates and DOT output make.
+    """
+
+    def __init__(self, r: int) -> None:
+        self._r = r
+
+    def __getitem__(self, v: int) -> str:
+        try:
+            i = operator.index(v)
+        except TypeError:
+            raise KeyError(v) from None
+        if not 0 <= i < len(self):
+            raise KeyError(v)
+        return coord_label(*vertex_coord(self._r, i))
+
+    def __len__(self) -> int:
+        return (self._r + 1) << self._r
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(len(self)))
+
+
 def build_butterfly(r: int) -> Graph:
     """BF(r) with (r+1)*2^r vertices and r*2^(r+1) edges."""
     if r < 1:
@@ -48,9 +77,7 @@ def build_butterfly(r: int) -> Graph:
             a = vertex_index(r, w, i)
             edges.append((a, vertex_index(r, w, i + 1)))
             edges.append((a, vertex_index(r, w ^ bit, i + 1)))
-    labels = {vertex_index(r, w, i): coord_label(w, i)
-              for i in range(r + 1) for w in range(rows)}
-    return from_edges((r + 1) * rows, edges, labels=labels)
+    return from_edges((r + 1) * rows, edges, labels=ButterflyLabels(r))
 
 
 def edge_kind(r: int, a: tuple[int, int], b: tuple[int, int]) -> Literal["straight", "cross"]:
@@ -70,6 +97,20 @@ def edge_kind(r: int, a: tuple[int, int], b: tuple[int, int]) -> Literal["straig
     raise ButterflyError(
         f"not an edge: rows {w1} and {w2} differ in bit weight {w1 ^ w2}, "
         f"but the level pair ({i1},{i2}) flips weight {1 << i1}")
+
+
+def edge_id(r: int, u: int, v: int) -> int:
+    """Position of the BF(r) edge {u, v} in `build_butterfly(r).edges`.
+
+    The sorted edges go by lower endpoint, and each vertex below level r
+    has exactly two edges up, so vertex u's are 2u and 2u + 1; the second
+    ends in the row whose bit for u's level is set.  Raises ButterflyError
+    for a pair that is not an edge.
+    """
+    u, v = normalize_edge(u, v)
+    (row, level), upper = vertex_coord(r, u), vertex_coord(r, v)
+    edge_kind(r, (row, level), upper)
+    return 2 * u + (upper[0] >> level & 1)
 
 
 @dataclass(frozen=True)

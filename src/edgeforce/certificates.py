@@ -17,10 +17,10 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Any, Iterable, Optional, Union
+from typing import Any, Callable, Iterable, Optional, Union
 
 from . import __version__
-from .butterfly import build_butterfly
+from .butterfly import ButterflyLabels, build_butterfly, edge_id
 from .constructions import known_bounds, structural_lower_bound
 from .engine import closure, is_edge_forcing_set, is_zero_forcing_set
 from .graph import Edge, Graph, GraphError, from_edges, normalize_edge
@@ -96,11 +96,16 @@ def resolve_graph(descriptor: Union[str, dict]) -> Graph:
 
 def edge_witness(g: Graph, edges: Iterable[Edge]) -> dict:
     """Witness record with canonical ids, endpoint pairs and labels."""
+    return _edge_record(edges, g.edge_index.__getitem__, g.vertex_label)
+
+
+def _edge_record(edges: Iterable[Edge], ident: Callable[[Edge], int],
+                 label: Callable[[int], str]) -> dict:
     es = sorted(normalize_edge(*e) for e in edges)
     return {
-        "edge_ids": [g.edge_index[e] for e in es],
+        "edge_ids": [ident(e) for e in es],
         "edges": [list(e) for e in es],
-        "labels": [[g.vertex_label(u), g.vertex_label(v)] for u, v in es],
+        "labels": [[label(u), label(v)] for u, v in es],
     }
 
 
@@ -351,12 +356,17 @@ def reduction_certificate(g: Graph, graph: Union[str, dict, None] = None
 
 def construction_certificate(r: int, witness: list[Edge], seed: int,
                              repairs: Optional[list[str]] = None) -> Certificate:
-    g = build_butterfly(r)
+    """The efs-check record of a constructed BF(r) witness.
+
+    BF(r)'s edge ids and labels are arithmetic in r, so no graph is built:
+    `construct` has just built and checked BF(r), and `verify` rebuilds it.
+    """
     return Certificate(
         kind="efs-check",
         graph=f"butterfly:{r}",
         claim={"size": len(witness), "result": True},
-        witness=edge_witness(g, witness),
+        witness=_edge_record(witness, lambda e: edge_id(r, *e),
+                             ButterflyLabels(r).__getitem__),
         search={"mode": "construction", "seed": seed,
                 "repairs": repairs or []})
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Optional
 
 import numpy as np
@@ -59,14 +60,15 @@ class ClosureResult:
             map(ForceEvent, *(a.tolist() for a in self.events))))
 
 
-def _black(g: Graph, vertices: Iterable[int]) -> np.ndarray:
-    """The kernel's uint8 black array with `vertices` set.
+def _black(g: Graph, vertices: Iterable[int]) -> bytearray:
+    """The kernel's 0/1 black bytes with `vertices` set.
 
     Raises ValueError for a vertex that is not an integer in [0, n), which
-    numpy would otherwise wrap (-1) or reject with an IndexError (n).
+    indexing would otherwise wrap (-1), reject with an IndexError (n) or
+    accept as 1 (True).
     """
     n = g.vertex_count
-    black = np.zeros(n, dtype=np.uint8)
+    black = bytearray(n)
     for v in vertices:
         if ((type(v) is not int and not isinstance(v, np.integer))
                 or not 0 <= v < n):
@@ -85,8 +87,8 @@ def closure(g: Graph, initial: Iterable[int]) -> ClosureResult:
     """
     init = frozenset(initial)
     final, *events = run_closure(g, _black(g, init))
-    return ClosureResult(frozenset(np.flatnonzero(final).tolist()), init,
-                         tuple(events))
+    black = compress(range(final.size), final.tobytes())
+    return ClosureResult(frozenset(black), init, tuple(events))
 
 
 def closure_sequential(g: Graph, initial: Iterable[int],
@@ -143,4 +145,4 @@ def forces_all(g: Graph, vertices: Iterable[int]) -> bool:
     Skips trace construction.
     """
     final, _, _, _ = run_closure(g, _black(g, vertices))
-    return bool(final.all())
+    return 0 not in final.tobytes()

@@ -36,11 +36,16 @@ class Graph:
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's neighbors, ascending.
+
+        The sorted edge list appends a vertex's smaller neighbors first
+        (edges (u, x), u < x, precede every edge (x, v)), each run in
+        ascending order, so no list needs sorting."""
         adj: list[list[int]] = [[] for _ in range(self.vertex_count)]
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        return tuple(tuple(sorted(nbrs)) for nbrs in adj)
+        return tuple(map(tuple, adj))
 
     @cached_property
     def edge_index(self) -> dict[Edge, int]:
@@ -49,7 +54,11 @@ class Graph:
     @cached_property
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """Adjacency in CSR form (indptr, indices), both int32, each
-        vertex's neighbors ascending as in `adjacency`."""
+        vertex's neighbors ascending as in `adjacency`.
+
+        The closure kernel walks `adjacency` instead; this array form is
+        kept for array consumers and for perfbench's tracer, which times
+        it by name."""
         src, dst = self.directed_pairs
         indptr = np.zeros(self.vertex_count + 1, dtype=np.int32)
         np.cumsum(np.bincount(src, minlength=self.vertex_count),
@@ -58,7 +67,10 @@ class Graph:
 
     @cached_property
     def directed_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Both orientations of every edge as (src, dst) int32 arrays."""
+        """Both orientations of every edge as (src, dst) int32 arrays.
+
+        Like `csr`, which is built from it, no closure reads it; perfbench's
+        tracer times it by name."""
         if not self.edges:
             z = np.empty(0, dtype=np.int32)
             return z, z

@@ -8,9 +8,16 @@ White-neighbor counts are seeded once; after that a round touches only
 its frontier and the neighbors of the vertices it forces.  An active
 vertex's count drops to zero in its round, so no vertex is active twice
 and a closure costs O((n + m) log n), the log for sorting each frontier.
+
+The kernel walks the graph's cached adjacency tuples and keeps the black
+set in a bytearray, so a call does no numpy work until it packs its
+result: exhaustive searches make tens of thousands of closures on graphs
+of a few dozen vertices, where fixed per-call setup would dominate.
 """
 
 from __future__ import annotations
+
+from itertools import compress
 
 import numpy as np
 
@@ -20,19 +27,22 @@ def backend_name() -> str:
     return "frontier"
 
 
-def run_closure(graph, black: np.ndarray):
+def run_closure(graph, black):
     """Closure of `black` under the reference schedule.
 
-    `black` is a uint8 array of length vertex_count; returns
-    (final_black, ev_round, ev_forcer, ev_forced), events sorted by round
-    then forcer.
+    `black` is a 0/1 byte buffer of length vertex_count (a bytearray or a
+    uint8 array), left unchanged; returns (final_black, ev_round,
+    ev_forcer, ev_forced): the final black set as a uint8 array and the
+    events as int32 arrays, sorted by round then forcer.
     """
-    src, dst = graph.directed_pairs
-    final = black.astype(bool).view(np.uint8)
-    counts = np.bincount(src[final[dst] == 0], minlength=black.shape[0])
-    frontier = np.flatnonzero((counts == 1) & (final == 1)).tolist()
-    ptr, nbr = map(memoryview, graph.csr)
-    state, cnt = memoryview(final), counts.tolist()
+    adj = graph.adjacency
+    state = bytearray(black)
+    cnt = [len(a) for a in adj]
+    initial = list(compress(range(len(state)), state))
+    for v in initial:
+        for u in adj[v]:
+            cnt[u] -= 1
+    frontier = [v for v in initial if cnt[v] == 1]
     rounds: list[int] = []
     forcers: list[int] = []
     forced: list[int] = []
@@ -41,7 +51,7 @@ def run_closure(graph, black: np.ndarray):
         rnd += 1
         claimed: dict[int, int] = {}  # forced -> forcer, in forcer order
         for v in frontier:
-            for w in nbr[ptr[v]:ptr[v + 1]]:
+            for w in adj[v]:
                 if not state[w]:
                     break
             if w not in claimed:
@@ -49,12 +59,12 @@ def run_closure(graph, black: np.ndarray):
         touched = list(claimed)
         for w in claimed:
             state[w] = 1
-            for u in nbr[ptr[w]:ptr[w + 1]]:
+            for u in adj[w]:
                 cnt[u] -= 1
                 touched.append(u)
         rounds += [rnd] * len(claimed)
         forcers += claimed.values()
         forced += claimed
         frontier = sorted({u for u in touched if cnt[u] == 1 and state[u]})
-    return (final, np.array(rounds, dtype=np.int32),
+    return (np.frombuffer(state, np.uint8), np.array(rounds, dtype=np.int32),
             np.array(forcers, dtype=np.int32), np.array(forced, dtype=np.int32))

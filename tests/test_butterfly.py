@@ -4,7 +4,7 @@ import pytest
 
 from edgeforce.butterfly import (ButterflyError, binding_diamonds,
                                  build_butterfly, coord_label,
-                                 decompose_subcopies, edge_kind,
+                                 decompose_subcopies, edge_id, edge_kind,
                                  vertex_coord, vertex_index)
 from edgeforce.graph import from_edges, normalize_edge
 
@@ -40,6 +40,27 @@ class TestBuild:
         g = build_butterfly(2)
         assert g.vertex_label(vertex_index(2, 3, 1)) == "[3,1]"
         assert coord_label(3, 1) == "[3,1]"
+
+    @pytest.mark.parametrize("r", range(1, 7))
+    def test_labels_computed_on_lookup(self, r):
+        labels = build_butterfly(r).labels
+        assert dict(labels) == {
+            vertex_index(r, w, i): coord_label(w, i)
+            for i in range(r + 1) for w in range(2 ** r)}
+        for v in (-1, (r + 1) * 2 ** r, "0", 1.5):
+            with pytest.raises(KeyError):
+                labels[v]
+
+    @pytest.mark.parametrize("r", range(1, 7))
+    def test_edge_id_is_position(self, r):
+        g = build_butterfly(r)
+        for i, (u, v) in enumerate(g.edges):
+            assert edge_id(r, u, v) == edge_id(r, v, u) == i
+
+    def test_edge_id_rejects_non_edges(self):
+        for u, v in [(0, 1), (0, 16), (-1, 8), (0, 32)]:
+            with pytest.raises(ButterflyError):
+                edge_id(3, u, v)
 
     def test_coordinate_round_trip(self):
         r = 4

@@ -88,6 +88,22 @@ class TestMembership:
             assert forces_all(g, s) == (len(closure(g, s).final)
                                         == g.vertex_count)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_forces_all_is_sequential_cover(self, data):
+        # edges may be empty, trailing vertices are always isolated, and
+        # the set may be empty or hold numpy integers
+        n = data.draw(st.integers(2, 10))
+        size = n + data.draw(st.integers(0, 3))
+        pool = list(itertools.combinations(range(n), 2))
+        g = from_edges(size, data.draw(st.lists(st.sampled_from(pool),
+                                                unique=True)))
+        s = data.draw(st.sets(st.integers(0, size - 1)))
+        if data.draw(st.booleans()):
+            s = {np.int64(v) for v in s}
+        assert forces_all(g, s) == (
+            closure_sequential(g, s) == frozenset(range(size)))
+
     @pytest.mark.parametrize("vertex", [-1, 2, 1.0, "0", True])
     def test_forces_all_rejects_non_vertices(self, vertex):
         with pytest.raises(ValueError):
@@ -171,8 +187,16 @@ class TestKernel:
             initial = data.draw(st.sets(st.integers(0, size - 1)))
         black = np.zeros(g.vertex_count, dtype=np.uint8)
         black[list(initial)] = 1
+        packed = bytearray(black)
         final, ev_round, ev_forcer, ev_forced = run_closure(g, black)
         want_final, want_events = reference_closure(g, initial)
         assert set(np.nonzero(final)[0].tolist()) == want_final
         assert list(zip(ev_round.tolist(), ev_forcer.tolist(),
                         ev_forced.tolist())) == want_events
+        # the engine passes a bytearray: same output, inputs left unchanged
+        again = run_closure(g, packed)
+        assert bytes(packed) == black.tobytes() == bytes(
+            v in initial for v in range(g.vertex_count))
+        for got, want in zip(again, (final, ev_round, ev_forcer, ev_forced)):
+            assert got.dtype == want.dtype
+            assert got.tolist() == want.tolist()

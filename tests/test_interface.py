@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from edgeforce import certificates, cli
+from edgeforce import certificates, cli, constructions
 from edgeforce.butterfly import build_butterfly
 from edgeforce.certificates import (CertificateError, bf2_nonexistence,
                                     bounds_certificate,
@@ -255,6 +255,20 @@ class TestCli:
         assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_construct_builds_its_butterfly_once(self, capsys, monkeypatch):
+        built = []
+
+        def counting_build(r):
+            built.append(r)
+            return build_butterfly(r)
+
+        for module in (constructions, certificates, cli):
+            monkeypatch.setattr(module, "build_butterfly", counting_build)
+        assert main(["construct", "--r", "9"]) == 0
+        assert capsys.readouterr().out == (
+            FIXTURES / "bf9-construction.json").read_text()
+        assert built == [9, 7, 5]
 
     def test_bounds_graph_must_match_r(self, tmp_path, capsys):
         doc = json.loads(emit_certificate(bounds_certificate(5)))
