@@ -14,7 +14,6 @@ guard.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Iterable, Optional, Union
@@ -26,7 +25,7 @@ from .engine import closure, is_edge_forcing_set, is_zero_forcing_set
 from .graph import Edge, Graph, GraphError, from_edges, normalize_edge
 from .reduction import solve_equivalence
 from .solver import (DEFAULT_MAX_EDGES, DEFAULT_MAX_VERTICES, exhaust_matchings,
-                     min_edge_forcing, min_zero_forcing)
+                     first_forcing_subset, min_edge_forcing, min_zero_forcing)
 
 SCHEMA_VERSION = "efc-1"
 
@@ -205,11 +204,9 @@ def verify_certificate(doc: Union[str, dict, Certificate]
         smaller = None
         if value:
             # a superset of a forcing set forces, so size value - 1 decides
-            smaller = next((s for s in itertools.combinations(
-                range(g.vertex_count), value - 1)
-                if is_zero_forcing_set(g, s)), None)
+            smaller, _ = first_forcing_subset(g, value - 1)
         if smaller is not None:
-            return False, (f"smaller zero-forcing set {list(smaller)} "
+            return False, (f"smaller zero-forcing set {sorted(smaller)} "
                            f"of size {value - 1}")
         return True, "zero-forcing witness verifies; no smaller set forces"
 

@@ -8,6 +8,7 @@ scriptable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Iterable, Optional
@@ -21,7 +22,7 @@ from .certificates import (CertificateError, bf2_nonexistence,
                            require_field, verify_certificate,
                            zf_number_certificate, zfs_check_certificate)
 from .constructions import (DEFAULT_SEED, ConstructionError,
-                            construct_edge_forcing)
+                            butterfly_witness, construct_edge_forcing)
 from .graph import Edge, Graph
 from .reduction import build_gbar
 from .solver import DEFAULT_MAX_EDGES, DEFAULT_MAX_VERTICES, InstanceTooLarge
@@ -90,14 +91,16 @@ def cmd_construct(args) -> int:
     if args.r == 2:
         sys.stdout.write(emit_certificate(bf2_nonexistence()))
         return 1
+    if args.dot:
+        g = build_butterfly(args.r)
+        witness = butterfly_witness(g, args.r, seed=args.seed)
+        sys.stdout.write(to_dot(g, highlight=witness))
+        return 0
     repairs: list[str] = []
     witness = construct_edge_forcing(args.r, seed=args.seed,
                                      repair_log=repairs)
-    if args.dot:
-        sys.stdout.write(to_dot(build_butterfly(args.r), highlight=witness))
-    else:
-        sys.stdout.write(emit_certificate(
-            construction_certificate(args.r, witness, args.seed, repairs)))
+    sys.stdout.write(emit_certificate(
+        construction_certificate(args.r, witness, args.seed, repairs)))
     return 0
 
 
@@ -124,7 +127,9 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="edgeforce",
         description="Zero-forcing and edge-forcing toolkit for graphs and "

@@ -27,6 +27,7 @@ from .butterfly import (MAX_DIMENSION, ButterflyError, build_butterfly,
                         decompose_subcopies, vertex_index)
 from .engine import closure, is_edge_forcing_set, matching_endpoints
 from .graph import Edge, Graph, normalize_edge
+from .kernels import extend_closure
 
 EXACT_VALUES = {3: 8, 4: 25, 5: 47}
 # Cited lower bounds for BF(4)/BF(5); beyond mechanical re-verification.
@@ -153,24 +154,37 @@ def _middle_candidates(r: int, level_pairs: list[int]) -> list[Edge]:
 
 def _greedy_complete(g: Graph, base: list[Edge], candidates: list[Edge],
                      extra: int, rng: random.Random) -> Optional[list[Edge]]:
-    """Greedily add `extra` disjoint edges maximizing closure growth."""
-    used = set(matching_endpoints(base))
+    """Greedily add `extra` disjoint edges maximizing closure growth.
+
+    The closure of the base and the edges taken so far is kept as a closed
+    state and extended once per step by the edge taken; a candidate is
+    scored by extending a copy of it by the candidate's endpoints."""
+    adj = g.adjacency
+    black, counts = bytearray(g.vertex_count), [len(a) for a in adj]
+    points = set(matching_endpoints(base))
+    extend_closure(adj, black, counts, points)
     chosen: list[Edge] = []
     for _ in range(extra):
-        points = used | set(matching_endpoints(chosen))
-        current = len(closure(g, points).final)
+        current = black.count(1)
         best_gain, best = -1, []
         for e in candidates:
             if e[0] in points or e[1] in points:
                 continue
-            gain = len(closure(g, points | set(e)).final) - current
+            gain = 0
+            if not (black[e[0]] and black[e[1]]):
+                trial = bytearray(black)
+                extend_closure(adj, trial, counts[:], e)
+                gain = trial.count(1) - current
             if gain > best_gain:
                 best_gain, best = gain, [e]
             elif gain == best_gain:
                 best.append(e)
         if not best:
             return None
-        chosen.append(rng.choice(best))
+        e = rng.choice(best)
+        chosen.append(e)
+        points.update(e)
+        extend_closure(adj, black, counts, e)
     full = base + chosen
     return full if is_edge_forcing_set(g, full) else None
 
@@ -253,11 +267,22 @@ def construct_edge_forcing(r: int, seed: int = DEFAULT_SEED,
     BF(r) is built once, before the recursion, so a dimension above the
     butterfly guard fails at once; each level verifies its own witness.
     """
+    _require_dimension(r)
+    return butterfly_witness(build_butterfly(r), r, seed, repair_log)
+
+
+def _require_dimension(r: int) -> None:
     if r == 2:
         raise ConstructionError("no edge-forcing set exists for BF(2)")
     if r < 2:
         raise ButterflyError(f"construction needs r >= 3, got {r}")
-    g = build_butterfly(r)
+
+
+def butterfly_witness(g: Graph, r: int, seed: int = DEFAULT_SEED,
+                      repair_log: Optional[list[str]] = None) -> list[Edge]:
+    """`construct_edge_forcing(r)` on g = BF(r), already built, so that a
+    caller that also needs the graph builds it once."""
+    _require_dimension(r)
     if r == 3:
         witness = _bf3_witness()
         if not is_edge_forcing_set(g, witness):

@@ -128,12 +128,14 @@ def from_edges(vertex_count: int,
 def matching_diagnostic(g: Graph, edges: Iterable[tuple[int, int]]) -> Optional[str]:
     """Why `edges` is not a matching of g, or None if it is one.
 
-    Distinguishes a non-edge from a shared endpoint.
+    Distinguishes a non-edge from a shared endpoint.  Reads the adjacency,
+    which every closure builds, rather than the larger `edge_index` dict.
     """
+    adj = g.adjacency
     used: set[int] = set()
     for u, v in edges:
         e = normalize_edge(u, v)
-        if e not in g.edge_index:
+        if not (0 <= e[0] and e[1] < g.vertex_count and e[1] in adj[e[0]]):
             return f"non-edge: {e} is not an edge of the graph"
         if e[0] in used or e[1] in used:
             shared = e[0] if e[0] in used else e[1]
@@ -151,7 +153,9 @@ def matchings_of_size(g: Graph, k: int) -> Iterator[frozenset[Edge]]:
     """Yield every k-edge matching exactly once, lexicographic in edge ids.
 
     The stream is empty when k exceeds the maximum matching size.  Two runs
-    produce identical sequences.
+    produce identical sequences.  The exhaustive searches in `solver` walk
+    the same order themselves, closing each prefix once; this generator is
+    the tests' oracle for them, and perfbench's tracer wraps it by name.
     """
     if k < 0:
         raise GraphError(f"matching size must be non-negative, got {k}")

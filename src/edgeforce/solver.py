@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from .constructions import structural_lower_bound
-from .engine import forces_all, matching_endpoints
-from .graph import Edge, Graph, matchings_of_size
+from .graph import Edge, Graph, GraphError
+from .kernels import extend_closure
 
 DEFAULT_MAX_VERTICES = 24
 DEFAULT_MAX_EDGES = 40
@@ -43,6 +42,71 @@ class EdgeForcingVerdict:
         return self.kind == "exists"
 
 
+def _first_forcing(g: Graph, items: Sequence[tuple[int, ...]], k: int
+                   ) -> tuple[Optional[tuple[tuple[int, ...], ...]], int]:
+    """First forcing k-combination of pairwise disjoint `items`, and the
+    number of combinations tested up to it (all of them if none forces).
+
+    An item is a tuple of one vertex (zero forcing) or of an edge's two
+    endpoints (edge forcing).  Combinations go in lexicographic order of
+    item positions, as itertools.combinations and graph.matchings_of_size
+    list them.  The search is depth first and keeps each prefix's closed
+    state; a child extends a copy of it by one item, since
+    cl(S | T) = cl(cl(S) | T).  An item whose vertices are all black adds
+    nothing, so its state is its parent's, and a leaf of that kind is
+    tested without a kernel call.
+    """
+    if k < 0:
+        raise GraphError(f"combination size must be non-negative, got {k}")
+    if k == 0:
+        return ((), 1) if g.vertex_count == 0 else (None, 1)
+    adj = g.adjacency
+    used = bytearray(g.vertex_count)
+    chosen: list[tuple[int, ...]] = []
+    tested = 0
+
+    def search(start: int, need: int, black: bytearray, counts: list[int]
+               ) -> bool:
+        nonlocal tested
+        # stop where too few items are left to complete the combination
+        for i in range(start, len(items) - need + 1):
+            item = items[i]
+            first, last = item[0], item[-1]  # equal for a vertex item
+            if used[first] or used[last]:
+                continue
+            state, cnt = black, counts
+            if not (black[first] and black[last]):
+                state, cnt = bytearray(black), counts[:]
+                extend_closure(adj, state, cnt, item)
+            if need == 1:
+                tested += 1
+                if 0 not in state:
+                    chosen.append(item)
+                    return True
+                continue
+            used[first] = used[last] = 1
+            chosen.append(item)
+            if search(i + 1, need - 1, state, cnt):
+                return True
+            chosen.pop()
+            used[first] = used[last] = 0
+        return False
+
+    if search(0, k, bytearray(g.vertex_count), [len(a) for a in adj]):
+        return tuple(chosen), tested
+    return None, tested
+
+
+def first_forcing_subset(g: Graph, k: int
+                         ) -> tuple[Optional[frozenset[int]], int]:
+    """The lex-first zero-forcing set of k vertices (None if none forces)
+    and the number of k-subsets tested."""
+    found, tested = _first_forcing(g, [(v,) for v in range(g.vertex_count)],
+                                   k)
+    return (None if found is None
+            else frozenset(v for v, in found)), tested
+
+
 def min_zero_forcing(g: Graph,
                      max_vertices: int = DEFAULT_MAX_VERTICES
                      ) -> tuple[int, frozenset[int]]:
@@ -60,9 +124,9 @@ def min_zero_forcing(g: Graph,
             f"{n} vertices exceed the exhaustive-search guard {max_vertices}; "
             f"raise max_vertices explicitly to proceed")
     for k in range(max(1, g.min_degree()), n + 1):
-        for subset in itertools.combinations(range(n), k):
-            if forces_all(g, subset):
-                return k, frozenset(subset)
+        witness, _ = first_forcing_subset(g, k)
+        if witness is not None:
+            return k, witness
     raise AssertionError("unreachable: V itself is always zero-forcing")
 
 
@@ -78,17 +142,12 @@ def exhaust_matchings(g: Graph, start: int = 1, stop: Optional[int] = None
     counts: dict[int, int] = {}
     k = start
     while stop is None or k < stop:
-        tested = 0
-        for m in matchings_of_size(g, k):
-            tested += 1
-            # the enumerator only yields valid matchings, so the membership
-            # test reduces to a closure coverage check
-            if forces_all(g, matching_endpoints(m)):
-                counts[k] = tested
-                return m, counts
+        found, tested = _first_forcing(g, g.edges, k)
         if not tested:
             break
         counts[k] = tested
+        if found is not None:
+            return frozenset(found), counts
         k += 1
     return None, counts
 

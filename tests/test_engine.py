@@ -13,7 +13,7 @@ from edgeforce.engine import (closure, closure_sequential, forces_all,
                               is_edge_forcing_set, is_zero_forcing_set,
                               matching_endpoints)
 from edgeforce.graph import from_edges
-from edgeforce.kernels import run_closure
+from edgeforce.kernels import extend_closure, run_closure
 
 from conftest import (complete_graph, cycle_graph, path_graph, random_graph,
                       reference_closure)
@@ -144,6 +144,28 @@ class TestScheduleProperties:
                           if rng.random() < 0.3)
             result = closure(g, s)
             assert result.trace.replay(g) == result.final
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_extending_a_closed_state(self, data):
+        # cl(S | T) = cl(cl(S) | T): close S, blacken T in place
+        n = data.draw(st.integers(2, 12))
+        size = n + data.draw(st.integers(0, 3))
+        pool = list(itertools.combinations(range(n), 2))
+        g = from_edges(size, data.draw(st.lists(st.sampled_from(pool),
+                                                unique=True)))
+        s = data.draw(st.sets(st.integers(0, size - 1)))
+        t = data.draw(st.sets(st.integers(0, size - 1)))
+        adj = g.adjacency
+        black, counts = bytearray(size), [len(a) for a in adj]
+        events = extend_closure(adj, black, counts, sorted(s))
+        final, *arrays = run_closure(g, bytes(v in s for v in range(size)))
+        assert black == final.tobytes()
+        assert list(events) == [a.tolist() for a in arrays]
+        extend_closure(adj, black, counts, sorted(t))
+        final = closure(g, s | t).final
+        assert set(itertools.compress(range(size), black)) == final
+        assert counts == [sum(not black[u] for u in a) for a in adj]
 
 
 @functools.lru_cache(maxsize=None)

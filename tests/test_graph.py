@@ -6,8 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgeforce.butterfly import build_butterfly
+from edgeforce.constructions import construct_edge_forcing
+from edgeforce.engine import is_edge_forcing_set
 from edgeforce.graph import (GraphError, from_edges, is_matching,
-                             matching_diagnostic, matchings_of_size)
+                             matching_diagnostic, matchings_of_size,
+                             normalize_edge)
 
 from conftest import complete_graph, cycle_graph, path_graph, random_graph
 
@@ -82,6 +86,20 @@ class TestFromEdges:
         assert from_edges(doc["n"], [tuple(e) for e in doc["edges"]]) == g
 
 
+def edge_index_diagnostic(g, pairs):
+    """matching_diagnostic as a lookup in the graph's edge dict."""
+    used = set()
+    for u, v in pairs:
+        e = normalize_edge(u, v)
+        if e not in g.edge_index:
+            return f"non-edge: {e} is not an edge of the graph"
+        if e[0] in used or e[1] in used:
+            shared = e[0] if e[0] in used else e[1]
+            return f"shares endpoint: vertex {shared} appears in two edges"
+        used.update(e)
+    return None
+
+
 class TestIsMatching:
     def test_empty(self):
         assert is_matching(path_graph(3), [])
@@ -98,6 +116,28 @@ class TestIsMatching:
         g = path_graph(3)
         assert not is_matching(g, [(0, 2)])
         assert "non-edge" in matching_diagnostic(g, [(0, 2)])
+
+    def test_edge_forcing_check_builds_no_edge_index(self):
+        g = build_butterfly(9)
+        assert is_edge_forcing_set(g, construct_edge_forcing(9))
+        assert "edge_index" not in vars(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_diagnostic_matches_edge_index_oracle(self, data):
+        # pairs may be negative, out of range, self-loops or repeated;
+        # trailing vertices are isolated
+        n = data.draw(st.integers(2, 8))
+        size = n + data.draw(st.integers(0, 2))
+        pool = list(itertools.combinations(range(n), 2))
+        g = from_edges(size, data.draw(st.lists(st.sampled_from(pool),
+                                                unique=True)))
+        vertex = st.integers(-3, size + 2)
+        pairs = data.draw(st.lists(st.tuples(vertex, vertex), max_size=5))
+        if pairs and data.draw(st.booleans()):
+            pairs.append(pairs[0])
+        assert matching_diagnostic(g, pairs) == edge_index_diagnostic(
+            g, pairs)
 
 
 class TestMatchingsOfSize:

@@ -1,6 +1,9 @@
 import itertools
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -21,6 +24,7 @@ from edgeforce.graph import from_edges
 from conftest import cycle_graph, path_graph
 
 FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
+SRC = pathlib.Path(__file__).parent.parent / "src"
 C4 = {"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]]}
 K13 = {"n": 4, "edges": [[0, 1], [0, 2], [0, 3]]}
 # two 12-vertex paths joined by rungs at 0, 3, 7, 11: 26 edges, 102 lifted
@@ -269,6 +273,42 @@ class TestCli:
         assert capsys.readouterr().out == (
             FIXTURES / "bf9-construction.json").read_text()
         assert built == [9, 7, 5]
+
+    def test_construct_dot_builds_its_butterfly_once(self, capsys,
+                                                     monkeypatch):
+        built = []
+
+        def counting_build(r):
+            built.append(r)
+            return build_butterfly(r)
+
+        for module in (constructions, certificates, cli):
+            monkeypatch.setattr(module, "build_butterfly", counting_build)
+        assert main(["construct", "--r", "7", "--dot"]) == 0
+        assert built == [7, 5]
+        assert capsys.readouterr().out == to_dot(
+            build_butterfly(7), highlight=construct_edge_forcing(7))
+
+    def test_cached_parser_matches_fresh_processes(self, tmp_path, capsys):
+        # a usage error, then closure, then verify, all in one process
+        graph = tmp_path / "c4.json"
+        graph.write_text(json.dumps(C4))
+        runs = [["closure", "--graph", str(graph)],
+                ["closure", "--graph", str(graph), "--black", "0,1"],
+                ["verify", "--cert", str(FIXTURES / "bf3-construction.json")]]
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        codes = []
+        for argv in runs:
+            try:
+                codes.append(main(argv))
+            except SystemExit as exc:
+                codes.append(exc.code)
+            out, err = capsys.readouterr()
+            fresh = subprocess.run([sys.executable, "-m", "edgeforce", *argv],
+                                   capture_output=True, text=True, env=env)
+            assert (codes[-1], out, err) == (
+                fresh.returncode, fresh.stdout, fresh.stderr)
+        assert codes == [2, 0, 0]
 
     def test_bounds_graph_must_match_r(self, tmp_path, capsys):
         doc = json.loads(emit_certificate(bounds_certificate(5)))

@@ -2,13 +2,17 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgeforce.butterfly import build_butterfly
-from edgeforce.engine import is_edge_forcing_set, is_zero_forcing_set
+from edgeforce.engine import (forces_all, is_edge_forcing_set,
+                              is_zero_forcing_set, matching_endpoints)
 from edgeforce.graph import from_edges, is_matching, matchings_of_size
 from edgeforce.constructions import structural_lower_bound
 from edgeforce.certificates import bf2_nonexistence_counts
-from edgeforce.solver import (InstanceTooLarge, exhaust_matchings,
+from edgeforce.solver import (InstanceTooLarge, _first_forcing,
+                              exhaust_matchings, first_forcing_subset,
                               min_edge_forcing, min_zero_forcing)
 
 from conftest import complete_graph, cycle_graph, path_graph, random_graph
@@ -32,6 +36,54 @@ def oracle_min_edge_forcing(g):
             if is_matching(g, combo) and is_edge_forcing_set(g, combo):
                 return size
     return best
+
+
+def brute_first_forcing(g, candidates, vertices):
+    """(first forcing candidate, number tested), one closure per candidate."""
+    tested = 0
+    for c in candidates:
+        tested += 1
+        if forces_all(g, vertices(c)):
+            return c, tested
+    return None, tested
+
+
+class TestFirstForcing:
+    """The depth-first enumerator, which closes each prefix once, against a
+    loop that closes every combination from scratch."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_brute_force(self, data):
+        # edges may be empty, trailing vertices are always isolated, and k
+        # may be 0 or above the maximum matching
+        n = data.draw(st.integers(2, 9))
+        size = n + data.draw(st.integers(0, 2))
+        pool = list(itertools.combinations(range(n), 2))
+        g = from_edges(size, data.draw(st.lists(st.sampled_from(pool),
+                                                unique=True)))
+        k = data.draw(st.integers(0, 6))
+        found, tested = _first_forcing(g, g.edges, k)
+        want, count = brute_first_forcing(g, matchings_of_size(g, k),
+                                          matching_endpoints)
+        assert (None if found is None else frozenset(found), tested) == (
+            want, count)
+        subset, tested = first_forcing_subset(g, k)
+        want, count = brute_first_forcing(
+            g, itertools.combinations(range(size), k), set)
+        assert (subset, tested) == (
+            None if want is None else frozenset(want), count)
+
+    def test_edgeless_graph(self):
+        g = from_edges(3, [])
+        assert _first_forcing(g, g.edges, 1) == (None, 0)
+        assert first_forcing_subset(g, 2) == (None, 3)
+        assert first_forcing_subset(g, 3) == (frozenset({0, 1, 2}), 1)
+
+    def test_empty_graph(self):
+        g = from_edges(0, [])
+        assert _first_forcing(g, g.edges, 0) == ((), 1)
+        assert first_forcing_subset(g, 1) == (None, 0)
 
 
 class TestMinZeroForcing:
