@@ -7,14 +7,14 @@ from .graph import (Graph, GraphError, from_edges, is_matching,  # noqa: E402
 from .engine import (ClosureResult, ForcingTrace, closure,  # noqa: E402
                      is_edge_forcing_set, is_zero_forcing_set)
 from .butterfly import (Diamond, binding_diamonds, build_butterfly,  # noqa: E402
-                        decompose_subcopies, edge_kind)
+                        edge_kind, subcopy_vertex)
 from .solver import (EdgeForcingVerdict, InstanceTooLarge,  # noqa: E402
                      min_edge_forcing, min_zero_forcing)
 from .constructions import (BoundsReport, ConstructionError,  # noqa: E402
                             Obstruction, construct_edge_forcing, known_bounds,
                             structural_lower_bound)
 from .reduction import (ReductionMap, build_gbar, lift_zero_forcing,  # noqa: E402
-                        normalize_and_project, verify_equivalence)
+                        normalize_and_project)
 from .certificates import (Certificate, bf2_nonexistence,  # noqa: E402
                            emit_certificate, parse_certificate, parse_graph,
                            verify_certificate)
@@ -24,14 +24,13 @@ __all__ = [
     "matchings_of_size",
     "ClosureResult", "ForcingTrace", "closure", "is_edge_forcing_set",
     "is_zero_forcing_set",
-    "Diamond", "binding_diamonds", "build_butterfly", "decompose_subcopies",
-    "edge_kind",
+    "Diamond", "binding_diamonds", "build_butterfly", "edge_kind",
+    "subcopy_vertex",
     "EdgeForcingVerdict", "InstanceTooLarge", "min_edge_forcing",
     "min_zero_forcing",
     "BoundsReport", "ConstructionError", "Obstruction",
     "construct_edge_forcing", "known_bounds", "structural_lower_bound",
     "ReductionMap", "build_gbar", "lift_zero_forcing", "normalize_and_project",
-    "verify_equivalence",
     "Certificate", "bf2_nonexistence", "emit_certificate", "parse_certificate",
     "parse_graph", "verify_certificate",
 ]

@@ -49,12 +49,12 @@ class ButterflyLabels(Mapping):
 
     def __getitem__(self, v: int) -> str:
         try:
-            i = operator.index(v)
+            level, row = divmod(operator.index(v), 1 << self._r)
         except TypeError:
             raise KeyError(v) from None
-        if not 0 <= i < len(self):
+        if not 0 <= level <= self._r:
             raise KeyError(v)
-        return coord_label(*vertex_coord(self._r, i))
+        return coord_label(row, level)
 
     def __len__(self) -> int:
         return (self._r + 1) << self._r
@@ -127,15 +127,21 @@ class Diamond:
     rows: tuple[int, int]
     vertices: tuple[int, int, int, int]  # dense indices
 
-    def cycle_edges(self) -> tuple[Edge, ...]:
+    def cycle_edges(self) -> tuple[Edge, Edge, Edge, Edge]:
+        """The four edges in one fixed order: the low row's straight edge,
+        the high row's, the cross edge from the low row's binding vertex,
+        the cross edge from the high row's."""
+        # the binding pair's low and high rows, then theirs on the other level
         a, b, c, d = self.vertices
-        # (row lo, lvl lo), (row hi, lvl lo), (row lo, lvl hi), (row hi, lvl hi)
-        return tuple(sorted((normalize_edge(a, c), normalize_edge(a, d),
-                             normalize_edge(b, c), normalize_edge(b, d))))
+        return (normalize_edge(a, c), normalize_edge(b, d),
+                normalize_edge(a, d), normalize_edge(b, c))
 
 
 def binding_diamonds(r: int) -> list[Diamond]:
-    """All 2^r binding diamonds: 2^(r-1) vertical plus 2^(r-1) horizontal."""
+    """All 2^r binding diamonds: 2^(r-1) vertical plus 2^(r-1) horizontal.
+
+    Vertical diamond w binds rows 2w and 2w + 1; horizontal diamond w, at
+    position 2^(r-1) + w, binds rows w and w + 2^(r-1)."""
     if r < 2:
         raise ButterflyError(
             f"binding diamonds need r >= 2 (BF(1) is a single 4-cycle), got {r}")
@@ -156,30 +162,12 @@ def binding_diamonds(r: int) -> list[Diamond]:
     return out
 
 
-@dataclass(frozen=True)
-class SubCopy:
-    """One of the four BF(r-2) copies induced on levels 0..r-2.
+def subcopy_vertex(r: int, high_bits: int, v: int) -> int:
+    """The BF(r) vertex that vertex v of BF(r-2) is in sub-copy high_bits.
 
-    `iso` maps each dense BF(r) vertex of the copy to the dense index of the
-    corresponding BF(r-2) vertex (row mod 2^(r-2), same level).
+    Levels 0..r-2 of BF(r) split into four copies of BF(r-2), one for each
+    value 0..3 of the two top row bits; a copy keeps the level and the low
+    r-2 row bits.  The map is increasing, so it keeps edges normalized.
     """
-
-    high_bits: int  # the two top row bits shared by the copy, in {0,1,2,3}
-    vertices: frozenset[int]
-    iso: dict[int, int]
-
-
-def decompose_subcopies(r: int) -> list[SubCopy]:
-    """Partition levels 0..r-2 into 4 vertex sets, each inducing BF(r-2)."""
-    if r < 3:
-        raise ButterflyError(f"decomposition needs r >= 3, got {r}")
-    quarter = 1 << (r - 2)
-    copies = []
-    for hb in range(4):
-        iso = {}
-        for level in range(r - 1):
-            for low in range(quarter):
-                row = hb * quarter + low
-                iso[vertex_index(r, row, level)] = vertex_index(r - 2, low, level)
-        copies.append(SubCopy(hb, frozenset(iso), iso))
-    return copies
+    row, level = vertex_coord(r - 2, v)
+    return vertex_index(r, high_bits << (r - 2) | row, level)

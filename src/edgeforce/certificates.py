@@ -14,12 +14,14 @@ guard.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Callable, Iterable, Optional, Union
 
 from . import __version__
-from .butterfly import ButterflyLabels, build_butterfly, edge_id
+from .butterfly import MAX_DIMENSION, ButterflyLabels, build_butterfly, edge_id
 from .constructions import known_bounds, structural_lower_bound
 from .engine import closure, is_edge_forcing_set, is_zero_forcing_set
 from .graph import Edge, Graph, GraphError, from_edges, normalize_edge
@@ -28,6 +30,8 @@ from .solver import (DEFAULT_MAX_EDGES, DEFAULT_MAX_VERTICES, exhaust_matchings,
                      first_forcing_subset, min_edge_forcing, min_zero_forcing)
 
 SCHEMA_VERSION = "efc-1"
+# vertex count of BF(MAX_DIMENSION), the largest graph the tool builds
+MAX_GRAPH_VERTICES = (MAX_DIMENSION + 1) << MAX_DIMENSION
 
 CLAIM_KINDS = ("closure", "zfs-check", "efs-check", "zf-number", "ef-number",
                "nonexistence", "bounds", "reduction-equivalence")
@@ -78,6 +82,9 @@ def parse_graph(text: Union[str, dict]) -> Graph:
     else:
         doc = text
     n = require_field(doc, "n", int, "graph document")
+    if n > MAX_GRAPH_VERTICES:
+        raise CertificateError(
+            f"graph has {n} vertices, above the limit {MAX_GRAPH_VERTICES}")
     edges = parse_edges(require_field(doc, "edges", list, "graph document"))
     try:
         return from_edges(n, edges)
@@ -94,8 +101,13 @@ def resolve_graph(descriptor: Union[str, dict]) -> Graph:
 
 
 def edge_witness(g: Graph, edges: Iterable[Edge]) -> dict:
-    """Witness record with canonical ids, endpoint pairs and labels."""
-    return _edge_record(edges, g.edge_index.__getitem__, g.vertex_label)
+    """Witness record with canonical ids, endpoint pairs and labels.
+
+    An id is the edge's position in the sorted `g.edges`, found by
+    bisection: no `edge_index` dict is built for a witness of a few edges.
+    """
+    return _edge_record(edges, functools.partial(bisect.bisect_left, g.edges),
+                        g.vertex_label)
 
 
 def _edge_record(edges: Iterable[Edge], ident: Callable[[Edge], int],
@@ -178,6 +190,9 @@ def parse_certificate(doc: Union[str, dict]) -> Certificate:
 # verification
 # ---------------------------------------------------------------------------
 
+WITNESS_DIFFERS = "witness recomputed differs from the certificate's"
+
+
 def _guard(c: Certificate, key: str, default: int) -> int:
     """The search guard recorded as search[key], else the solver default."""
     search = c.search if isinstance(c.search, dict) else {}
@@ -208,6 +223,8 @@ def verify_certificate(doc: Union[str, dict, Certificate]
         if smaller is not None:
             return False, (f"smaller zero-forcing set {sorted(smaller)} "
                            f"of size {value - 1}")
+        if c.witness != vertex_witness(g, vs):
+            return False, WITNESS_DIFFERS
         return True, "zero-forcing witness verifies; no smaller set forces"
 
     if kind == "ef-number":
@@ -224,6 +241,8 @@ def verify_certificate(doc: Union[str, dict, Certificate]
         if smaller is not None:
             return False, (f"smaller edge-forcing set {sorted(smaller)} "
                            f"of size {len(smaller)}")
+        if c.witness != edge_witness(g, edges):
+            return False, WITNESS_DIFFERS
         return True, "edge-forcing witness verifies; no smaller matching forces"
 
     if kind == "closure":
@@ -233,7 +252,11 @@ def verify_certificate(doc: Union[str, dict, Certificate]
         rebuilt = zfs_check_certificate(
             g, _vertex_list(c.claim, "set", "claim"), c.graph)
     elif kind == "efs-check":
-        rebuilt = efs_check_certificate(g, _witness_edges(c.witness), c.graph)
+        edges = _witness_edges(c.witness)
+        rebuilt = efs_check_certificate(g, edges, c.graph)
+        if isinstance(c.search, dict) and c.search.get("mode") == "construction":
+            # construction_certificate's record, computed here from g
+            rebuilt = replace(rebuilt, witness=edge_witness(g, edges))
     elif kind == "nonexistence":
         require_field(c.claim, "matchings_tested_per_size", dict, "claim")
         if g.edge_count > _guard(c, "max_edges", DEFAULT_MAX_EDGES):
@@ -255,6 +278,8 @@ def verify_certificate(doc: Union[str, dict, Certificate]
         return False, f"graph recomputed as {rebuilt.graph}"
     if rebuilt.trace != c.trace:
         return False, "trace recomputed differs from the certificate's"
+    if rebuilt.witness != c.witness:
+        return False, WITNESS_DIFFERS
     return True, f"{kind} claim and trace recomputed from the inputs"
 
 

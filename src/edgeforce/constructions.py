@@ -1,18 +1,27 @@
 """Bound formulas, obstruction lower bounds and explicit edge-forcing sets.
 
+Skeleton and repair edges are picked from `butterfly.binding_diamonds` by
+position in `Diamond.cycle_edges()`: low-row straight, high-row straight,
+cross from the low row's binding vertex, cross from the high row's.  The
+vertical skeleton takes each vertical diamond's high-row straight edge;
+the horizontal skeleton takes one edge per horizontal diamond, a straight
+edge ("straight_low", "straight_high") or, in "cross_mix", the low row's
+cross edge in the first half of the diamonds and the high row's after.
+
 The butterfly witnesses come in three flavors:
 
-* BF(3): the fixed eight-edge set (four odd straight edges on levels 0-1
-  plus four crosses on levels 2-3), verified by the engine.
+* BF(3): the vertical skeleton plus the "cross_mix" horizontal skeleton,
+  eight edges, verified by the engine.
 * BF(4), BF(5): a pattern-seeded search.  The binding-edge skeleton (one
   edge per binding diamond) is fixed, then a seeded greedy completion over
   middle-level edges is run to the target cardinality and verified.  Only
   the cardinalities 25 and 47 are treated as ground truth; the witnesses
   are recomputed, never hard-coded.
-* BF(r), r >= 6: recursion.  The four BF(r-2) sub-copy witnesses are
-  translated through the decomposition isomorphisms and one straight edge
-  per horizontal diamond is added; the result is verified by closure, with
-  a bounded local repair pass if verification fails.
+* BF(r), r >= 6: recursion.  The BF(r-2) witness is copied into the four
+  sub-copies on levels 0..r-2 (`butterfly.subcopy_vertex`) and the
+  "straight_low" horizontal skeleton is added; the result is verified by
+  closure, and if it fails, each horizontal diamond's edge in turn is
+  tried as each of its diamond's four edges.
 """
 
 from __future__ import annotations
@@ -23,15 +32,13 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .butterfly import (MAX_DIMENSION, ButterflyError, build_butterfly,
-                        decompose_subcopies, vertex_index)
+from .butterfly import (MAX_DIMENSION, ButterflyError, Diamond,
+                        binding_diamonds, build_butterfly, subcopy_vertex)
 from .engine import closure, is_edge_forcing_set, matching_endpoints
 from .graph import Edge, Graph, normalize_edge
 from .kernels import extend_closure
 
 EXACT_VALUES = {3: 8, 4: 25, 5: 47}
-# Cited lower bounds for BF(4)/BF(5); beyond mechanical re-verification.
-CITED_LOWER = {4: 25, 5: 47}
 
 DEFAULT_SEED = 12345
 # greedy completions tried per skeleton before the seeded search gives up
@@ -40,10 +47,6 @@ RESTARTS = 200
 
 class ConstructionError(RuntimeError):
     """Raised when a witness cannot be built or verified."""
-
-    def __init__(self, message: str, unforced: Optional[frozenset[int]] = None):
-        super().__init__(message)
-        self.unforced = unforced
 
 
 # ---------------------------------------------------------------------------
@@ -112,44 +115,36 @@ def structural_lower_bound(g: Graph) -> tuple[int, list[Obstruction]]:
 # ---------------------------------------------------------------------------
 
 def _vertical_skeleton(r: int) -> list[Edge]:
-    """One straight edge per vertical diamond, on the odd row."""
-    return [normalize_edge(vertex_index(r, w, 0), vertex_index(r, w, 1))
-            for w in range(1, 1 << r, 2)]
+    """Each vertical diamond's high-row (odd-row) straight edge."""
+    return [d.cycle_edges()[1] for d in binding_diamonds(r)[:1 << (r - 1)]]
+
+
+def _horizontal_diamonds(r: int) -> list[Diamond]:
+    return binding_diamonds(r)[1 << (r - 1):]
+
+
+# each mode's cycle_edges() position in the first and second half of the
+# horizontal diamonds
+_HORIZONTAL_PICKS = {"straight_low": (0, 0), "straight_high": (1, 1),
+                     "cross_mix": (2, 3)}
 
 
 def _horizontal_skeleton(r: int, mode: str) -> list[Edge]:
     """One edge per horizontal diamond (levels r-1, r)."""
-    half = 1 << (r - 1)
-    out = []
-    for w in range(half):
-        if mode == "straight_low":
-            e = (vertex_index(r, w, r - 1), vertex_index(r, w, r))
-        elif mode == "straight_high":
-            e = (vertex_index(r, w + half, r - 1), vertex_index(r, w + half, r))
-        elif mode == "cross_mix":
-            # half cross edges each way, as in the BF(3) level-2/3 pattern
-            if w < half // 2:
-                e = (vertex_index(r, w + half, r - 1), vertex_index(r, w, r))
-            else:
-                e = (vertex_index(r, w, r - 1), vertex_index(r, w + half, r))
-        else:
-            raise ValueError(f"unknown horizontal skeleton mode {mode!r}")
-        out.append(normalize_edge(*e))
-    return out
+    first, second = _HORIZONTAL_PICKS[mode]
+    half = 1 << (r - 2)
+    return [d.cycle_edges()[first if w < half else second]
+            for w, d in enumerate(_horizontal_diamonds(r))]
 
 
-def _middle_candidates(r: int, level_pairs: list[int]) -> list[Edge]:
-    """All straight and cross edges on the given (i, i+1) level pairs."""
-    rows = 1 << r
-    out = []
-    for i in level_pairs:
-        bit = 1 << i
-        for w in range(rows):
-            out.append(normalize_edge(vertex_index(r, w, i),
-                                      vertex_index(r, w, i + 1)))
-            out.append(normalize_edge(vertex_index(r, w, i),
-                                      vertex_index(r, w ^ bit, i + 1)))
-    return sorted(set(out))
+def _middle_candidates(g: Graph, r: int, level_pairs: list[int]) -> list[Edge]:
+    """All edges of g = BF(r) on the given (i, i+1) level pairs, ascending.
+
+    BF(r)'s sorted edges go by lower endpoint, two per vertex
+    (`butterfly.edge_id`), so level i's edges up are one slice."""
+    per_level = 2 << r  # edges from one level up to the next
+    return [e for i in level_pairs
+            for e in g.edges[i * per_level:(i + 1) * per_level]]
 
 
 def _greedy_complete(g: Graph, base: list[Edge], candidates: list[Edge],
@@ -191,7 +186,7 @@ def _greedy_complete(g: Graph, base: list[Edge], candidates: list[Edge],
 
 def _seeded_search(g: Graph, r: int, target: int, h_modes: list[str],
                    level_pairs: list[int], seed: int) -> list[Edge]:
-    candidates = _middle_candidates(r, level_pairs)
+    candidates = _middle_candidates(g, r, level_pairs)
     extra = target - (1 << r)
     rng = random.Random(seed)
     for mode in h_modes:
@@ -204,57 +199,29 @@ def _seeded_search(g: Graph, r: int, target: int, h_modes: list[str],
         f"seeded search failed to complete a size-{target} witness for BF({r})")
 
 
-def _bf3_witness() -> list[Edge]:
-    r = 3
-    edges = _vertical_skeleton(r)
-    for a, b in (((2, 2), (6, 3)), ((3, 2), (7, 3)),
-                 ((4, 2), (0, 3)), ((5, 2), (1, 3))):
-        edges.append(normalize_edge(vertex_index(r, *a), vertex_index(r, *b)))
-    return sorted(edges)
-
-
 def _recursive_witness(g: Graph, r: int, seed: int,
                        repairs: Optional[list[str]] = None) -> list[Edge]:
     if repairs is None:
         repairs = []
     sub = construct_edge_forcing(r - 2, seed=seed, repair_log=repairs)
-    quarter = 1 << (r - 2)
-    edges: list[Edge] = []
-    for copy in decompose_subcopies(r):
-        for u, v in sub:
-            lu, lvl_u = u % (1 << (r - 2)), u // (1 << (r - 2))
-            lv, lvl_v = v % (1 << (r - 2)), v // (1 << (r - 2))
-            edges.append(normalize_edge(
-                vertex_index(r, copy.high_bits * quarter + lu, lvl_u),
-                vertex_index(r, copy.high_bits * quarter + lv, lvl_v)))
-    edges += _horizontal_skeleton(r, "straight_low")
+    core = [(subcopy_vertex(r, high_bits, u), subcopy_vertex(r, high_bits, v))
+            for high_bits in range(4) for u, v in sub]
+    h_edges = _horizontal_skeleton(r, "straight_low")
+    edges = core + h_edges
     if is_edge_forcing_set(g, edges):
         return sorted(edges)
     # bounded local repair: re-choose horizontal diamond edges one at a time
-    half = 1 << (r - 1)
-    core = edges[:-half]
-    h_edges = edges[-half:]
-    for w in range(half):
-        options = [
-            normalize_edge(vertex_index(r, w, r - 1), vertex_index(r, w, r)),
-            normalize_edge(vertex_index(r, w + half, r - 1),
-                           vertex_index(r, w + half, r)),
-            normalize_edge(vertex_index(r, w + half, r - 1),
-                           vertex_index(r, w, r)),
-            normalize_edge(vertex_index(r, w, r - 1),
-                           vertex_index(r, w + half, r)),
-        ]
-        for opt in options:
+    for w, diamond in enumerate(_horizontal_diamonds(r)):
+        for opt in diamond.cycle_edges():
             trial = core + h_edges[:w] + [opt] + h_edges[w + 1:]
             if is_edge_forcing_set(g, trial):
                 repairs.append(
                     f"BF({r}) diamond {w}: replaced {h_edges[w]} with {opt}")
                 return sorted(trial)
-    unforced = frozenset(range(g.vertex_count)) - closure(
-        g, matching_endpoints(edges)).final
+    forced = closure(g, matching_endpoints(edges)).final
     raise ConstructionError(
         f"recursive witness for BF({r}) failed verification and repair; "
-        f"{len(unforced)} vertices unforced", unforced=unforced)
+        f"{g.vertex_count - len(forced)} vertices unforced")
 
 
 def construct_edge_forcing(r: int, seed: int = DEFAULT_SEED,
@@ -284,7 +251,8 @@ def butterfly_witness(g: Graph, r: int, seed: int = DEFAULT_SEED,
     caller that also needs the graph builds it once."""
     _require_dimension(r)
     if r == 3:
-        witness = _bf3_witness()
+        witness = sorted(_vertical_skeleton(3)
+                         + _horizontal_skeleton(3, "cross_mix"))
         if not is_edge_forcing_set(g, witness):
             raise ConstructionError("BF(3) witness failed verification")
         return witness
@@ -340,7 +308,7 @@ def known_bounds(r: int) -> BoundsReport:
                             upper_formula=None, upper_recursive=None,
                             conjectured_exact=None,
                             zero_forcing_upper_reference=zero_forcing_upper_reference(2))
-    lower = CITED_LOWER.get(r, 1 << r)
+    lower = EXACT_VALUES.get(r, 1 << r)
     exact = EXACT_VALUES.get(r)
     upper_rec = recursive_upper(r)
     return BoundsReport(

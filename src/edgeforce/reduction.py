@@ -129,8 +129,3 @@ def solve_equivalence(g: Graph) -> tuple[int, frozenset[int], EdgeForcingVerdict
     lifted = build_gbar(g).lifted
     return zf, witness, min_edge_forcing(lifted, max_edges=MAX_LIFTED_EDGES)
 
-
-def verify_equivalence(g: Graph) -> bool:
-    """Exact check that zf(g) equals the lifted edge-forcing number."""
-    zf, _, verdict = solve_equivalence(g)
-    return verdict.exists and verdict.value == zf

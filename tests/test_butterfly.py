@@ -3,9 +3,9 @@ import itertools
 import pytest
 
 from edgeforce.butterfly import (ButterflyError, binding_diamonds,
-                                 build_butterfly, coord_label,
-                                 decompose_subcopies, edge_id, edge_kind,
-                                 vertex_coord, vertex_index)
+                                 build_butterfly, coord_label, edge_id,
+                                 edge_kind, subcopy_vertex, vertex_coord,
+                                 vertex_index)
 from edgeforce.graph import from_edges, normalize_edge
 
 
@@ -129,10 +129,9 @@ class TestBindingDiamonds:
 
     @pytest.mark.parametrize("r", range(2, 6))
     def test_diamonds_are_4_cycles(self, r):
-        g = build_butterfly(r)
+        edges = set(build_butterfly(r).edges)
         for d in binding_diamonds(r):
-            for e in d.cycle_edges():
-                assert g.has_edge(*e)
+            assert set(d.cycle_edges()) <= edges
             assert len(set(d.vertices)) == 4
 
     @pytest.mark.parametrize("r", range(3, 6))
@@ -146,6 +145,22 @@ class TestBindingDiamonds:
             for v in (x, y):
                 assert g.degree(v) == 2
                 assert set(g.adjacency[v]) <= inside
+
+    @pytest.mark.parametrize("r", range(2, 7))
+    def test_edge_order(self, r):
+        # low-row straight, high-row straight, then the cross edges from
+        # the low and the high row's binding vertex
+        for d in binding_diamonds(r):
+            (lo, hi), (bind, other) = d.rows, (
+                (0, 1) if d.kind == "vertical" else (r, r - 1))
+            expected = [((lo, bind), (lo, other)), ((hi, bind), (hi, other)),
+                        ((lo, bind), (hi, other)), ((hi, bind), (lo, other))]
+            assert list(d.cycle_edges()) == [
+                normalize_edge(vertex_index(r, *a), vertex_index(r, *b))
+                for a, b in expected]
+            kinds = [edge_kind(r, vertex_coord(r, u), vertex_coord(r, v))
+                     for u, v in d.cycle_edges()]
+            assert kinds == ["straight", "straight", "cross", "cross"]
 
     def test_rejects_r1(self):
         with pytest.raises(ButterflyError):
@@ -174,18 +189,20 @@ class TestStructure:
 
     @pytest.mark.parametrize("r", (3, 4, 5))
     def test_decompose_subcopies(self, r):
+        # the four images of BF(r-2) partition levels 0..r-2 of BF(r), and
+        # each induces exactly the image of BF(r-2)'s edges
         g = build_butterfly(r)
-        copies = decompose_subcopies(r)
-        assert len(copies) == 4
         small = build_butterfly(r - 2)
         all_vertices = set()
-        for copy in copies:
-            assert not all_vertices & copy.vertices
-            all_vertices |= copy.vertices
-            mapped = {normalize_edge(copy.iso[u], copy.iso[v])
-                      for u, v in g.edges
-                      if u in copy.vertices and v in copy.vertices}
-            assert mapped == set(small.edges)
+        for high_bits in range(4):
+            image = [subcopy_vertex(r, high_bits, v)
+                     for v in range(small.vertex_count)]
+            vertices = set(image)
+            assert len(vertices) == small.vertex_count
+            assert not all_vertices & vertices
+            all_vertices |= vertices
+            induced = {e for e in g.edges if set(e) <= vertices}
+            assert induced == {(image[u], image[v]) for u, v in small.edges}
         expected = {vertex_index(r, w, i)
                     for i in range(r - 1) for w in range(1 << r)}
         assert all_vertices == expected
@@ -193,9 +210,12 @@ class TestStructure:
     @pytest.mark.parametrize("r", (3, 5))
     def test_top_level_edges_disjoint_from_copies(self, r):
         g = build_butterfly(r)
-        copy_vertices = set().union(*(c.vertices for c in decompose_subcopies(r)))
+        n_small = build_butterfly(r - 2).vertex_count
+        copy_vertices = {subcopy_vertex(r, hb, v)
+                         for hb in range(4) for v in range(n_small)}
         top_edges = [(u, v) for u, v in g.edges
                      if vertex_coord(r, u)[1] >= r - 1
                      and vertex_coord(r, v)[1] >= r - 1]
+        assert len(top_edges) == 2 ** (r + 1)
         for u, v in top_edges:
             assert u not in copy_vertices and v not in copy_vertices

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -9,7 +11,7 @@ from edgeforce import constructions
 from edgeforce.butterfly import (binding_diamonds, build_butterfly,
                                  vertex_coord, vertex_index)
 from edgeforce.certificates import bf2_nonexistence_counts
-from edgeforce.constructions import (ConstructionError,
+from edgeforce.constructions import (DEFAULT_SEED, ConstructionError,
                                      construct_edge_forcing, find_obstructions,
                                      known_bounds, recursive_upper,
                                      structural_lower_bound,
@@ -18,6 +20,14 @@ from edgeforce.engine import closure, is_edge_forcing_set, matching_endpoints
 from edgeforce.graph import from_edges, is_matching, normalize_edge
 
 from conftest import cycle_graph, max_edge_disjoint
+
+# The witnesses and repair logs of construct_edge_forcing for r = 3..9 at
+# GOLDEN_SEEDS, pinned as the sha256 of their sorted JSON: a refactor of
+# the construction must reproduce every seed's witness, not only the
+# default seed's that the fixtures hold.
+GOLDEN_SEEDS = (0, 1, 2, 7919, 2 ** 31 - 1, DEFAULT_SEED)
+GOLDEN_SHA256 = \
+    "e388b86bba686fb4b692286d899744f5d067c88c3368f5425d31171fb417657a"
 
 
 class TestStructuralLowerBound:
@@ -172,6 +182,56 @@ class TestConstructions:
         bf5 = build_butterfly(5).vertex_count
         assert [n for n in sizes if n > bf5] == [
             build_butterfly(7).vertex_count, build_butterfly(9).vertex_count]
+
+    def test_golden_witnesses_across_seeds(self):
+        out = {}
+        for seed in GOLDEN_SEEDS:
+            for r in range(3, 10):
+                log = []
+                w = construct_edge_forcing(r, seed=seed, repair_log=log)
+                out[f"{r}:{seed}"] = {"witness": [list(e) for e in w],
+                                      "repairs": log}
+        text = json.dumps(out, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256
+
+
+class TestRepair:
+    """The recursive witness's repair loop, which no real seed reaches:
+    BF(6)'s check is replaced by one that passes only the edge sets that
+    hold a chosen replacement for horizontal diamond 5."""
+
+    # diamond 5 binds rows 5 and 37 on levels 5 and 6: its low-row straight
+    # edge, and the cross edge from the low row's binding vertex
+    OLD = normalize_edge(vertex_index(6, 5, 5), vertex_index(6, 5, 6))
+    NEW = normalize_edge(vertex_index(6, 37, 5), vertex_index(6, 5, 6))
+
+    def patch(self, monkeypatch, passes):
+        n = build_butterfly(6).vertex_count
+        real = constructions.is_edge_forcing_set
+
+        def check(g, edges, **kwargs):
+            if g.vertex_count != n:
+                return real(g, edges, **kwargs)
+            return passes(edges)
+
+        monkeypatch.setattr(constructions, "is_edge_forcing_set", check)
+
+    def test_one_replacement_is_logged_and_returned(self, monkeypatch):
+        plain = construct_edge_forcing(6)
+        assert self.OLD in plain and self.NEW not in plain
+        self.patch(monkeypatch, lambda edges: self.NEW in edges)
+        log = []
+        w = construct_edge_forcing(6, repair_log=log)
+        assert log == [f"BF(6) diamond 5: replaced {self.OLD} "
+                       f"with {self.NEW}"]
+        assert w == sorted(set(plain) - {self.OLD} | {self.NEW})
+
+    def test_no_replacement_reports_unforced_count(self, monkeypatch):
+        self.patch(monkeypatch, lambda edges: False)
+        with pytest.raises(ConstructionError,
+                           match="failed verification and repair; "
+                                 "0 vertices unforced"):
+            construct_edge_forcing(6)
 
 
 class TestObstructionSoundness:

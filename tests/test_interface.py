@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from edgeforce import certificates, cli, constructions
 from edgeforce.butterfly import build_butterfly
-from edgeforce.certificates import (CertificateError, bf2_nonexistence,
+from edgeforce.certificates import (MAX_GRAPH_VERTICES, CertificateError,
+                                    bf2_nonexistence,
                                     bounds_certificate,
                                     construction_certificate, emit_certificate,
                                     parse_certificate, parse_graph,
@@ -71,6 +72,14 @@ class TestParseGraph:
     def test_self_loop_rejected(self):
         with pytest.raises(CertificateError):
             parse_graph('{"n": 3, "edges": [[1, 1]]}')
+
+    def test_vertex_count_is_bounded(self):
+        # BF(16)'s vertex count, the largest graph the tool builds
+        assert MAX_GRAPH_VERTICES == 17 << 16 == 1_114_112
+        assert parse_graph({"n": MAX_GRAPH_VERTICES,
+                            "edges": []}).vertex_count == MAX_GRAPH_VERTICES
+        with pytest.raises(CertificateError, match="above the limit"):
+            parse_graph({"n": MAX_GRAPH_VERTICES + 1, "edges": []})
 
     def test_resolve_butterfly_descriptor(self):
         g = resolve_graph("butterfly:3")
@@ -343,6 +352,45 @@ class TestCli:
         cert = tmp_path / "c.json"
         cert.write_text(json.dumps(doc))
         assert main(["verify", "--cert", str(cert)]) == 1
+
+    @pytest.mark.parametrize("argv, field, index, value", [
+        (["construct", "--r", "3"], "edge_ids", 0, 999),
+        (["construct", "--r", "3"], "labels", 0, ["[9,9]", "[9,9]"]),
+        (["solve", "ef", "--graph", "c4"], "edge_ids", 0, 3),
+        (["solve", "zf", "--graph", "c4"], "labels", 1, "0"),
+    ], ids=["construction-edge-id", "construction-label", "ef-number-edge-id",
+            "zf-number-label"])
+    def test_verify_tampered_witness_record(self, tmp_path, capsys, argv,
+                                            field, index, value):
+        argv = [write_graph(tmp_path, cycle_graph(4)) if a == "c4" else a
+                for a in argv]
+        code, doc = run_json(capsys, argv)
+        assert code == 0 and doc["witness"][field][index] != value
+        doc["witness"][field][index] = value
+        cert = tmp_path / "c.json"
+        cert.write_text(json.dumps(doc))
+        assert main(["verify", "--cert", str(cert)]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out == {"verified": False, "details":
+                       "witness recomputed differs from the certificate's"}
+
+    @pytest.mark.parametrize("command", ["verify", "closure"])
+    def test_oversized_graph_exits_2(self, tmp_path, capsys, command):
+        graph = {"n": 2 ** 40, "edges": [[0, 1]]}
+        doc = tmp_path / "doc.json"
+        if command == "verify":
+            doc.write_text(json.dumps({
+                "schema_version": "efc-1", "kind": "closure", "graph": graph,
+                "claim": {"initial": [0]}}))
+            argv = ["verify", "--cert", str(doc)]
+        else:
+            doc.write_text(json.dumps(graph))
+            argv = ["closure", "--graph", str(doc), "--black", "0"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: graph has {2 ** 40} vertices, "
+                                f"above the limit {MAX_GRAPH_VERTICES}\n")
 
     def test_verify_nonexistence_at_the_solve_guard(self, tmp_path, capsys):
         from edgeforce.graph import from_edges

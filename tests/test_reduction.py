@@ -2,10 +2,11 @@ import random
 
 import pytest
 
+from edgeforce.certificates import reduction_certificate
 from edgeforce.engine import is_edge_forcing_set, is_zero_forcing_set
 from edgeforce.graph import from_edges, normalize_edge
 from edgeforce.reduction import (build_gbar, lift_zero_forcing,
-                                 normalize_and_project, verify_equivalence)
+                                 normalize_and_project)
 from edgeforce.solver import min_edge_forcing, min_zero_forcing
 
 from conftest import complete_graph, cycle_graph, path_graph, random_graph
@@ -123,7 +124,7 @@ class TestEquivalence:
     @pytest.mark.parametrize("g", [path_graph(3), cycle_graph(4),
                                    complete_graph(4)])
     def test_named_graphs(self, g):
-        assert verify_equivalence(g)
+        assert reduction_certificate(g).claim["equal"]
 
     def test_witnesses_round_trip(self):
         rng = random.Random(23)
