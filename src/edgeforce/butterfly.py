@@ -1,19 +1,19 @@
-"""Butterfly network BF(r): construction, edge classes, binding structure.
+"""Butterfly network BF(r): construction, edge classes, edge ids, sub-copies.
 
 BF(r) has vertices (row, level) with row in [0, 2^r) and level in [0, r].
 Between levels i and i+1 every row w carries a straight edge (same row) and
 a cross edge to row w XOR 2^i.  The dense index of (row, level) is
-level * 2^r + row; the display label is "[row,level]".
+level * 2^r + row; the display label is "[row,level]".  BF(r)'s binding
+diamonds are its obstruction 4-cycles (`constructions.find_obstructions`).
 """
 
 from __future__ import annotations
 
 import operator
 from collections.abc import Mapping
-from dataclasses import dataclass
 from typing import Iterator, Literal
 
-from .graph import Edge, Graph, GraphError, from_edges, normalize_edge
+from .graph import Graph, GraphError, from_edges, normalize_edge
 
 MAX_DIMENSION = 16  # memory guard: BF(16) already has >1M vertices
 
@@ -111,55 +111,6 @@ def edge_id(r: int, u: int, v: int) -> int:
     (row, level), upper = vertex_coord(r, u), vertex_coord(r, v)
     edge_kind(r, (row, level), upper)
     return 2 * u + (upper[0] >> level & 1)
-
-
-@dataclass(frozen=True)
-class Diamond:
-    """A binding 4-cycle of BF(r).
-
-    Vertical diamonds sit on levels (0, 1); horizontal on (r-1, r).  The two
-    degree-2 vertices (level 0, resp. level r) are the binding pair; both
-    are adjacent to the same two degree-4 vertices of the opposite level.
-    """
-
-    kind: Literal["vertical", "horizontal"]
-    levels: tuple[int, int]
-    rows: tuple[int, int]
-    vertices: tuple[int, int, int, int]  # dense indices
-
-    def cycle_edges(self) -> tuple[Edge, Edge, Edge, Edge]:
-        """The four edges in one fixed order: the low row's straight edge,
-        the high row's, the cross edge from the low row's binding vertex,
-        the cross edge from the high row's."""
-        # the binding pair's low and high rows, then theirs on the other level
-        a, b, c, d = self.vertices
-        return (normalize_edge(a, c), normalize_edge(b, d),
-                normalize_edge(a, d), normalize_edge(b, c))
-
-
-def binding_diamonds(r: int) -> list[Diamond]:
-    """All 2^r binding diamonds: 2^(r-1) vertical plus 2^(r-1) horizontal.
-
-    Vertical diamond w binds rows 2w and 2w + 1; horizontal diamond w, at
-    position 2^(r-1) + w, binds rows w and w + 2^(r-1)."""
-    if r < 2:
-        raise ButterflyError(
-            f"binding diamonds need r >= 2 (BF(1) is a single 4-cycle), got {r}")
-    out: list[Diamond] = []
-    half = 1 << (r - 1)
-    for w in range(half):
-        lo, hi = 2 * w, 2 * w + 1
-        out.append(Diamond(
-            "vertical", (0, 1), (lo, hi),
-            (vertex_index(r, lo, 0), vertex_index(r, hi, 0),
-             vertex_index(r, lo, 1), vertex_index(r, hi, 1))))
-    for w in range(half):
-        lo, hi = w, w + half
-        out.append(Diamond(
-            "horizontal", (r - 1, r), (lo, hi),
-            (vertex_index(r, lo, r), vertex_index(r, hi, r),
-             vertex_index(r, lo, r - 1), vertex_index(r, hi, r - 1))))
-    return out
 
 
 def subcopy_vertex(r: int, high_bits: int, v: int) -> int:

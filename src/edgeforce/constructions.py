@@ -1,27 +1,33 @@
 """Bound formulas, obstruction lower bounds and explicit edge-forcing sets.
 
-Skeleton and repair edges are picked from `butterfly.binding_diamonds` by
-position in `Diamond.cycle_edges()`: low-row straight, high-row straight,
-cross from the low row's binding vertex, cross from the high row's.  The
-vertical skeleton takes each vertical diamond's high-row straight edge;
-the horizontal skeleton takes one edge per horizontal diamond, a straight
-edge ("straight_low", "straight_high") or, in "cross_mix", the low row's
-cross edge in the first half of the diamonds and the high row's after.
+An obstruction is a 4-cycle whose two degree-2 vertices share both
+neighbors; `find_obstructions` lists them by neighbor pair.  For r >= 3
+BF(r)'s obstructions are exactly its 2^r binding diamonds: the 2^(r-1)
+vertical ones (binding pair on level 0, rows 2w and 2w + 1), then the
+2^(r-1) horizontal ones (binding pair on level r, rows w and w + 2^(r-1)).
+`Obstruction.cycle_edges()` lists a diamond's edges as the low row's
+straight edge, the high row's, the cross edge from the low row's binding
+vertex, the cross edge from the high row's.  Each construction level
+takes `find_obstructions` of its BF(r) once and picks every skeleton and
+repair edge by position in that order.  The vertical skeleton takes each
+vertical diamond's high-row straight edge; the horizontal skeleton takes
+one edge per horizontal diamond, a straight edge ("straight_low",
+"straight_high") or, in "cross_mix", the low row's cross edge in the
+first half of the diamonds and the high row's after.
 
-The butterfly witnesses come in three flavors:
+The butterfly witnesses come in two flavors:
 
-* BF(3): the vertical skeleton plus the "cross_mix" horizontal skeleton,
-  eight edges, verified by the engine.
-* BF(4), BF(5): a pattern-seeded search.  The binding-edge skeleton (one
-  edge per binding diamond) is fixed, then a seeded greedy completion over
-  middle-level edges is run to the target cardinality and verified.  Only
-  the cardinalities 25 and 47 are treated as ground truth; the witnesses
-  are recomputed, never hard-coded.
+* BF(3), BF(4), BF(5): a pattern-seeded search.  The skeleton (one edge
+  per binding diamond) is fixed, then a seeded greedy completion over
+  middle-level edges is run to the size in `EXACT_VALUES` and verified.
+  Only those sizes are treated as ground truth; the witnesses are
+  recomputed, never hard-coded.  BF(3) needs no middle edge, so its
+  witness is the vertical plus the "cross_mix" horizontal skeleton.
 * BF(r), r >= 6: recursion.  The BF(r-2) witness is copied into the four
   sub-copies on levels 0..r-2 (`butterfly.subcopy_vertex`) and the
   "straight_low" horizontal skeleton is added; the result is verified by
   closure, and if it fails, each horizontal diamond's edge in turn is
-  tried as each of its diamond's four edges.
+  tried as each other edge of its diamond.
 """
 
 from __future__ import annotations
@@ -32,13 +38,19 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .butterfly import (MAX_DIMENSION, ButterflyError, Diamond,
-                        binding_diamonds, build_butterfly, subcopy_vertex)
+from .butterfly import (MAX_DIMENSION, ButterflyError, build_butterfly,
+                        subcopy_vertex)
 from .engine import closure, is_edge_forcing_set, matching_endpoints
 from .graph import Edge, Graph, normalize_edge
 from .kernels import extend_closure
 
 EXACT_VALUES = {3: 8, 4: 25, 5: 47}
+
+# each seeded search's horizontal skeleton modes, in the order tried, and
+# the middle level pairs its greedy completion draws edges from
+_SEARCHES = {3: (["cross_mix"], []),
+             4: (["cross_mix", "straight_low", "straight_high"], [1, 2]),
+             5: (["straight_low", "cross_mix", "straight_high"], [2, 3])}
 
 DEFAULT_SEED = 12345
 # greedy completions tried per skeleton before the seeded search gives up
@@ -64,23 +76,23 @@ class Obstruction:
     cycle: tuple[int, int, int, int]  # x, u, y, v in cycle order
     blocked_pair: tuple[int, int]
 
-    def cycle_edges(self) -> tuple[Edge, ...]:
+    def cycle_edges(self) -> tuple[Edge, Edge, Edge, Edge]:
+        """The four edges in one fixed order: x-u, y-v, x-v, y-u."""
         x, u, y, v = self.cycle
-        return tuple(sorted((normalize_edge(x, u), normalize_edge(u, y),
-                             normalize_edge(y, v), normalize_edge(v, x))))
+        return (normalize_edge(x, u), normalize_edge(y, v),
+                normalize_edge(x, v), normalize_edge(y, u))
 
 
 def find_obstructions(g: Graph) -> list[Obstruction]:
-    """All obstruction 4-cycles: pairs x<y of degree-2 vertices with N(x)=N(y)."""
-    out = []
-    deg2 = [v for v in range(g.vertex_count) if g.degree(v) == 2]
+    """All obstruction 4-cycles: pairs x<y of degree-2 vertices with N(x)=N(y),
+    ordered by their neighbor pair, then by x and y."""
     by_nbrs: dict[tuple[int, int], list[int]] = {}
-    for v in deg2:
-        by_nbrs.setdefault(g.adjacency[v], []).append(v)
-    for (u, w), verts in sorted(by_nbrs.items()):
-        for x, y in itertools.combinations(verts, 2):
-            out.append(Obstruction((x, u, y, w), (x, y)))
-    return out
+    for v, nbrs in enumerate(g.adjacency):
+        if len(nbrs) == 2:
+            by_nbrs.setdefault(nbrs, []).append(v)
+    return [Obstruction((x, u, y, w), (x, y))
+            for (u, w), verts in sorted(by_nbrs.items())
+            for x, y in itertools.combinations(verts, 2)]
 
 
 def structural_lower_bound(g: Graph) -> tuple[int, list[Obstruction]]:
@@ -114,13 +126,9 @@ def structural_lower_bound(g: Graph) -> tuple[int, list[Obstruction]]:
 # skeletons and witnesses
 # ---------------------------------------------------------------------------
 
-def _vertical_skeleton(r: int) -> list[Edge]:
+def _vertical_skeleton(diamonds: list[Obstruction]) -> list[Edge]:
     """Each vertical diamond's high-row (odd-row) straight edge."""
-    return [d.cycle_edges()[1] for d in binding_diamonds(r)[:1 << (r - 1)]]
-
-
-def _horizontal_diamonds(r: int) -> list[Diamond]:
-    return binding_diamonds(r)[1 << (r - 1):]
+    return [d.cycle_edges()[1] for d in diamonds[:len(diamonds) // 2]]
 
 
 # each mode's cycle_edges() position in the first and second half of the
@@ -129,12 +137,13 @@ _HORIZONTAL_PICKS = {"straight_low": (0, 0), "straight_high": (1, 1),
                      "cross_mix": (2, 3)}
 
 
-def _horizontal_skeleton(r: int, mode: str) -> list[Edge]:
+def _horizontal_skeleton(diamonds: list[Obstruction], mode: str) -> list[Edge]:
     """One edge per horizontal diamond (levels r-1, r)."""
     first, second = _HORIZONTAL_PICKS[mode]
-    half = 1 << (r - 2)
+    horizontal = diamonds[len(diamonds) // 2:]
+    half = len(horizontal) // 2
     return [d.cycle_edges()[first if w < half else second]
-            for w, d in enumerate(_horizontal_diamonds(r))]
+            for w, d in enumerate(horizontal)]
 
 
 def _middle_candidates(g: Graph, r: int, level_pairs: list[int]) -> list[Edge]:
@@ -184,13 +193,15 @@ def _greedy_complete(g: Graph, base: list[Edge], candidates: list[Edge],
     return full if is_edge_forcing_set(g, full) else None
 
 
-def _seeded_search(g: Graph, r: int, target: int, h_modes: list[str],
-                   level_pairs: list[int], seed: int) -> list[Edge]:
+def _seeded_search(g: Graph, r: int, diamonds: list[Obstruction],
+                   target: int, h_modes: list[str], level_pairs: list[int],
+                   seed: int) -> list[Edge]:
     candidates = _middle_candidates(g, r, level_pairs)
-    extra = target - (1 << r)
+    extra = target - len(diamonds)
     rng = random.Random(seed)
     for mode in h_modes:
-        base = _vertical_skeleton(r) + _horizontal_skeleton(r, mode)
+        base = (_vertical_skeleton(diamonds)
+                + _horizontal_skeleton(diamonds, mode))
         for _ in range(RESTARTS):
             full = _greedy_complete(g, base, candidates, extra, rng)
             if full is not None:
@@ -199,20 +210,23 @@ def _seeded_search(g: Graph, r: int, target: int, h_modes: list[str],
         f"seeded search failed to complete a size-{target} witness for BF({r})")
 
 
-def _recursive_witness(g: Graph, r: int, seed: int,
+def _recursive_witness(g: Graph, r: int, diamonds: list[Obstruction],
+                       seed: int,
                        repairs: Optional[list[str]] = None) -> list[Edge]:
     if repairs is None:
         repairs = []
     sub = construct_edge_forcing(r - 2, seed=seed, repair_log=repairs)
     core = [(subcopy_vertex(r, high_bits, u), subcopy_vertex(r, high_bits, v))
             for high_bits in range(4) for u, v in sub]
-    h_edges = _horizontal_skeleton(r, "straight_low")
+    h_edges = _horizontal_skeleton(diamonds, "straight_low")
     edges = core + h_edges
     if is_edge_forcing_set(g, edges):
         return sorted(edges)
     # bounded local repair: re-choose horizontal diamond edges one at a time
-    for w, diamond in enumerate(_horizontal_diamonds(r)):
+    for w, diamond in enumerate(diamonds[len(diamonds) // 2:]):
         for opt in diamond.cycle_edges():
+            if opt == h_edges[w]:
+                continue  # the set that just failed
             trial = core + h_edges[:w] + [opt] + h_edges[w + 1:]
             if is_edge_forcing_set(g, trial):
                 repairs.append(
@@ -228,7 +242,7 @@ def construct_edge_forcing(r: int, seed: int = DEFAULT_SEED,
                            repair_log: Optional[list[str]] = None) -> list[Edge]:
     """A verified edge-forcing matching of BF(r), r >= 3.
 
-    Sizes: 8 (r=3), 25 (r=4), 47 (r=5); for r >= 6 the recursive set of
+    Sizes: `EXACT_VALUES` for r = 3, 4, 5; for r >= 6 the recursive set of
     size u(r) = 4*u(r-2) + 2^(r-1), within the parity upper bound.  Any
     local repairs applied to the recursive set are appended to repair_log.
     BF(r) is built once, before the recursion, so a dimension above the
@@ -250,19 +264,11 @@ def butterfly_witness(g: Graph, r: int, seed: int = DEFAULT_SEED,
     """`construct_edge_forcing(r)` on g = BF(r), already built, so that a
     caller that also needs the graph builds it once."""
     _require_dimension(r)
-    if r == 3:
-        witness = sorted(_vertical_skeleton(3)
-                         + _horizontal_skeleton(3, "cross_mix"))
-        if not is_edge_forcing_set(g, witness):
-            raise ConstructionError("BF(3) witness failed verification")
-        return witness
-    if r == 4:
-        return _seeded_search(g, 4, 25, ["cross_mix", "straight_low",
-                                         "straight_high"], [1, 2], seed)
-    if r == 5:
-        return _seeded_search(g, 5, 47, ["straight_low", "cross_mix",
-                                         "straight_high"], [2, 3], seed)
-    return _recursive_witness(g, r, seed, repairs=repair_log)
+    diamonds = find_obstructions(g)
+    if r in _SEARCHES:
+        return _seeded_search(g, r, diamonds, EXACT_VALUES[r], *_SEARCHES[r],
+                              seed)
+    return _recursive_witness(g, r, diamonds, seed, repairs=repair_log)
 
 
 # ---------------------------------------------------------------------------

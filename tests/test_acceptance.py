@@ -8,10 +8,9 @@ import itertools
 import random
 import time
 
-from edgeforce.butterfly import (binding_diamonds, build_butterfly,
-                                 vertex_coord, vertex_index)
-from edgeforce.constructions import (construct_edge_forcing, known_bounds,
-                                     structural_lower_bound)
+from edgeforce.butterfly import build_butterfly, vertex_coord, vertex_index
+from edgeforce.constructions import (construct_edge_forcing, find_obstructions,
+                                     known_bounds, structural_lower_bound)
 from edgeforce.engine import (closure, closure_sequential, is_edge_forcing_set,
                               is_zero_forcing_set, matching_endpoints)
 from edgeforce.graph import from_edges, is_matching, normalize_edge
@@ -160,7 +159,7 @@ def test_criterion_7_structure_counts():
                 and g.edge_count == r * 2 ** (r + 1)):
             ok = False
     for r in range(3, 8):
-        ds = binding_diamonds(r)
+        ds = find_obstructions(build_butterfly(r))
         seen = set()
         if len(ds) != 2 ** r:
             ok = False

@@ -2,10 +2,10 @@ import itertools
 
 import pytest
 
-from edgeforce.butterfly import (ButterflyError, binding_diamonds,
-                                 build_butterfly, coord_label, edge_id,
-                                 edge_kind, subcopy_vertex, vertex_coord,
-                                 vertex_index)
+from edgeforce.butterfly import (ButterflyError, build_butterfly,
+                                 coord_label, edge_id, edge_kind,
+                                 subcopy_vertex, vertex_coord, vertex_index)
+from edgeforce.constructions import find_obstructions
 from edgeforce.graph import from_edges, normalize_edge
 
 
@@ -101,14 +101,21 @@ class TestEdgeKind:
 
 
 class TestBindingDiamonds:
+    """BF(r)'s binding diamonds are its obstruction 4-cycles."""
+
+    @staticmethod
+    def diamonds(r):
+        return find_obstructions(build_butterfly(r))
+
     def test_bf3_counts(self):
-        ds = binding_diamonds(3)
+        ds = self.diamonds(3)
         assert len(ds) == 8
-        assert sum(d.kind == "vertical" for d in ds) == 4
-        assert sum(d.kind == "horizontal" for d in ds) == 4
+        levels = [vertex_coord(3, d.blocked_pair[0])[1] for d in ds]
+        assert levels.count(0) == 4  # vertical
+        assert levels.count(3) == 4  # horizontal
 
     def test_bf2_covers_all_edges(self):
-        ds = binding_diamonds(2)
+        ds = self.diamonds(2)
         assert len(ds) == 4
         covered = set()
         for d in ds:
@@ -119,7 +126,7 @@ class TestBindingDiamonds:
 
     @pytest.mark.parametrize("r", range(3, 8))
     def test_pairwise_edge_disjoint(self, r):
-        ds = binding_diamonds(r)
+        ds = self.diamonds(r)
         assert len(ds) == 2 ** r
         seen = set()
         for d in ds:
@@ -130,19 +137,18 @@ class TestBindingDiamonds:
     @pytest.mark.parametrize("r", range(2, 6))
     def test_diamonds_are_4_cycles(self, r):
         edges = set(build_butterfly(r).edges)
-        for d in binding_diamonds(r):
+        for d in self.diamonds(r):
             assert set(d.cycle_edges()) <= edges
-            assert len(set(d.vertices)) == 4
+            assert len(set(d.cycle)) == 4
 
     @pytest.mark.parametrize("r", range(3, 6))
     def test_binding_pair_degree_two_inside(self, r):
         # the two extreme-level vertices of each diamond have degree 2 in
         # BF(r), both neighbors inside the diamond
         g = build_butterfly(r)
-        for d in binding_diamonds(r):
-            x, y = d.vertices[0], d.vertices[1]
-            inside = set(d.vertices)
-            for v in (x, y):
+        for d in find_obstructions(g):
+            inside = set(d.cycle)
+            for v in d.blocked_pair:
                 assert g.degree(v) == 2
                 assert set(g.adjacency[v]) <= inside
 
@@ -150,21 +156,30 @@ class TestBindingDiamonds:
     def test_edge_order(self, r):
         # low-row straight, high-row straight, then the cross edges from
         # the low and the high row's binding vertex
-        for d in binding_diamonds(r):
-            (lo, hi), (bind, other) = d.rows, (
-                (0, 1) if d.kind == "vertical" else (r, r - 1))
+        for d in self.diamonds(r):
+            (lo, bind), (hi, _) = (vertex_coord(r, v) for v in d.blocked_pair)
+            other = 1 if bind == 0 else r - 1
             expected = [((lo, bind), (lo, other)), ((hi, bind), (hi, other)),
                         ((lo, bind), (hi, other)), ((hi, bind), (lo, other))]
             assert list(d.cycle_edges()) == [
                 normalize_edge(vertex_index(r, *a), vertex_index(r, *b))
                 for a, b in expected]
+
+    @pytest.mark.parametrize("r", range(3, 12))
+    def test_vertical_then_horizontal(self, r):
+        # the order the constructions pick skeleton and repair edges by:
+        # vertical diamond w binds rows 2w, 2w + 1 on level 0, horizontal
+        # diamond w rows w, w + 2^(r-1) on level r
+        half = 1 << (r - 1)
+        expected = ([((2 * w, 0), (2 * w + 1, 0)) for w in range(half)]
+                    + [((w, r), (w + half, r)) for w in range(half)])
+        ds = self.diamonds(r)
+        assert [tuple(vertex_coord(r, v) for v in d.blocked_pair)
+                for d in ds] == expected
+        for d in ds:
             kinds = [edge_kind(r, vertex_coord(r, u), vertex_coord(r, v))
                      for u, v in d.cycle_edges()]
             assert kinds == ["straight", "straight", "cross", "cross"]
-
-    def test_rejects_r1(self):
-        with pytest.raises(ButterflyError):
-            binding_diamonds(1)
 
 
 class TestStructure:

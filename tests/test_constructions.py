@@ -8,8 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from edgeforce import constructions
-from edgeforce.butterfly import (binding_diamonds, build_butterfly,
-                                 vertex_coord, vertex_index)
+from edgeforce.butterfly import build_butterfly, vertex_index
 from edgeforce.certificates import bf2_nonexistence_counts
 from edgeforce.constructions import (DEFAULT_SEED, ConstructionError,
                                      construct_edge_forcing, find_obstructions,
@@ -92,11 +91,19 @@ class TestStructuralLowerBound:
         assert len(cycle_edges) == len(set(cycle_edges))
 
     def test_matches_binding_diamonds_on_butterflies(self):
+        # vertical diamond w joins rows 2w, 2w + 1 on levels 0 and 1,
+        # horizontal diamond w rows w, w + 2^(r-1) on levels r and r - 1
         for r in (2, 3, 4):
+            half = 1 << (r - 1)
+            diamonds = ([((2 * w, 2 * w + 1), 0, 1) for w in range(half)]
+                        + [((w, w + half), r, r - 1) for w in range(half)])
+            diamond_cycles = {
+                frozenset(normalize_edge(vertex_index(r, a, i),
+                                         vertex_index(r, b, j))
+                          for a in rows for b in rows)
+                for rows, i, j in diamonds}
             g = build_butterfly(r)
             obs_cycles = {frozenset(o.cycle_edges()) for o in find_obstructions(g)}
-            diamond_cycles = {frozenset(d.cycle_edges())
-                              for d in binding_diamonds(r)}
             assert obs_cycles == diamond_cycles
 
 
@@ -114,8 +121,7 @@ class TestConstructions:
             assert normalize_edge(vertex_index(3, row, 0),
                                   vertex_index(3, row, 1)) in w
         # one edge in each horizontal diamond
-        horizontal = [d for d in binding_diamonds(3) if d.kind == "horizontal"]
-        for d in horizontal:
+        for d in find_obstructions(build_butterfly(3))[4:]:
             assert sum(1 for e in d.cycle_edges() if e in w) == 1
         assert is_edge_forcing_set(build_butterfly(3), w)
 
@@ -225,6 +231,19 @@ class TestRepair:
         assert log == [f"BF(6) diamond 5: replaced {self.OLD} "
                        f"with {self.NEW}"]
         assert w == sorted(set(plain) - {self.OLD} | {self.NEW})
+
+    def test_repair_never_rechecks_the_failed_set(self, monkeypatch):
+        checked = []
+
+        def passes(edges):
+            checked.append(frozenset(edges))
+            return self.NEW in edges
+
+        self.patch(monkeypatch, passes)
+        construct_edge_forcing(6)
+        # the failed set, the three other edges of diamonds 0..4, then
+        # diamond 5's high-row straight edge and the cross edge that passes
+        assert len(checked) == len(set(checked)) == 1 + 5 * 3 + 2
 
     def test_no_replacement_reports_unforced_count(self, monkeypatch):
         self.patch(monkeypatch, lambda edges: False)

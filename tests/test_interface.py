@@ -1,3 +1,6 @@
+import contextlib
+import copy
+import io
 import itertools
 import json
 import os
@@ -596,3 +599,75 @@ class TestRoundTrip:
                 tmp_path, capsys, argv + ["--graph", gpath])
             assert emitted in (0, 1), argv
             assert verified == 0, (argv, out["details"])
+
+
+# the values a fuzzed certificate node is replaced with: none of them
+# names a butterfly above BF(4) or a vertex count between 10^4 and the
+# 1,114,112 limit, so every verify stays small
+MUTATIONS = [None, True, False, -1, 2 ** 40, 1.5, "", "x", "efc-1",
+             "butterfly:x", [], {}, [[0, 0]]]
+
+
+def node_paths(node, path=()):
+    """The key path of every node of a JSON document, the root's included."""
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield from node_paths(child, path + (key,))
+
+
+def replaced(doc, path, value):
+    """A copy of doc with the node at path replaced by value."""
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_certificates(tmp_path_factory):
+    """A scratch directory, and the BF(2) and BF(3) fixtures plus every
+    certificate kind the CLI emits for C5."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    gpath = tmp / "c5.json"
+    gpath.write_text(json.dumps(cycle_graph(5).to_json_dict()))
+    (tmp / "zfs.json").write_text('{"vertices": [0, 1]}')
+    (tmp / "efs.json").write_text('{"edges": [[0, 1]]}')
+    certs = [json.loads(p.read_text())
+             for p in sorted(FIXTURES.glob("bf[23]-*.json"))]
+    for argv in (["closure", "--black", "0"],
+                 ["check", "zfs", "--set", tmp / "zfs.json"],
+                 ["check", "efs", "--set", tmp / "efs.json"],
+                 ["solve", "zf"], ["solve", "ef"], ["reduce", "--verify"]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main([str(a) for a in argv + ["--graph", gpath]]) == 0
+        certs.append(json.loads(out.getvalue()))
+    return tmp, certs
+
+
+class TestFuzz:
+    """`verify` answers every one-node mutation of a certificate with exit
+    0, 1 or 2, never with an uncaught exception."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_one_node_mutation(self, fuzz_certificates, capsys, data):
+        tmp, certs = fuzz_certificates
+        doc = data.draw(st.sampled_from(certs))
+        path = data.draw(st.sampled_from(list(node_paths(doc))))
+        value = data.draw(st.sampled_from(MUTATIONS))
+        cert = tmp / "mutated.json"
+        cert.write_text(json.dumps(replaced(doc, path, value)))
+        assert main(["verify", "--cert", str(cert)]) in (0, 1, 2)
+        capsys.readouterr()
