@@ -1,4 +1,4 @@
-"""Butterfly network BF(r): construction, edge classes, edge ids, sub-copies.
+"""Butterfly network BF(r): construction, edge classes, labels, sub-copies.
 
 BF(r) has vertices (row, level) with row in [0, 2^r) and level in [0, r].
 Between levels i and i+1 every row w carries a straight edge (same row) and
@@ -13,7 +13,7 @@ import operator
 from collections.abc import Mapping
 from typing import Iterator, Literal
 
-from .graph import Graph, GraphError, from_edges, normalize_edge
+from .graph import Graph, from_edges
 
 MAX_DIMENSION = 16  # memory guard: BF(16) already has >1M vertices
 
@@ -97,20 +97,6 @@ def edge_kind(r: int, a: tuple[int, int], b: tuple[int, int]) -> Literal["straig
     raise ButterflyError(
         f"not an edge: rows {w1} and {w2} differ in bit weight {w1 ^ w2}, "
         f"but the level pair ({i1},{i2}) flips weight {1 << i1}")
-
-
-def edge_id(r: int, u: int, v: int) -> int:
-    """Position of the BF(r) edge {u, v} in `build_butterfly(r).edges`.
-
-    The sorted edges go by lower endpoint, and each vertex below level r
-    has exactly two edges up, so vertex u's are 2u and 2u + 1; the second
-    ends in the row whose bit for u's level is set.  Raises ButterflyError
-    for a pair that is not an edge.
-    """
-    u, v = normalize_edge(u, v)
-    (row, level), upper = vertex_coord(r, u), vertex_coord(r, v)
-    edge_kind(r, (row, level), upper)
-    return 2 * u + (upper[0] >> level & 1)
 
 
 def subcopy_vertex(r: int, high_bits: int, v: int) -> int:

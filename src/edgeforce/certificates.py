@@ -15,13 +15,12 @@ guard.
 from __future__ import annotations
 
 import bisect
-import functools
 import json
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Callable, Iterable, Optional, Union
+from typing import Any, Iterable, Optional, Union
 
 from . import __version__
-from .butterfly import MAX_DIMENSION, ButterflyLabels, build_butterfly, edge_id
+from .butterfly import MAX_DIMENSION, build_butterfly
 from .constructions import known_bounds, structural_lower_bound
 from .engine import closure, is_edge_forcing_set, is_zero_forcing_set
 from .graph import Edge, Graph, GraphError, from_edges, normalize_edge
@@ -106,17 +105,11 @@ def edge_witness(g: Graph, edges: Iterable[Edge]) -> dict:
     An id is the edge's position in the sorted `g.edges`, found by
     bisection: no `edge_index` dict is built for a witness of a few edges.
     """
-    return _edge_record(edges, functools.partial(bisect.bisect_left, g.edges),
-                        g.vertex_label)
-
-
-def _edge_record(edges: Iterable[Edge], ident: Callable[[Edge], int],
-                 label: Callable[[int], str]) -> dict:
     es = sorted(normalize_edge(*e) for e in edges)
     return {
-        "edge_ids": [ident(e) for e in es],
+        "edge_ids": [bisect.bisect_left(g.edges, e) for e in es],
         "edges": [list(e) for e in es],
-        "labels": [[label(u), label(v)] for u, v in es],
+        "labels": [[g.vertex_label(u), g.vertex_label(v)] for u, v in es],
     }
 
 
@@ -255,7 +248,7 @@ def verify_certificate(doc: Union[str, dict, Certificate]
         edges = _witness_edges(c.witness)
         rebuilt = efs_check_certificate(g, edges, c.graph)
         if isinstance(c.search, dict) and c.search.get("mode") == "construction":
-            # construction_certificate's record, computed here from g
+            # construction_certificate's edge_witness record, from g
             rebuilt = replace(rebuilt, witness=edge_witness(g, edges))
     elif kind == "nonexistence":
         require_field(c.claim, "matchings_tested_per_size", dict, "claim")
@@ -376,21 +369,15 @@ def reduction_certificate(g: Graph, graph: Union[str, dict, None] = None
                  if verdict.witness else None})
 
 
-def construction_certificate(r: int, witness: list[Edge], seed: int,
-                             repairs: Optional[list[str]] = None) -> Certificate:
-    """The efs-check record of a constructed BF(r) witness.
-
-    BF(r)'s edge ids and labels are arithmetic in r, so no graph is built:
-    `construct` has just built and checked BF(r), and `verify` rebuilds it.
-    """
+def construction_certificate(g: Graph, r: int, witness: list[Edge],
+                             seed: int) -> Certificate:
+    """The efs-check record of a constructed witness on g = BF(r)."""
     return Certificate(
         kind="efs-check",
         graph=f"butterfly:{r}",
         claim={"size": len(witness), "result": True},
-        witness=_edge_record(witness, lambda e: edge_id(r, *e),
-                             ButterflyLabels(r).__getitem__),
-        search={"mode": "construction", "seed": seed,
-                "repairs": repairs or []})
+        witness=edge_witness(g, witness),
+        search={"mode": "construction", "seed": seed})
 
 
 def bounds_certificate(r: int) -> Certificate:

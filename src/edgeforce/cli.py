@@ -21,8 +21,7 @@ from .certificates import (CertificateError, bf2_nonexistence,
                            parse_edges, parse_graph, reduction_certificate,
                            require_field, verify_certificate,
                            zf_number_certificate, zfs_check_certificate)
-from .constructions import (DEFAULT_SEED, ConstructionError,
-                            butterfly_witness, construct_edge_forcing)
+from .constructions import DEFAULT_SEED, ConstructionError, butterfly_witness
 from .graph import Edge, Graph
 from .reduction import build_gbar
 from .solver import DEFAULT_MAX_EDGES, DEFAULT_MAX_VERTICES, InstanceTooLarge
@@ -91,16 +90,13 @@ def cmd_construct(args) -> int:
     if args.r == 2:
         sys.stdout.write(emit_certificate(bf2_nonexistence()))
         return 1
+    g = build_butterfly(args.r)
+    witness = butterfly_witness(g, args.r, seed=args.seed)
     if args.dot:
-        g = build_butterfly(args.r)
-        witness = butterfly_witness(g, args.r, seed=args.seed)
         sys.stdout.write(to_dot(g, highlight=witness))
-        return 0
-    repairs: list[str] = []
-    witness = construct_edge_forcing(args.r, seed=args.seed,
-                                     repair_log=repairs)
-    sys.stdout.write(emit_certificate(
-        construction_certificate(args.r, witness, args.seed, repairs)))
+    else:
+        sys.stdout.write(emit_certificate(
+            construction_certificate(g, args.r, witness, args.seed)))
     return 0
 
 

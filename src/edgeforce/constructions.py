@@ -8,17 +8,19 @@ vertical ones (binding pair on level 0, rows 2w and 2w + 1), then the
 `Obstruction.cycle_edges()` lists a diamond's edges as the low row's
 straight edge, the high row's, the cross edge from the low row's binding
 vertex, the cross edge from the high row's.  Each construction level
-takes `find_obstructions` of its BF(r) once and picks every skeleton and
-repair edge by position in that order.  The vertical skeleton takes each
-vertical diamond's high-row straight edge; the horizontal skeleton takes
-one edge per horizontal diamond, a straight edge ("straight_low",
-"straight_high") or, in "cross_mix", the low row's cross edge in the
-first half of the diamonds and the high row's after.
+takes `find_obstructions` of its BF(r) once and picks every skeleton edge
+by position in that order.  The vertical skeleton takes each vertical
+diamond's high-row straight edge; the horizontal skeleton takes one edge
+per horizontal diamond, the low row's straight edge ("straight_low") or,
+in "cross_mix", the low row's cross edge in the first half of the
+diamonds and the high row's after.
 
-The butterfly witnesses come in two flavors:
+The butterfly witnesses come in two flavors, each built once and verified
+once, with no retry or fallback; a witness that fails raises
+ConstructionError:
 
 * BF(3), BF(4), BF(5): a pattern-seeded search.  The skeleton (one edge
-  per binding diamond) is fixed, then a seeded greedy completion over
+  per binding diamond) is fixed, then one seeded greedy completion over
   middle-level edges is run to the size in `EXACT_VALUES` and verified.
   Only those sizes are treated as ground truth; the witnesses are
   recomputed, never hard-coded.  BF(3) needs no middle edge, so its
@@ -26,8 +28,7 @@ The butterfly witnesses come in two flavors:
 * BF(r), r >= 6: recursion.  The BF(r-2) witness is copied into the four
   sub-copies on levels 0..r-2 (`butterfly.subcopy_vertex`) and the
   "straight_low" horizontal skeleton is added; the result is verified by
-  closure, and if it fails, each horizontal diamond's edge in turn is
-  tried as each other edge of its diamond.
+  closure.
 """
 
 from __future__ import annotations
@@ -46,15 +47,12 @@ from .kernels import extend_closure
 
 EXACT_VALUES = {3: 8, 4: 25, 5: 47}
 
-# each seeded search's horizontal skeleton modes, in the order tried, and
-# the middle level pairs its greedy completion draws edges from
-_SEARCHES = {3: (["cross_mix"], []),
-             4: (["cross_mix", "straight_low", "straight_high"], [1, 2]),
-             5: (["straight_low", "cross_mix", "straight_high"], [2, 3])}
+# each seeded search's horizontal skeleton mode and the middle level pairs
+# its greedy completion draws edges from
+_SEARCHES = {3: ("cross_mix", []), 4: ("cross_mix", [1, 2]),
+             5: ("straight_low", [2, 3])}
 
 DEFAULT_SEED = 12345
-# greedy completions tried per skeleton before the seeded search gives up
-RESTARTS = 200
 
 
 class ConstructionError(RuntimeError):
@@ -133,8 +131,7 @@ def _vertical_skeleton(diamonds: list[Obstruction]) -> list[Edge]:
 
 # each mode's cycle_edges() position in the first and second half of the
 # horizontal diamonds
-_HORIZONTAL_PICKS = {"straight_low": (0, 0), "straight_high": (1, 1),
-                     "cross_mix": (2, 3)}
+_HORIZONTAL_PICKS = {"straight_low": (0, 0), "cross_mix": (2, 3)}
 
 
 def _horizontal_skeleton(diamonds: list[Obstruction], mode: str) -> list[Edge]:
@@ -149,8 +146,8 @@ def _horizontal_skeleton(diamonds: list[Obstruction], mode: str) -> list[Edge]:
 def _middle_candidates(g: Graph, r: int, level_pairs: list[int]) -> list[Edge]:
     """All edges of g = BF(r) on the given (i, i+1) level pairs, ascending.
 
-    BF(r)'s sorted edges go by lower endpoint, two per vertex
-    (`butterfly.edge_id`), so level i's edges up are one slice."""
+    BF(r)'s sorted edges go by lower endpoint, and each vertex below level
+    r has exactly two edges up, so level i's edges up are one slice."""
     per_level = 2 << r  # edges from one level up to the next
     return [e for i in level_pairs
             for e in g.edges[i * per_level:(i + 1) * per_level]]
@@ -194,62 +191,42 @@ def _greedy_complete(g: Graph, base: list[Edge], candidates: list[Edge],
 
 
 def _seeded_search(g: Graph, r: int, diamonds: list[Obstruction],
-                   target: int, h_modes: list[str], level_pairs: list[int],
+                   target: int, h_mode: str, level_pairs: list[int],
                    seed: int) -> list[Edge]:
-    candidates = _middle_candidates(g, r, level_pairs)
-    extra = target - len(diamonds)
-    rng = random.Random(seed)
-    for mode in h_modes:
-        base = (_vertical_skeleton(diamonds)
-                + _horizontal_skeleton(diamonds, mode))
-        for _ in range(RESTARTS):
-            full = _greedy_complete(g, base, candidates, extra, rng)
-            if full is not None:
-                return sorted(full)
-    raise ConstructionError(
-        f"seeded search failed to complete a size-{target} witness for BF({r})")
+    base = _vertical_skeleton(diamonds) + _horizontal_skeleton(diamonds, h_mode)
+    full = _greedy_complete(g, base, _middle_candidates(g, r, level_pairs),
+                            target - len(diamonds), random.Random(seed))
+    if full is None:
+        raise ConstructionError(
+            f"seeded search failed to complete a size-{target} witness "
+            f"for BF({r})")
+    return sorted(full)
 
 
 def _recursive_witness(g: Graph, r: int, diamonds: list[Obstruction],
-                       seed: int,
-                       repairs: Optional[list[str]] = None) -> list[Edge]:
-    if repairs is None:
-        repairs = []
-    sub = construct_edge_forcing(r - 2, seed=seed, repair_log=repairs)
-    core = [(subcopy_vertex(r, high_bits, u), subcopy_vertex(r, high_bits, v))
-            for high_bits in range(4) for u, v in sub]
-    h_edges = _horizontal_skeleton(diamonds, "straight_low")
-    edges = core + h_edges
-    if is_edge_forcing_set(g, edges):
-        return sorted(edges)
-    # bounded local repair: re-choose horizontal diamond edges one at a time
-    for w, diamond in enumerate(diamonds[len(diamonds) // 2:]):
-        for opt in diamond.cycle_edges():
-            if opt == h_edges[w]:
-                continue  # the set that just failed
-            trial = core + h_edges[:w] + [opt] + h_edges[w + 1:]
-            if is_edge_forcing_set(g, trial):
-                repairs.append(
-                    f"BF({r}) diamond {w}: replaced {h_edges[w]} with {opt}")
-                return sorted(trial)
-    forced = closure(g, matching_endpoints(edges)).final
-    raise ConstructionError(
-        f"recursive witness for BF({r}) failed verification and repair; "
-        f"{g.vertex_count - len(forced)} vertices unforced")
+                       seed: int) -> list[Edge]:
+    sub = construct_edge_forcing(r - 2, seed=seed)
+    edges = [(subcopy_vertex(r, high_bits, u), subcopy_vertex(r, high_bits, v))
+             for high_bits in range(4) for u, v in sub]
+    edges += _horizontal_skeleton(diamonds, "straight_low")
+    if not is_edge_forcing_set(g, edges):
+        forced = closure(g, matching_endpoints(edges)).final
+        raise ConstructionError(
+            f"recursive witness for BF({r}) failed verification; "
+            f"{g.vertex_count - len(forced)} vertices unforced")
+    return sorted(edges)
 
 
-def construct_edge_forcing(r: int, seed: int = DEFAULT_SEED,
-                           repair_log: Optional[list[str]] = None) -> list[Edge]:
+def construct_edge_forcing(r: int, seed: int = DEFAULT_SEED) -> list[Edge]:
     """A verified edge-forcing matching of BF(r), r >= 3.
 
     Sizes: `EXACT_VALUES` for r = 3, 4, 5; for r >= 6 the recursive set of
-    size u(r) = 4*u(r-2) + 2^(r-1), within the parity upper bound.  Any
-    local repairs applied to the recursive set are appended to repair_log.
-    BF(r) is built once, before the recursion, so a dimension above the
+    size u(r) = 4*u(r-2) + 2^(r-1), within the parity upper bound.  BF(r)
+    is built once, before the recursion, so a dimension above the
     butterfly guard fails at once; each level verifies its own witness.
     """
     _require_dimension(r)
-    return butterfly_witness(build_butterfly(r), r, seed, repair_log)
+    return butterfly_witness(build_butterfly(r), r, seed)
 
 
 def _require_dimension(r: int) -> None:
@@ -259,8 +236,7 @@ def _require_dimension(r: int) -> None:
         raise ButterflyError(f"construction needs r >= 3, got {r}")
 
 
-def butterfly_witness(g: Graph, r: int, seed: int = DEFAULT_SEED,
-                      repair_log: Optional[list[str]] = None) -> list[Edge]:
+def butterfly_witness(g: Graph, r: int, seed: int = DEFAULT_SEED) -> list[Edge]:
     """`construct_edge_forcing(r)` on g = BF(r), already built, so that a
     caller that also needs the graph builds it once."""
     _require_dimension(r)
@@ -268,7 +244,7 @@ def butterfly_witness(g: Graph, r: int, seed: int = DEFAULT_SEED,
     if r in _SEARCHES:
         return _seeded_search(g, r, diamonds, EXACT_VALUES[r], *_SEARCHES[r],
                               seed)
-    return _recursive_witness(g, r, diamonds, seed, repairs=repair_log)
+    return _recursive_witness(g, r, diamonds, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -131,8 +131,7 @@ def is_edge_forcing_set(g: Graph, k: Iterable[Edge],
         if diagnostics is not None:
             diagnostics.append(diag)
         return False
-    endpoints = {v for e in edges for v in e}
-    return is_zero_forcing_set(g, endpoints)
+    return is_zero_forcing_set(g, matching_endpoints(edges))
 
 
 def matching_endpoints(k: Iterable[Edge]) -> frozenset[int]:

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from edgeforce.butterfly import (ButterflyError, build_butterfly,
-                                 coord_label, edge_id, edge_kind,
+                                 coord_label, edge_kind,
                                  subcopy_vertex, vertex_coord, vertex_index)
 from edgeforce.constructions import find_obstructions
 from edgeforce.graph import from_edges, normalize_edge
@@ -50,17 +50,6 @@ class TestBuild:
         for v in (-1, (r + 1) * 2 ** r, "0", 1.5):
             with pytest.raises(KeyError):
                 labels[v]
-
-    @pytest.mark.parametrize("r", range(1, 7))
-    def test_edge_id_is_position(self, r):
-        g = build_butterfly(r)
-        for i, (u, v) in enumerate(g.edges):
-            assert edge_id(r, u, v) == edge_id(r, v, u) == i
-
-    def test_edge_id_rejects_non_edges(self):
-        for u, v in [(0, 1), (0, 16), (-1, 8), (0, 32)]:
-            with pytest.raises(ButterflyError):
-                edge_id(3, u, v)
 
     def test_coordinate_round_trip(self):
         r = 4
@@ -167,7 +156,7 @@ class TestBindingDiamonds:
 
     @pytest.mark.parametrize("r", range(3, 12))
     def test_vertical_then_horizontal(self, r):
-        # the order the constructions pick skeleton and repair edges by:
+        # the order the constructions pick skeleton edges by:
         # vertical diamond w binds rows 2w, 2w + 1 on level 0, horizontal
         # diamond w rows w, w + 2^(r-1) on level r
         half = 1 << (r - 1)

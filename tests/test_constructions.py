@@ -20,13 +20,13 @@ from edgeforce.graph import from_edges, is_matching, normalize_edge
 
 from conftest import cycle_graph, max_edge_disjoint
 
-# The witnesses and repair logs of construct_edge_forcing for r = 3..9 at
-# GOLDEN_SEEDS, pinned as the sha256 of their sorted JSON: a refactor of
-# the construction must reproduce every seed's witness, not only the
-# default seed's that the fixtures hold.
+# The witnesses of construct_edge_forcing for r = 3..9 at GOLDEN_SEEDS,
+# pinned as the sha256 of their sorted JSON: a refactor of the
+# construction must reproduce every seed's witness, not only the default
+# seed's that the fixtures hold.
 GOLDEN_SEEDS = (0, 1, 2, 7919, 2 ** 31 - 1, DEFAULT_SEED)
 GOLDEN_SHA256 = \
-    "e388b86bba686fb4b692286d899744f5d067c88c3368f5425d31171fb417657a"
+    "7319c0a4440ccdde69e3a9b1917deeb73fc8fe2d5267c78d3269a3a2fdab2fb6"
 
 
 class TestStructuralLowerBound:
@@ -141,8 +141,7 @@ class TestConstructions:
         assert is_edge_forcing_set(build_butterfly(5), w)
 
     def test_bf6_recursive(self):
-        log = []
-        w = construct_edge_forcing(6, repair_log=log)
+        w = construct_edge_forcing(6)
         assert len(w) <= 160
         assert is_edge_forcing_set(build_butterfly(6), w)
 
@@ -182,9 +181,7 @@ class TestConstructions:
 
         monkeypatch.setattr(constructions, "is_edge_forcing_set",
                             counting_check)
-        log = []
-        construct_edge_forcing(9, repair_log=log)
-        assert log == []
+        construct_edge_forcing(9)
         bf5 = build_butterfly(5).vertex_count
         assert [n for n in sizes if n > bf5] == [
             build_butterfly(7).vertex_count, build_butterfly(9).vertex_count]
@@ -193,64 +190,45 @@ class TestConstructions:
         out = {}
         for seed in GOLDEN_SEEDS:
             for r in range(3, 10):
-                log = []
-                w = construct_edge_forcing(r, seed=seed, repair_log=log)
-                out[f"{r}:{seed}"] = {"witness": [list(e) for e in w],
-                                      "repairs": log}
+                w = construct_edge_forcing(r, seed=seed)
+                out[f"{r}:{seed}"] = [list(e) for e in w]
         text = json.dumps(out, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256
 
 
 class TestRepair:
-    """The recursive witness's repair loop, which no real seed reaches:
-    BF(6)'s check is replaced by one that passes only the edge sets that
-    hold a chosen replacement for horizontal diamond 5."""
+    """A construction level whose witness fails its check raises at once,
+    with no retry.  No seed tried fails, so the check is patched to fail
+    on one BF(r)."""
 
-    # diamond 5 binds rows 5 and 37 on levels 5 and 6: its low-row straight
-    # edge, and the cross edge from the low row's binding vertex
-    OLD = normalize_edge(vertex_index(6, 5, 5), vertex_index(6, 5, 6))
-    NEW = normalize_edge(vertex_index(6, 37, 5), vertex_index(6, 5, 6))
-
-    def patch(self, monkeypatch, passes):
-        n = build_butterfly(6).vertex_count
+    def patch(self, monkeypatch, r):
+        n = build_butterfly(r).vertex_count
         real = constructions.is_edge_forcing_set
+        checked = []
 
         def check(g, edges, **kwargs):
             if g.vertex_count != n:
                 return real(g, edges, **kwargs)
-            return passes(edges)
+            checked.append(edges)
+            return False
 
         monkeypatch.setattr(constructions, "is_edge_forcing_set", check)
-
-    def test_one_replacement_is_logged_and_returned(self, monkeypatch):
-        plain = construct_edge_forcing(6)
-        assert self.OLD in plain and self.NEW not in plain
-        self.patch(monkeypatch, lambda edges: self.NEW in edges)
-        log = []
-        w = construct_edge_forcing(6, repair_log=log)
-        assert log == [f"BF(6) diamond 5: replaced {self.OLD} "
-                       f"with {self.NEW}"]
-        assert w == sorted(set(plain) - {self.OLD} | {self.NEW})
-
-    def test_repair_never_rechecks_the_failed_set(self, monkeypatch):
-        checked = []
-
-        def passes(edges):
-            checked.append(frozenset(edges))
-            return self.NEW in edges
-
-        self.patch(monkeypatch, passes)
-        construct_edge_forcing(6)
-        # the failed set, the three other edges of diamonds 0..4, then
-        # diamond 5's high-row straight edge and the cross edge that passes
-        assert len(checked) == len(set(checked)) == 1 + 5 * 3 + 2
+        return checked
 
     def test_no_replacement_reports_unforced_count(self, monkeypatch):
-        self.patch(monkeypatch, lambda edges: False)
+        checked = self.patch(monkeypatch, 6)
         with pytest.raises(ConstructionError,
-                           match="failed verification and repair; "
-                                 "0 vertices unforced"):
+                           match="failed verification; 0 vertices unforced"):
             construct_edge_forcing(6)
+        assert len(checked) == 1
+
+    def test_seeded_search_makes_one_greedy_try(self, monkeypatch):
+        checked = self.patch(monkeypatch, 4)
+        with pytest.raises(ConstructionError,
+                           match="seeded search failed to complete a size-25 "
+                                 "witness for BF\\(4\\)"):
+            construct_edge_forcing(4)
+        assert len(checked) == 1
 
 
 class TestObstructionSoundness:

@@ -95,22 +95,22 @@ class TestParseGraph:
 
 class TestCertificates:
     def test_round_trip_and_byte_determinism(self):
-        cert = construction_certificate(3, sorted(construct_edge_forcing(3)),
-                                        DEFAULT_SEED)
+        cert = construction_certificate(
+            build_butterfly(3), 3, construct_edge_forcing(3), DEFAULT_SEED)
         text = emit_certificate(cert)
         again = emit_certificate(parse_certificate(text))
         assert text == again
         assert text == emit_certificate(cert)
 
     def test_construction_verifies(self):
-        cert = construction_certificate(3, sorted(construct_edge_forcing(3)),
-                                        DEFAULT_SEED)
+        cert = construction_certificate(
+            build_butterfly(3), 3, construct_edge_forcing(3), DEFAULT_SEED)
         ok, details = verify_certificate(cert)
         assert ok, details
 
     def test_tampered_witness_detected(self):
-        cert = construction_certificate(3, sorted(construct_edge_forcing(3)),
-                                        DEFAULT_SEED)
+        cert = construction_certificate(
+            build_butterfly(3), 3, construct_edge_forcing(3), DEFAULT_SEED)
         doc = json.loads(emit_certificate(cert))
         doc["witness"]["edges"] = doc["witness"]["edges"][:-1]
         ok, details = verify_certificate(doc)
