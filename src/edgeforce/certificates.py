@@ -44,10 +44,17 @@ class EdgeForcingSetFound(CertificateError):
     """Exhaustion found an edge-forcing set where none was expected."""
 
 
+def _is_int(value: Any) -> bool:
+    """An int that is not a bool: JSON's true and false load as Python
+    bools, which are ints."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def require_field(doc: Any, key: str, kind: type, where: str) -> Any:
-    """doc[key], which must be a `kind`; CertificateError otherwise."""
+    """doc[key], which must be a `kind` (an int field refuses bools);
+    CertificateError otherwise."""
     value = doc.get(key) if isinstance(doc, dict) else None
-    if not isinstance(value, kind):
+    if not (_is_int(value) if kind is int else isinstance(value, kind)):
         raise CertificateError(
             f'{where} needs a field "{key}" of type {kind.__name__}')
     return value
@@ -123,7 +130,7 @@ def parse_edges(edges: list) -> list[Edge]:
     pairs = []
     for i, e in enumerate(edges):
         if (not isinstance(e, list) or len(e) != 2
-                or not all(isinstance(x, int) for x in e)):
+                or not all(map(_is_int, e))):
             raise CertificateError(
                 f'edges[{i}] must be a 2-element integer array, got {e!r}')
         pairs.append((e[0], e[1]))
@@ -132,7 +139,7 @@ def parse_edges(edges: list) -> list[Edge]:
 
 def _vertex_list(doc: Any, key: str, where: str) -> list[int]:
     value = require_field(doc, key, list, where)
-    if not all(isinstance(v, int) for v in value):
+    if not all(map(_is_int, value)):
         raise CertificateError(f'{where} field "{key}" must hold integers')
     return value
 

@@ -5,9 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
+from numbers import Integral
+from operator import index
 from typing import Iterable, Optional
-
-import numpy as np
 
 from .graph import Edge, Graph, matching_diagnostic
 from .kernels import run_closure
@@ -46,13 +46,13 @@ class ForcingTrace:
 
 @dataclass(frozen=True)
 class ClosureResult:
-    """Final black set of a closure, with the kernel's event arrays
-    (round, forcer, forced); `trace` builds the ForceEvents on first read."""
+    """Final black set of a closure, with the kernel's three int32 event
+    arrays (round, forcer, forced) as `run_closure` returns them; `trace`
+    builds the ForceEvents on first read."""
 
     final: frozenset[int]
     initial: frozenset[int]
-    events: tuple[np.ndarray, np.ndarray, np.ndarray] = field(
-        compare=False, repr=False)
+    events: tuple = field(compare=False, repr=False)
 
     @cached_property
     def trace(self) -> ForcingTrace:
@@ -60,20 +60,21 @@ class ClosureResult:
             map(ForceEvent, *(a.tolist() for a in self.events))))
 
 
-def _black(g: Graph, vertices: Iterable[int]) -> bytearray:
-    """The kernel's 0/1 black bytes with `vertices` set.
+def _vertex_set(g: Graph, vertices: Iterable[int]) -> set[int]:
+    """`vertices` as the set of distinct ints the kernel takes.
 
+    Python ints and numpy integer scalars pass through `operator.index`.
     Raises ValueError for a vertex that is not an integer in [0, n), which
     indexing would otherwise wrap (-1), reject with an IndexError (n) or
     accept as 1 (True).
     """
     n = g.vertex_count
-    black = bytearray(n)
+    black = set()
     for v in vertices:
-        if ((type(v) is not int and not isinstance(v, np.integer))
-                or not 0 <= v < n):
+        if not (type(v) is int or isinstance(v, Integral)
+                and not isinstance(v, bool)) or not 0 <= v < n:
             raise ValueError(f"vertex {v!r} is not an integer in [0, {n})")
-        black[v] = 1
+        black.add(index(v))
     return black
 
 
@@ -86,8 +87,8 @@ def closure(g: Graph, initial: Iterable[int]) -> ClosureResult:
     smallest-index forcer on ties, forces applied together at round end).
     """
     init = frozenset(initial)
-    final, *events = run_closure(g, _black(g, init))
-    black = compress(range(final.size), final.tobytes())
+    final, *events = run_closure(g, _vertex_set(g, init))
+    black = compress(range(g.vertex_count), final)
     return ClosureResult(frozenset(black), init, tuple(events))
 
 
@@ -143,5 +144,5 @@ def forces_all(g: Graph, vertices: Iterable[int]) -> bool:
 
     Skips trace construction.
     """
-    final, _, _, _ = run_closure(g, _black(g, vertices))
-    return 0 not in final.tobytes()
+    final, _, _, _ = run_closure(g, _vertex_set(g, vertices))
+    return 0 not in final

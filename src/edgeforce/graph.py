@@ -4,9 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate, chain
 from typing import Iterable, Iterator, Mapping, Optional
-
-import numpy as np
 
 Edge = tuple[int, int]
 
@@ -55,32 +54,23 @@ class Graph:
         return {e: i for i, e in enumerate(self.edges)}
 
     @cached_property
-    def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Adjacency in CSR form (indptr, indices), both int32, each
-        vertex's neighbors ascending as in `adjacency`.
+    def csr(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Adjacency in CSR form (indptr, indices): vertex v's neighbors,
+        ascending as in `adjacency`, are indices[indptr[v]:indptr[v + 1]].
 
-        The closure kernel walks `adjacency` instead; this array form is
-        kept for array consumers and for perfbench's tracer, which times
-        it by name."""
-        src, dst = self.directed_pairs
-        indptr = np.zeros(self.vertex_count + 1, dtype=np.int32)
-        np.cumsum(np.bincount(src, minlength=self.vertex_count),
-                  out=indptr[1:])
-        return indptr, dst[np.lexsort((dst, src))]
+        No closure reads it: it is kept only for perfbench's tracer, which
+        times it by name, and for `test_csr_lists_adjacency`."""
+        adj = self.adjacency
+        return (0, *accumulate(map(len, adj))), tuple(chain.from_iterable(adj))
 
     @cached_property
-    def directed_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Both orientations of every edge as (src, dst) int32 arrays.
+    def directed_pairs(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Both orientations of every edge as (src, dst) tuples.
 
-        Like `csr`, which is built from it, no closure reads it; perfbench's
-        tracer times it by name."""
-        if not self.edges:
-            z = np.empty(0, dtype=np.int32)
-            return z, z
-        e = np.asarray(self.edges, dtype=np.int32)
-        src = np.concatenate([e[:, 0], e[:, 1]])
-        dst = np.concatenate([e[:, 1], e[:, 0]])
-        return src, dst
+        Like `csr`, it is kept only for perfbench's tracer and for
+        `test_csr_lists_adjacency`."""
+        src, dst = tuple(zip(*self.edges)) or ((), ())
+        return src + dst, dst + src
 
     @property
     def edge_count(self) -> int:

@@ -19,15 +19,15 @@ closure operator, cl(S | T) = cl(cl(S) | T): the exhaustive searches and
 the greedy completion close each prefix once and extend a copy of its
 state by one candidate, instead of closing every candidate from scratch.
 
-The kernel walks the graph's cached adjacency tuples, so a call does no
-numpy work until `run_closure` packs its result: exhaustive searches test
-tens of thousands of candidates on graphs of a few dozen vertices, where
-fixed per-call setup would dominate.
+The kernel walks the graph's cached adjacency tuples and keeps its state
+in a bytearray and a list, so a call does no numpy work until
+`run_closure` packs its three event lists as int32 arrays: exhaustive
+searches test tens of thousands of candidates on graphs of a few dozen
+vertices, where fixed per-call setup would dominate.  This is the one
+module of the package that imports numpy.
 """
 
 from __future__ import annotations
-
-from itertools import compress
 
 import numpy as np
 
@@ -74,17 +74,15 @@ def extend_closure(adj, black, counts, vertices):
         forced += new
 
 
-def run_closure(graph, black):
-    """Closure of `black` under the reference schedule.
+def run_closure(graph, vertices):
+    """Closure of the distinct vertex ints `vertices` under the reference
+    schedule.
 
-    `black` is a 0/1 byte buffer of length vertex_count (a bytearray or a
-    uint8 array), left unchanged; returns (final_black, ev_round,
-    ev_forcer, ev_forced): the final black set as a uint8 array and the
-    events as int32 arrays, sorted by round then forcer.
+    Returns (final, ev_round, ev_forcer, ev_forced): the final black set as
+    the kernel's 0/1 bytearray of length vertex_count, and the events as
+    int32 arrays, sorted by round then forcer.
     """
     adj = graph.adjacency
-    state = bytearray(len(adj))
-    events = extend_closure(adj, state, [len(a) for a in adj],
-                            compress(range(len(adj)), bytes(black)))
-    return (np.frombuffer(state, np.uint8),
-            *(np.array(e, dtype=np.int32) for e in events))
+    final = bytearray(len(adj))
+    events = extend_closure(adj, final, [len(a) for a in adj], vertices)
+    return (final, *(np.array(e, dtype=np.int32) for e in events))

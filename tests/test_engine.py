@@ -104,7 +104,8 @@ class TestMembership:
         assert forces_all(g, s) == (
             closure_sequential(g, s) == frozenset(range(size)))
 
-    @pytest.mark.parametrize("vertex", [-1, 2, 1.0, "0", True])
+    @pytest.mark.parametrize("vertex", [-1, 2, 1.0, "0", True, np.True_,
+                                        np.float64(0.0)])
     def test_forces_all_rejects_non_vertices(self, vertex):
         with pytest.raises(ValueError):
             forces_all(path_graph(2), [vertex])
@@ -159,8 +160,8 @@ class TestScheduleProperties:
         adj = g.adjacency
         black, counts = bytearray(size), [len(a) for a in adj]
         events = extend_closure(adj, black, counts, sorted(s))
-        final, *arrays = run_closure(g, bytes(v in s for v in range(size)))
-        assert black == final.tobytes()
+        final, *arrays = run_closure(g, s)
+        assert black == final
         assert list(events) == [a.tolist() for a in arrays]
         extend_closure(adj, black, counts, sorted(t))
         final = closure(g, s | t).final
@@ -207,18 +208,18 @@ class TestKernel:
             g = from_edges(size, data.draw(st.lists(st.sampled_from(pool),
                                                     unique=True)))
             initial = data.draw(st.sets(st.integers(0, size - 1)))
-        black = np.zeros(g.vertex_count, dtype=np.uint8)
-        black[list(initial)] = 1
-        packed = bytearray(black)
-        final, ev_round, ev_forcer, ev_forced = run_closure(g, black)
+        final, ev_round, ev_forcer, ev_forced = run_closure(g, initial)
         want_final, want_events = reference_closure(g, initial)
-        assert set(np.nonzero(final)[0].tolist()) == want_final
+        assert type(final) is bytearray and len(final) == g.vertex_count
+        assert set(itertools.compress(range(g.vertex_count), final)) \
+            == want_final
+        assert all(a.dtype == np.int32
+                   for a in (ev_round, ev_forcer, ev_forced))
         assert list(zip(ev_round.tolist(), ev_forcer.tolist(),
                         ev_forced.tolist())) == want_events
-        # the engine passes a bytearray: same output, inputs left unchanged
-        again = run_closure(g, packed)
-        assert bytes(packed) == black.tobytes() == bytes(
-            v in initial for v in range(g.vertex_count))
-        for got, want in zip(again, (final, ev_round, ev_forcer, ev_forced)):
-            assert got.dtype == want.dtype
+        # the order of the vertices does not matter, and a new state is
+        # returned each call
+        again = run_closure(g, sorted(initial, reverse=True))
+        assert again[0] == final and again[0] is not final
+        for got, want in zip(again[1:], (ev_round, ev_forcer, ev_forced)):
             assert got.tolist() == want.tolist()

@@ -23,6 +23,23 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the modules a source file imports."""
+    tree = ast.parse(source)
+    names = {alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.Import) for alias in node.names}
+    names |= {node.module for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.level == 0}
+    return {name.split(".")[0] for name in names}
+
+
+def test_only_the_kernel_imports_numpy():
+    # the closure's event arrays are the package's one numpy type
+    users = [p.name for p in sorted(SRC.glob("*.py"))
+             if "numpy" in imported_modules(p.read_text(encoding="utf-8"))]
+    assert users == ["kernels.py"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -63,6 +63,9 @@ class TestParseGraph:
     def test_missing_n(self):
         with pytest.raises(CertificateError, match='"n"'):
             parse_graph('{"edges": []}')
+        # a JSON boolean is not a vertex count
+        with pytest.raises(CertificateError, match='"n" of type int'):
+            parse_graph('{"n": true, "edges": []}')
 
     def test_edges_not_array(self):
         with pytest.raises(CertificateError, match='"edges"'):
@@ -71,6 +74,9 @@ class TestParseGraph:
     def test_bad_edge_entry(self):
         with pytest.raises(CertificateError, match=r"edges\[1\]"):
             parse_graph('{"n": 3, "edges": [[0, 1], [2]]}')
+        # nor is a JSON boolean a vertex
+        with pytest.raises(CertificateError, match=r"edges\[0\]"):
+            parse_graph('{"n": 3, "edges": [[0, true]]}')
 
     def test_self_loop_rejected(self):
         with pytest.raises(CertificateError):
@@ -463,14 +469,28 @@ class TestCli:
         ("verify", json.dumps({"schema_version": "efc-1", "kind": "zf-number",
                                "graph": C4, "claim": {"value": 2},
                                "witness": None})),
+        ("verify", json.dumps({"schema_version": "efc-1", "kind": "zf-number",
+                               "graph": C4, "claim": {"value": True},
+                               "witness": {"vertices": [0, 1]}})),
+        ("verify", json.dumps({"schema_version": "efc-1", "kind": "closure",
+                               "graph": {"n": 3, "edges": [[0, True]]},
+                               "claim": {"initial": [0]}})),
+        ("verify", json.dumps({"schema_version": "efc-1", "kind": "closure",
+                               "graph": {"n": True, "edges": []},
+                               "claim": {"initial": [0]}})),
+        ("verify", json.dumps({"schema_version": "efc-1", "kind": "closure",
+                               "graph": C4, "claim": {"initial": [False]}})),
         ("check zfs", "{}"),
         ("check zfs", json.dumps({"vertices": ["a"]})),
         ("check efs", json.dumps({"edges": [["a", 1]]})),
+        ("check efs", json.dumps({"edges": [[0, True]]})),
     ], ids=["cert-not-object", "bounds-without-r", "cert-without-graph",
             "claim-not-object", "nonexistence-without-counts",
             "closure-without-initial", "zf-number-null-witness",
+            "zf-number-boolean-value", "graph-with-boolean-vertex",
+            "graph-with-boolean-n", "closure-with-boolean-initial",
             "set-without-vertices", "set-with-non-integer",
-            "edge-set-with-non-integer"])
+            "edge-set-with-non-integer", "edge-set-with-boolean"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, command, text):
         doc = tmp_path / "doc.json"
         doc.write_text(text)
