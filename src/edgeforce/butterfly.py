@@ -13,7 +13,7 @@ import operator
 from collections.abc import Mapping
 from typing import Iterator, Literal
 
-from .graph import Graph, from_edges
+from .graph import Graph
 
 MAX_DIMENSION = 16  # memory guard: BF(16) already has >1M vertices
 
@@ -64,7 +64,11 @@ class ButterflyLabels(Mapping):
 
 
 def build_butterfly(r: int) -> Graph:
-    """BF(r) with (r+1)*2^r vertices and r*2^(r+1) edges."""
+    """BF(r) with (r+1)*2^r vertices and r*2^(r+1) edges, emitted canonical.
+
+    Lower vertices a = i*2^r + w ascend, each with its two edges up, to rows
+    w and w XOR 2^i of level i+1, smaller first: the sorted order whose
+    per-level slices `constructions._middle_candidates` reads."""
     if r < 1:
         raise ButterflyError(f"butterfly dimension must be >= 1, got {r}")
     if r > MAX_DIMENSION:
@@ -73,11 +77,12 @@ def build_butterfly(r: int) -> Graph:
     edges = []
     for i in range(r):
         bit = 1 << i
+        low, up = i * rows, (i + 1) * rows  # row 0 of levels i and i + 1
         for w in range(rows):
-            a = vertex_index(r, w, i)
-            edges.append((a, vertex_index(r, w, i + 1)))
-            edges.append((a, vertex_index(r, w ^ bit, i + 1)))
-    return from_edges((r + 1) * rows, edges, labels=ButterflyLabels(r))
+            a = low + w
+            # rows w and w ^ bit, smaller first: bit cleared, then bit set
+            edges += ((a, up + (w & ~bit)), (a, up + (w | bit)))
+    return Graph((r + 1) * rows, tuple(edges), ButterflyLabels(r))
 
 
 def edge_kind(r: int, a: tuple[int, int], b: tuple[int, int]) -> Literal["straight", "cross"]:

@@ -26,7 +26,8 @@ from .engine import closure, is_edge_forcing_set, is_zero_forcing_set
 from .graph import Edge, Graph, GraphError, from_edges, normalize_edge
 from .reduction import solve_equivalence
 from .solver import (DEFAULT_MAX_EDGES, DEFAULT_MAX_VERTICES, exhaust_matchings,
-                     first_forcing_subset, min_edge_forcing, min_zero_forcing)
+                     first_forcing_subset, min_edge_forcing, min_zero_forcing,
+                     require_vertex)
 
 SCHEMA_VERSION = "efc-1"
 # vertex count of BF(MAX_DIMENSION), the largest graph the tool builds
@@ -206,6 +207,8 @@ def verify_certificate(doc: Union[str, dict, Certificate]
     kind = c.kind
     # a bounds certificate is rebuilt from claim.r alone, graph field included
     g = None if kind == "bounds" else resolve_graph(c.graph)
+    if kind in ("zf-number", "ef-number", "nonexistence"):
+        require_vertex(g)
 
     if kind == "zf-number":
         vs = _vertex_list(c.witness, "vertices", "witness")

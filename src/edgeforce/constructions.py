@@ -146,8 +146,9 @@ def _horizontal_skeleton(diamonds: list[Obstruction], mode: str) -> list[Edge]:
 def _middle_candidates(g: Graph, r: int, level_pairs: list[int]) -> list[Edge]:
     """All edges of g = BF(r) on the given (i, i+1) level pairs, ascending.
 
-    BF(r)'s sorted edges go by lower endpoint, and each vertex below level
-    r has exactly two edges up, so level i's edges up are one slice."""
+    `build_butterfly` emits BF(r)'s edges sorted by lower endpoint, and each
+    vertex below level r has exactly two edges up, so level i's edges up
+    are one slice."""
     per_level = 2 << r  # edges from one level up to the next
     return [e for i in level_pairs
             for e in g.edges[i * per_level:(i + 1) * per_level]]

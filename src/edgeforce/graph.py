@@ -23,10 +23,13 @@ def normalize_edge(u: int, v: int) -> Edge:
 class Graph:
     """Simple undirected graph with dense integer vertices.
 
-    Vertices are 0..vertex_count-1.  The edge list is sorted with u < v in
-    every pair, and the position of an edge in that list is its canonical
-    identity (used by certificates and enumeration order).  Display labels,
-    when present, are a separate layer on top of the dense indices.
+    Vertices are 0..vertex_count-1.  `edges` are canonical: sorted (u, v)
+    pairs with u < v, no duplicates, built by `from_edges` from outside
+    input or by a generator that emits them so (`build_butterfly`,
+    `build_gbar`); the constructor does not check.  An edge's position in
+    the list is its canonical identity (used by certificates and
+    enumeration order).  Display labels, when present, are a separate
+    layer on top of the dense indices.
     """
 
     vertex_count: int
@@ -96,13 +99,10 @@ class Graph:
         return {"n": self.vertex_count, "edges": [list(e) for e in self.edges]}
 
 
-def from_edges(vertex_count: int,
-               edges: Iterable[tuple[int, int]],
-               labels: Optional[Mapping[int, str]] = None) -> Graph:
-    """Build a canonical Graph, rejecting loops, duplicates and bad indices.
-
-    Input edge order and orientation do not affect the result.
-    """
+def from_edges(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
+    """Build a canonical Graph from outside input (JSON, tests), rejecting
+    loops, duplicates and bad indices.  Input edge order and orientation do
+    not affect the result."""
     if vertex_count < 0:
         raise GraphError(f"vertex_count must be non-negative, got {vertex_count}")
     seen: set[Edge] = set()
@@ -115,7 +115,7 @@ def from_edges(vertex_count: int,
         if e in seen:
             raise GraphError(f"duplicate edge {e}")
         seen.add(e)
-    return Graph(vertex_count, tuple(sorted(seen)), labels)
+    return Graph(vertex_count, tuple(sorted(seen)))
 
 
 def matching_diagnostic(g: Graph, edges: Iterable[tuple[int, int]]) -> Optional[str]:

@@ -1,11 +1,12 @@
 """Zero-forcing -> edge-forcing hardness gadget.
 
 From a base graph G, the lifted graph has a primed twin x' for every
-vertex x (dense index x + |V|).  Its edges fall into three classes:
+vertex x (dense index x + |V|).  Its edges fall into three classes, and a
+lifted edge (a, b), a < b, tells its class by its indices alone:
 
-* E  - the original edges (x, y),
-* E' - the twin matching (x, x'),
-* E''- for every edge (x, y): (y, x') and (x, y').
+* E  - the original edges (x, y): b < |V|,
+* E' - the twin matching (x, x'): b == a + |V|,
+* E''- for every edge (x, y): (y, x') and (x, y'): any other b.
 
 Zero-forcing sets of G and edge-forcing sets of the lifted graph then
 correspond exactly, preserving cardinality in both directions.
@@ -19,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .engine import is_edge_forcing_set
-from .graph import Edge, Graph, from_edges, matching_diagnostic, normalize_edge
+from .graph import Edge, Graph, matching_diagnostic, normalize_edge
 from .solver import EdgeForcingVerdict, min_edge_forcing, min_zero_forcing
 
 log = logging.getLogger(__name__)
@@ -34,32 +35,19 @@ MAX_LIFTED_EDGES = 120
 class ReductionMap:
     base: Graph
     lifted: Graph
-    edge_classes: dict[Edge, str]  # canonical lifted edge -> "E" | "E'" | "E''"
 
     def prime(self, x: int) -> int:
         return x + self.base.vertex_count
 
 
 def build_gbar(g: Graph) -> ReductionMap:
-    """Construct the lifted graph with 2|V| vertices and 3|E| + |V| edges."""
+    """The lifted graph with 2|V| vertices and 3|E| + |V| edges.  Each class
+    emits canonical edges and no two share one, so one sort suffices."""
     n = g.vertex_count
-    classes: dict[Edge, str] = {}
-    edges: list[Edge] = []
-    for u, v in g.edges:
-        e = normalize_edge(u, v)
-        classes[e] = "E"
-        edges.append(e)
-    for x in range(n):
-        e = normalize_edge(x, x + n)
-        classes[e] = "E'"
-        edges.append(e)
+    edges = [*g.edges, *((x, x + n) for x in range(n))]
     for x, y in g.edges:
-        for a, b in ((y, x + n), (x, y + n)):
-            e = normalize_edge(a, b)
-            classes[e] = "E''"
-            edges.append(e)
-    lifted = from_edges(2 * n, edges)
-    return ReductionMap(base=g, lifted=lifted, edge_classes=classes)
+        edges += ((y, x + n), (x, y + n))
+    return ReductionMap(base=g, lifted=Graph(2 * n, tuple(sorted(edges))))
 
 
 def lift_zero_forcing(m: ReductionMap, s: set[int] | frozenset[int]) -> frozenset[Edge]:
@@ -90,18 +78,9 @@ def normalize_and_project(m: ReductionMap, x: set[Edge] | frozenset[Edge]
     if diag is not None:
         raise ValueError(f"input is not a matching of the lifted graph: {diag}")
     n = m.base.vertex_count
-    candidates: list[tuple[int, ...]] = []
-    for e in edges:
-        cls = m.edge_classes[e]
-        if cls == "E'":
-            candidates.append((min(e),))
-        elif cls == "E''":
-            u = min(v for v in e if v < n)
-            v = max(e) - n
-            candidates.append((v, u))
-        else:
-            a, b = e
-            candidates.append((a, b))
+    # the edge's class from its indices (module docstring)
+    candidates = [(a, b) if b < n else (a,) if b == a + n else (b - n, a)
+                  for a, b in edges]
     if is_edge_forcing_set(m.lifted, edges):
         count = math.prod(map(len, candidates))
         if count > MAX_PROJECTION_CANDIDATES:

@@ -42,6 +42,13 @@ class EdgeForcingVerdict:
         return self.kind == "exists"
 
 
+def require_vertex(g: Graph) -> None:
+    """ValueError for a graph with no vertex: the empty set forces it, while
+    the exact searches and their certificates start at size 1."""
+    if g.vertex_count < 1:
+        raise ValueError("graph must have at least one vertex")
+
+
 def _first_forcing(g: Graph, items: Sequence[tuple[int, ...]], k: int
                    ) -> tuple[Optional[tuple[tuple[int, ...], ...]], int]:
     """First forcing k-combination of pairwise disjoint `items`, and the
@@ -116,9 +123,8 @@ def min_zero_forcing(g: Graph,
     lower bound because the first vertex of each forcing chain needs all
     its other neighbors black.
     """
+    require_vertex(g)
     n = g.vertex_count
-    if n < 1:
-        raise ValueError("graph must have at least one vertex")
     if n > max_vertices:
         raise InstanceTooLarge(
             f"{n} vertices exceed the exhaustive-search guard {max_vertices}; "
@@ -160,6 +166,7 @@ def min_edge_forcing(g: Graph,
     provably fail.  A not-exists verdict also counts the matchings below
     that bound, so its per-size counts cover the whole exhaustion.
     """
+    require_vertex(g)
     if g.edge_count > max_edges:
         raise InstanceTooLarge(
             f"{g.edge_count} edges exceed the exhaustive-search guard "

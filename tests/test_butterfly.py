@@ -36,6 +36,21 @@ class TestBuild:
             _, level = vertex_coord(r, v)
             assert g.degree(v) == (2 if level in (0, r) else 4)
 
+    @pytest.mark.parametrize("r", range(1, 13))
+    def test_generated_edges_are_canonical(self, r):
+        # the straight and cross edges, validated and sorted by from_edges
+        rows = 1 << r
+        straight = [(vertex_index(r, w, i), vertex_index(r, w, i + 1))
+                    for i in range(r) for w in range(rows)]
+        cross = [(vertex_index(r, w, i), vertex_index(r, w ^ 1 << i, i + 1))
+                 for i in range(r) for w in range(rows)]
+        g = build_butterfly(r)
+        want = from_edges((r + 1) * rows, straight + cross)
+        assert g.edges == want.edges
+        assert g.vertex_count == want.vertex_count
+        assert dict(g.labels) == {v: coord_label(*vertex_coord(r, v))
+                                  for v in range(g.vertex_count)}
+
     def test_labels(self):
         g = build_butterfly(2)
         assert g.vertex_label(vertex_index(2, 3, 1)) == "[3,1]"

@@ -23,6 +23,22 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
+def referenced_names(source: str) -> set[str]:
+    """The names a source file defines, imports or reads; its docstrings
+    and other strings do not count."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.FunctionDef):
+            names.add(node.name)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
 def imported_modules(source: str) -> set[str]:
     """Top-level names of the modules a source file imports."""
     tree = ast.parse(source)
@@ -48,3 +64,11 @@ def test_every_import_is_used(path):
 def test_detects_an_unused_import():
     assert unused_imports("import os\nfrom typing import Any, List\nx: Any\n"
                           ) == ["os (line 1)", "List (line 2)"]
+
+
+def test_only_outside_input_is_validated():
+    # the package generates BF(r) and the lifted gadget canonical; only
+    # graphs read from JSON go through the validating constructor
+    users = [p.name for p in sorted(SRC.glob("*.py")) if "from_edges"
+             in referenced_names(p.read_text(encoding="utf-8"))]
+    assert users == ["__init__.py", "certificates.py", "graph.py"]

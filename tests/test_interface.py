@@ -29,6 +29,7 @@ from conftest import cycle_graph, path_graph
 
 FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
 SRC = pathlib.Path(__file__).parent.parent / "src"
+EMPTY = {"n": 0, "edges": []}
 C4 = {"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]]}
 K13 = {"n": 4, "edges": [[0, 1], [0, 2], [0, 3]]}
 # two 12-vertex paths joined by rungs at 0, 3, 7, 11: 26 edges, 102 lifted
@@ -484,18 +485,39 @@ class TestCli:
         ("check zfs", json.dumps({"vertices": ["a"]})),
         ("check efs", json.dumps({"edges": [["a", 1]]})),
         ("check efs", json.dumps({"edges": [[0, True]]})),
+        # the empty graph has no exact forcing number, so neither a value
+        # nor a nonexistence verdict about it is certified
+        ("solve ef", json.dumps(EMPTY)),
+        ("verify", json.dumps({"schema_version": "efc-1",
+                               "kind": "nonexistence", "graph": EMPTY,
+                               "claim": {"matchings_tested_per_size": {},
+                                         "verdict": "not-exists"},
+                               "search": {"explored": 0, "max_edges": 40,
+                                          "max_matching_size_searched": 0}})),
+        ("verify", json.dumps({"schema_version": "efc-1", "kind": "ef-number",
+                               "graph": EMPTY, "claim": {"value": 0},
+                               "witness": {"edge_ids": [], "edges": [],
+                                           "labels": []},
+                               "search": {"max_edges": 40}})),
+        ("verify", json.dumps({"schema_version": "efc-1", "kind": "zf-number",
+                               "graph": EMPTY, "claim": {"value": 0},
+                               "witness": {"vertices": [], "labels": []}})),
     ], ids=["cert-not-object", "bounds-without-r", "cert-without-graph",
             "claim-not-object", "nonexistence-without-counts",
             "closure-without-initial", "zf-number-null-witness",
             "zf-number-boolean-value", "graph-with-boolean-vertex",
             "graph-with-boolean-n", "closure-with-boolean-initial",
             "set-without-vertices", "set-with-non-integer",
-            "edge-set-with-non-integer", "edge-set-with-boolean"])
+            "edge-set-with-non-integer", "edge-set-with-boolean",
+            "solve-ef-empty-graph", "nonexistence-empty-graph",
+            "ef-number-empty-graph", "zf-number-empty-graph"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, command, text):
         doc = tmp_path / "doc.json"
         doc.write_text(text)
         if command == "verify":
             argv = ["verify", "--cert", str(doc)]
+        elif command.startswith("solve"):
+            argv = command.split() + ["--graph", str(doc)]
         else:
             argv = command.split() + [
                 "--graph", write_graph(tmp_path, cycle_graph(4)),
@@ -511,8 +533,13 @@ class TestCli:
          ["solve", "ef", "--max-edges", "50"], None, 0),
         (path_graph(25).to_json_dict(), ["solve", "zf", "--max-n", "30"],
          None, 0),
+        (EMPTY, ["closure", "--black", ""], None, 0),
+        (EMPTY, ["check", "zfs"], {"vertices": []}, 0),
+        (EMPTY, ["check", "efs"], {"edges": []}, 0),
     ], ids=["efs-check-false", "reduce-ladder-26-edges",
-            "solve-ef-raised-guard", "solve-zf-raised-guard"])
+            "solve-ef-raised-guard", "solve-zf-raised-guard",
+            "closure-empty-graph", "zfs-check-empty-graph",
+            "efs-check-empty-graph"])
     def test_emitted_certificate_verifies(self, tmp_path, capsys, graph,
                                           argv, set_doc, code):
         gpath = tmp_path / "g.json"
@@ -589,6 +616,35 @@ def small_graphs(draw):
     return from_edges(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
 
 
+def emit_every_kind(tmp_path, capsys, g, data):
+    """(argv, certificate) for each kind the CLI emits on g: closure,
+    check zfs/efs, solve zf/ef and reduce --verify, on drawn sets."""
+    n = g.vertex_count
+    pairs = list(itertools.permutations(range(n), 2))
+    black = data.draw(st.sets(st.integers(0, n - 1)))
+    vertices = data.draw(st.sets(st.integers(0, n - 1)))
+    # any edge list: non-edges, shared endpoints and repeats included
+    edges = data.draw(st.lists(st.sampled_from(pairs), max_size=3)
+                      if pairs else st.just([]))
+    gpath = write_graph(tmp_path, g)
+    sets = {"zfs": {"vertices": sorted(vertices)},
+            "efs": {"edges": [list(e) for e in edges]}}
+    for name, doc in sets.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    commands = [
+        ["closure", "--black", ",".join(map(str, sorted(black)))],
+        ["check", "zfs", "--set", tmp_path / "zfs.json"],
+        ["check", "efs", "--set", tmp_path / "efs.json"],
+        ["solve", "zf"], ["solve", "ef"], ["reduce", "--verify"],
+    ]
+    certs = []
+    for argv in commands:
+        code, doc = run_json(capsys, argv + ["--graph", gpath])
+        assert code in (0, 1), argv
+        certs.append((argv, doc))
+    return certs
+
+
 class TestRoundTrip:
     """Every certificate the CLI emits passes `verify`."""
 
@@ -596,28 +652,10 @@ class TestRoundTrip:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(g=small_graphs(), data=st.data())
     def test_emitted_certificates_verify(self, tmp_path, capsys, g, data):
-        n = g.vertex_count
-        pairs = list(itertools.permutations(range(n), 2))
-        black = data.draw(st.sets(st.integers(0, n - 1)))
-        vertices = data.draw(st.sets(st.integers(0, n - 1)))
-        # any edge list: non-edges, shared endpoints and repeats included
-        edges = data.draw(st.lists(st.sampled_from(pairs), max_size=3)
-                          if pairs else st.just([]))
-        gpath = write_graph(tmp_path, g)
-        sets = {"zfs": {"vertices": sorted(vertices)},
-                "efs": {"edges": [list(e) for e in edges]}}
-        for name, doc in sets.items():
-            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
-        commands = [
-            ["closure", "--black", ",".join(map(str, sorted(black)))],
-            ["check", "zfs", "--set", tmp_path / "zfs.json"],
-            ["check", "efs", "--set", tmp_path / "efs.json"],
-            ["solve", "zf"], ["solve", "ef"], ["reduce", "--verify"],
-        ]
-        for argv in commands:
-            emitted, (verified, out) = emit_and_verify(
-                tmp_path, capsys, argv + ["--graph", gpath])
-            assert emitted in (0, 1), argv
+        cert = tmp_path / "emitted.json"
+        for argv, doc in emit_every_kind(tmp_path, capsys, g, data):
+            cert.write_text(json.dumps(doc))
+            verified, out = run_json(capsys, ["verify", "--cert", cert])
             assert verified == 0, (argv, out["details"])
 
 
@@ -691,3 +729,22 @@ class TestFuzz:
         cert.write_text(json.dumps(replaced(doc, path, value)))
         assert main(["verify", "--cert", str(cert)]) in (0, 1, 2)
         capsys.readouterr()
+
+    # at most 12 edges: the exact search behind reduce --verify takes
+    # seconds on the lifted gadget of a denser 7-vertex graph
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n=st.integers(2, 7), data=st.data())
+    def test_random_graph_mutations(self, tmp_path, capsys, n, data):
+        pairs = list(itertools.combinations(range(n), 2))
+        g = from_edges(n, data.draw(
+            st.lists(st.sampled_from(pairs), unique=True, max_size=12)))
+        cert = tmp_path / "mutated.json"
+        for _, doc in emit_every_kind(tmp_path, capsys, g, data):
+            for _ in range(data.draw(st.integers(1, 3))):
+                path = data.draw(st.sampled_from(list(node_paths(doc))))
+                value = data.draw(st.sampled_from(MUTATIONS))
+                doc = replaced(doc, path, value)
+            cert.write_text(json.dumps(doc))
+            assert main(["verify", "--cert", str(cert)]) in (0, 1, 2)
+            capsys.readouterr()

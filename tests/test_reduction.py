@@ -1,6 +1,9 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgeforce.certificates import reduction_certificate
 from edgeforce.engine import is_edge_forcing_set, is_zero_forcing_set
@@ -41,12 +44,33 @@ class TestBuildGbar:
 
     def test_edge_classes(self):
         g = path_graph(3)
+        n = g.vertex_count
         m = build_gbar(g)
-        primes = {e for e, c in m.edge_classes.items() if c == "E'"}
-        assert primes == {normalize_edge(x, x + 3) for x in range(3)}
-        assert sum(1 for c in m.edge_classes.values() if c == "E''") == 4
+        originals = set(g.edges)
+        twins = {(x, x + n) for x in range(n)}
+        crossed = {e for x, y in g.edges for e in ((y, x + n), (x, y + n))}
+        assert len(crossed) == 4
+        assert set(m.lifted.edges) == originals | twins | crossed
+        assert m.lifted.edge_count == sum(map(len, (originals, twins, crossed)))
+        # the class follows from the indices, as normalize_and_project reads it
+        for a, b in m.lifted.edges:
+            assert (a, b) in (originals if b < n else
+                              twins if b == a + n else crossed)
         # twin edges form a perfect matching of the lifted graph
-        assert len({v for e in primes for v in e}) == m.lifted.vertex_count
+        assert len({v for e in twins for v in e}) == m.lifted.vertex_count
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_generated_edges_are_canonical(self, data):
+        # edgeless bases and the empty graph included
+        n = data.draw(st.integers(0, 8))
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)
+                          if pairs else st.just([]))
+        g = from_edges(n, edges)
+        lifted = [*edges, *((x, x + n) for x in range(n))]
+        lifted += [e for x, y in edges for e in ((y, x + n), (x, y + n))]
+        assert build_gbar(g).lifted == from_edges(2 * n, lifted)
 
 
 class TestLift:
