@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 from typing import Optional, Sequence
 
 from .constructions import structural_lower_bound
@@ -28,6 +29,9 @@ class EdgeForcingVerdict:
     `matchings_tested_per_size` maps each size to its count of matchings
     tested; for a not-exists verdict it covers every size from 1, the
     sizes below the lower bound included, so it is the whole exhaustion.
+    A matching counts as tested whether its closure ran or a fort ruled
+    it out unclosed, so both counts are those of a search that closes
+    every matching in turn.
     """
 
     kind: str
@@ -49,59 +53,219 @@ def require_vertex(g: Graph) -> None:
         raise ValueError("graph must have at least one vertex")
 
 
+class _Exhaustion:
+    """The search for the first forcing k-combination of pairwise disjoint
+    `items`, for each k asked, with one pool of forts for all of them.
+
+    An item is a tuple of one vertex (zero forcing) or of an edge's two
+    endpoints (edge forcing); `items` is either every vertex of g in
+    ascending order or `g.edges`.  Combinations go in lexicographic order
+    of item positions, as itertools.combinations and
+    graph.matchings_of_size list them.  The search is depth first and
+    keeps each prefix's closed state; a child extends a copy of it by one
+    item, since cl(S | T) = cl(cl(S) | T).  An item whose vertices are all
+    black adds nothing, so its state is its parent's, and a leaf of that
+    kind is tested without a kernel call.
+
+    Forts prune the search.  A fort is a non-empty vertex set F such that
+    no vertex outside F has exactly one neighbor in F; a fort disjoint
+    from S stays disjoint from cl(S), so every forcing set meets every
+    fort (Fast & Hicks 2018).  `forts` holds minimal forts of g as vertex
+    bitmasks: each leaf whose closure leaves a vertex white adds one, for
+    this size and the later ones.  Call a fort unhit when no chosen item
+    touches it.  The search skips
+    - the rest of a loop once an unhit fort meets no later item;
+    - the kernel call of a leaf whose item misses an unhit fort;
+    - a node where more unhit forts than items still to choose meet
+      pairwise disjoint sets of the node's items.
+    """
+
+    def __init__(self, g: Graph, items: Sequence[tuple[int, ...]]):
+        self.g, self.items = g, items
+        self.masks = [sum(1 << v for v in item) for item in items]
+        self.forts: list[int] = []
+        self.touch = [0] * len(items)  # item position -> forts it touches
+        self.covers: list[int] = []  # fort -> positions of items touching it
+        self.below = [0] * len(items)  # position -> forts no later item touches
+        self.count = _completion_counter(g, items)
+
+    def add(self, fort: int) -> None:
+        """Put the vertex bitmask `fort` in the pool."""
+        bit = 1 << len(self.forts)
+        self.forts.append(fort)
+        cover = 0
+        for i, mask in enumerate(self.masks):
+            if mask & fort:
+                self.touch[i] |= bit
+                cover |= 1 << i
+        self.covers.append(cover)
+        for i in range(cover.bit_length(), len(self.items)):
+            self.below[i] |= bit
+
+    def first(self, k: int
+              ) -> tuple[Optional[tuple[tuple[int, ...], ...]], int]:
+        """The first forcing k-combination (None if none forces) and the
+        number of combinations up to it (all of them if none forces).
+
+        The number covers every combination, whether its closure ran or a
+        fort ruled it out, so it is that of closing each one in turn.
+        """
+        if k < 0:
+            raise GraphError(
+                f"combination size must be non-negative, got {k}")
+        g, items = self.g, self.items
+        if k == 0:
+            return ((), 1) if g.vertex_count == 0 else (None, 1)
+        masks, touch, covers, below, forts, count = (
+            self.masks, self.touch, self.covers, self.below, self.forts,
+            self.count)
+        adj = g.adjacency
+        m = len(items)
+        chosen: list[tuple[int, ...]] = []
+        tested = 0
+
+        def packs(start: int, need: int, unhit: int) -> bool:
+            # more than `need` unhit forts met by pairwise disjoint item sets
+            later = -1 << start
+            taken = packed = 0
+            while unhit:
+                low = unhit & -unhit
+                unhit ^= low
+                cover = covers[low.bit_length() - 1] & later
+                if not cover & taken:
+                    taken |= cover
+                    packed += 1
+                    if packed > need:
+                        return True
+            return False
+
+        def search(start: int, need: int, hit: int, used: int,
+                   black: bytearray, counts: list[int]) -> bool:
+            nonlocal tested
+            if packs(start, need, ~hit & ((1 << len(forts)) - 1)):
+                tested += count(start, need, used)
+                return False
+            # stop where too few items are left to complete the combination
+            for i in range(start, m - need + 1):
+                if below[i] & ~hit:
+                    tested += count(i, need, used)
+                    return False
+                mask = masks[i]
+                if mask & used:
+                    continue
+                item = items[i]
+                if need == 1 and ~(hit | touch[i]) & ((1 << len(forts)) - 1):
+                    tested += 1
+                    continue
+                state, cnt = black, counts
+                if not (black[item[0]] and black[item[-1]]):
+                    state, cnt = bytearray(black), counts[:]
+                    extend_closure(adj, state, cnt, item)
+                if need == 1:
+                    tested += 1
+                    if 0 not in state:
+                        chosen.append(item)
+                        return True
+                    self.add(_minimal_fort(adj, state, cnt))
+                    continue
+                chosen.append(item)
+                if search(i + 1, need - 1, hit | touch[i], used | mask,
+                          state, cnt):
+                    return True
+                chosen.pop()
+            return False
+
+        if search(0, k, 0, 0, bytearray(g.vertex_count),
+                  [len(a) for a in adj]):
+            return tuple(chosen), tested
+        return None, tested
+
+
 def _first_forcing(g: Graph, items: Sequence[tuple[int, ...]], k: int
                    ) -> tuple[Optional[tuple[tuple[int, ...], ...]], int]:
     """First forcing k-combination of pairwise disjoint `items`, and the
-    number of combinations tested up to it (all of them if none forces).
+    number of combinations up to it (all of them if none forces), each
+    counted whether its closure ran or a fort ruled it out: one size of
+    `_Exhaustion`, with a fort pool of its own."""
+    return _Exhaustion(g, items).first(k)
 
-    An item is a tuple of one vertex (zero forcing) or of an edge's two
-    endpoints (edge forcing).  Combinations go in lexicographic order of
-    item positions, as itertools.combinations and graph.matchings_of_size
-    list them.  The search is depth first and keeps each prefix's closed
-    state; a child extends a copy of it by one item, since
-    cl(S | T) = cl(cl(S) | T).  An item whose vertices are all black adds
-    nothing, so its state is its parent's, and a leaf of that kind is
-    tested without a kernel call.
+
+def _minimal_fort(adj, black: bytearray, counts: list[int]) -> int:
+    """A minimal fort among the white vertices of the closed state
+    (black, counts), as a vertex bitmask; the state is left as it is.
+
+    Blackens the white vertices in turn, each on a copy that is kept when
+    its closure leaves a vertex white.  What stays white is the white set
+    of a closed state, so a fort.  Each vertex of it closed a smaller
+    black set to all black when it was tried, so no fort inside the white
+    set leaves that vertex out: the fort is minimal.
     """
-    if k < 0:
-        raise GraphError(f"combination size must be non-negative, got {k}")
-    if k == 0:
-        return ((), 1) if g.vertex_count == 0 else (None, 1)
-    adj = g.adjacency
-    used = bytearray(g.vertex_count)
-    chosen: list[tuple[int, ...]] = []
-    tested = 0
+    for w in range(len(black)):
+        if not black[w]:
+            trial, trial_counts = bytearray(black), counts[:]
+            extend_closure(adj, trial, trial_counts, (w,))
+            if 0 in trial:
+                black, counts = trial, trial_counts
+    return sum(1 << v for v, b in enumerate(black) if not b)
 
-    def search(start: int, need: int, black: bytearray, counts: list[int]
-               ) -> bool:
-        nonlocal tested
-        # stop where too few items are left to complete the combination
-        for i in range(start, len(items) - need + 1):
-            item = items[i]
-            first, last = item[0], item[-1]  # equal for a vertex item
-            if used[first] or used[last]:
-                continue
-            state, cnt = black, counts
-            if not (black[first] and black[last]):
-                state, cnt = bytearray(black), counts[:]
-                extend_closure(adj, state, cnt, item)
-            if need == 1:
-                tested += 1
-                if 0 not in state:
-                    chosen.append(item)
-                    return True
-                continue
-            used[first] = used[last] = 1
-            chosen.append(item)
-            if search(i + 1, need - 1, state, cnt):
-                return True
-            chosen.pop()
-            used[first] = used[last] = 0
-        return False
 
-    if search(0, k, bytearray(g.vertex_count), [len(a) for a in adj]):
-        return tuple(chosen), tested
-    return None, tested
+def _completion_counter(g: Graph, items: Sequence[tuple[int, ...]]):
+    """count(i, need, used): the number of need-combinations of pairwise
+    disjoint items from position i on that avoid the vertex bitmask
+    `used`, which holds only vertices of items before position i.
+
+    Vertex items give a binomial.  For edge items, position i = (a, b)
+    leaves the edges (a, v) with v >= b, and the edges of g among the
+    vertices above a; the count of matchings there recurses on the lowest
+    vertex, memoised by vertex mask for every later count.
+    """
+    m = len(items)
+    if not items or len(items[0]) == 1:
+        return lambda i, need, used: comb(m - i, need)
+    nbr = [sum(1 << w for w in a) for a in g.adjacency]
+    memo: dict[int, tuple[int, ...]] = {0: (1,)}
+
+    def matchings(mask: int) -> tuple[int, ...]:
+        # counts by size of the matchings of g[mask]; leading vertices with
+        # no neighbor in the mask change nothing
+        while mask:
+            low = mask & -mask
+            if nbr[low.bit_length() - 1] & mask:
+                break
+            mask ^= low
+        got = memo.get(mask)
+        if got is None:
+            rest = mask ^ low
+            sizes = list(matchings(rest))
+            partners = nbr[low.bit_length() - 1] & rest
+            while partners:
+                w = partners & -partners
+                partners ^= w
+                for s, c in enumerate(matchings(rest ^ w), 1):
+                    if s < len(sizes):
+                        sizes[s] += c
+                    else:
+                        sizes.append(c)
+            got = memo[mask] = tuple(sizes)
+        return got
+
+    def count(i: int, need: int, used: int) -> int:
+        if i >= m:
+            return 0
+        a, b = items[i]
+        free = ~used & ((1 << g.vertex_count) - (2 << a))
+        sizes = matchings(free)
+        total = sizes[need] if need < len(sizes) else 0
+        if not used >> a & 1:
+            star = nbr[a] & free & -(1 << b)
+            while star:
+                v = star & -star
+                star ^= v
+                sizes = matchings(free ^ v)
+                total += sizes[need - 1] if need <= len(sizes) else 0
+        return total
+
+    return count
 
 
 def first_forcing_subset(g: Graph, k: int
@@ -129,10 +293,11 @@ def min_zero_forcing(g: Graph,
         raise InstanceTooLarge(
             f"{n} vertices exceed the exhaustive-search guard {max_vertices}; "
             f"raise max_vertices explicitly to proceed")
+    search = _Exhaustion(g, [(v,) for v in range(n)])
     for k in range(max(1, g.min_degree()), n + 1):
-        witness, _ = first_forcing_subset(g, k)
-        if witness is not None:
-            return k, witness
+        found, _ = search.first(k)
+        if found is not None:
+            return k, frozenset(v for v, in found)
     raise AssertionError("unreachable: V itself is always zero-forcing")
 
 
@@ -146,9 +311,10 @@ def exhaust_matchings(g: Graph, start: int = 1, stop: Optional[int] = None
     at each size that had any.
     """
     counts: dict[int, int] = {}
+    search = _Exhaustion(g, g.edges)
     k = start
     while stop is None or k < stop:
-        found, tested = _first_forcing(g, g.edges, k)
+        found, tested = search.first(k)
         if not tested:
             break
         counts[k] = tested

@@ -412,6 +412,19 @@ class TestCli:
         assert main(["verify", "--cert", str(cert)]) == 0
         assert json.loads(capsys.readouterr().out)["verified"] is True
 
+    def test_disjoint_edges_at_the_solve_guard(self, tmp_path, capsys):
+        # 40 disjoint edges: each is a fort, so the 2^40 - 1 smaller
+        # matchings are counted without being enumerated
+        g = from_edges(80, [(2 * i, 2 * i + 1) for i in range(40)])
+        assert main(["solve", "ef", "--graph", write_graph(tmp_path, g)]) == 0
+        cert = tmp_path / "edges.json"
+        cert.write_text(capsys.readouterr().out)
+        doc = json.loads(cert.read_text())
+        assert doc["claim"]["value"] == 40
+        assert doc["search"]["explored"] == 2 ** 40 - 1
+        assert main(["verify", "--cert", str(cert)]) == 0
+        assert json.loads(capsys.readouterr().out)["verified"] is True
+
     def test_verify_false_nonexistence_claim(self, tmp_path, capsys):
         cert = tmp_path / "c4.json"
         cert.write_text(json.dumps({

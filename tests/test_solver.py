@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +12,10 @@ from edgeforce.engine import (forces_all, is_edge_forcing_set,
 from edgeforce.graph import from_edges, is_matching, matchings_of_size
 from edgeforce.constructions import structural_lower_bound
 from edgeforce.certificates import bf2_nonexistence_counts
-from edgeforce.solver import (InstanceTooLarge, _first_forcing,
-                              exhaust_matchings, first_forcing_subset,
+from edgeforce.kernels import run_closure
+from edgeforce.solver import (InstanceTooLarge, _Exhaustion, _first_forcing,
+                              _minimal_fort, exhaust_matchings,
+                              first_forcing_subset,
                               min_edge_forcing, min_zero_forcing)
 
 from conftest import complete_graph, cycle_graph, path_graph, random_graph
@@ -84,6 +87,108 @@ class TestFirstForcing:
         g = from_edges(0, [])
         assert _first_forcing(g, g.edges, 0) == ((), 1)
         assert first_forcing_subset(g, 1) == (None, 0)
+
+
+def is_fort(g, fort):
+    """Non-empty, and no vertex outside has exactly one neighbor inside."""
+    return bool(fort) and all(
+        sum(w in fort for w in g.adjacency[v]) != 1
+        for v in range(g.vertex_count) if v not in fort)
+
+
+def is_minimal_fort(g, fort):
+    """A fort with no smaller fort inside, by brute force over subsets."""
+    return is_fort(g, fort) and not any(
+        is_fort(g, set(sub)) for size in range(1, len(fort))
+        for sub in itertools.combinations(sorted(fort), size))
+
+
+def vertex_set(mask):
+    return {v for v in range(mask.bit_length()) if mask >> v & 1}
+
+
+@st.composite
+def disjoint_unions(draw):
+    """A renumbered disjoint union of isolated vertices, isolated edges and
+    small random graphs, at most 9 vertices."""
+    edges, n = [], 0
+    for size in draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)):
+        if n + size > 9:
+            break
+        if size == 2:
+            edges.append((n, n + 1))
+        elif size > 2:
+            pairs = list(itertools.combinations(range(n, n + size), 2))
+            edges += draw(st.lists(st.sampled_from(pairs), unique=True))
+        n += size
+    perm = draw(st.permutations(range(n)))
+    return from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+class TestForts:
+    """The fort pool prunes the exhaustion without changing a count."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(disjoint_unions())
+    def test_shared_pool_counts(self, g):
+        # one search per item kind takes sizes 1, 2, ... through one pool;
+        # each size counts as if every combination were closed in turn
+        n = g.vertex_count
+        per_size = {}
+        for kind, items, combos, vertices in (
+                ("ef", g.edges, lambda k: matchings_of_size(g, k),
+                 matching_endpoints),
+                ("zf", [(v,) for v in range(n)],
+                 lambda k: itertools.combinations(range(n), k), set)):
+            search = _Exhaustion(g, items)
+            per_size[kind] = counts = {}
+            for k in range(1, n + 1):
+                found, tested = search.first(k)
+                want, count = brute_first_forcing(g, combos(k), vertices)
+                if not tested:
+                    break
+                counts[k] = tested
+                assert tested == count
+                if want is None:
+                    assert found is None
+                    assert tested == len(list(combos(k)))
+                    continue
+                assert vertices(want) == {v for item in found for v in item}
+                break
+            assert all(is_minimal_fort(g, vertex_set(f))
+                       for f in search.forts)
+            assert len(set(search.forts)) == len(search.forts)
+        assert exhaust_matchings(g)[1] == per_size["ef"]
+        assert min_zero_forcing(g)[0] == max(per_size["zf"])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_minimal_fort(self, data):
+        n = data.draw(st.integers(2, 8))
+        pool = list(itertools.combinations(range(n), 2))
+        g = from_edges(n, data.draw(st.lists(st.sampled_from(pool),
+                                             unique=True)))
+        start = data.draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+        black = run_closure(g, sorted(start))[0]
+        closed = {v for v in range(n) if black[v]}
+        counts = [sum(not black[w] for w in a) for a in g.adjacency]
+        if len(closed) == n:
+            return
+        before = (bytearray(black), counts[:])
+        fort = vertex_set(_minimal_fort(g.adjacency, black, counts))
+        assert (black, counts) == before
+        assert not fort & closed
+        assert is_minimal_fort(g, fort)
+
+    def test_disjoint_edges(self):
+        # k disjoint edges: each is a 2-vertex fort, so every size below k
+        # is counted in closed form, all 2^k - 1 matchings
+        k = 40
+        g = from_edges(2 * k, [(2 * i, 2 * i + 1) for i in range(k)])
+        verdict = min_edge_forcing(g)
+        assert (verdict.value, verdict.explored) == (k, 2 ** k - 1)
+        assert verdict.matchings_tested_per_size == {
+            s: comb(k, s) for s in range(1, k + 1)}
 
 
 class TestMinZeroForcing:
