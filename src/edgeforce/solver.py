@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from math import comb
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .constructions import structural_lower_bound
 from .graph import Edge, Graph, GraphError
@@ -180,14 +181,21 @@ class _Exhaustion:
             return tuple(chosen), tested
         return None, tested
 
-
-def _first_forcing(g: Graph, items: Sequence[tuple[int, ...]], k: int
-                   ) -> tuple[Optional[tuple[tuple[int, ...], ...]], int]:
-    """First forcing k-combination of pairwise disjoint `items`, and the
-    number of combinations up to it (all of them if none forces), each
-    counted whether its closure ran or a fort ruled it out: one size of
-    `_Exhaustion`, with a fort pool of its own."""
-    return _Exhaustion(g, items).first(k)
+    def first_over(self, sizes: Iterable[int]
+                   ) -> tuple[Optional[tuple[tuple[int, ...], ...]],
+                              dict[int, int]]:
+        """`first` for each of `sizes` in turn, until a size has a forcing
+        combination or has no combination at all: that combination (None
+        if none forces) and the number tested at each size that had any."""
+        counts: dict[int, int] = {}
+        for k in sizes:
+            found, tested = self.first(k)
+            if not tested:
+                break
+            counts[k] = tested
+            if found is not None:
+                return found, counts
+        return None, counts
 
 
 def _minimal_fort(adj, black: bytearray, counts: list[int]) -> int:
@@ -268,16 +276,6 @@ def _completion_counter(g: Graph, items: Sequence[tuple[int, ...]]):
     return count
 
 
-def first_forcing_subset(g: Graph, k: int
-                         ) -> tuple[Optional[frozenset[int]], int]:
-    """The lex-first zero-forcing set of k vertices (None if none forces)
-    and the number of k-subsets tested."""
-    found, tested = _first_forcing(g, [(v,) for v in range(g.vertex_count)],
-                                   k)
-    return (None if found is None
-            else frozenset(v for v, in found)), tested
-
-
 def min_zero_forcing(g: Graph,
                      max_vertices: int = DEFAULT_MAX_VERTICES
                      ) -> tuple[int, frozenset[int]]:
@@ -293,35 +291,9 @@ def min_zero_forcing(g: Graph,
         raise InstanceTooLarge(
             f"{n} vertices exceed the exhaustive-search guard {max_vertices}; "
             f"raise max_vertices explicitly to proceed")
-    search = _Exhaustion(g, [(v,) for v in range(n)])
-    for k in range(max(1, g.min_degree()), n + 1):
-        found, _ = search.first(k)
-        if found is not None:
-            return k, frozenset(v for v, in found)
-    raise AssertionError("unreachable: V itself is always zero-forcing")
-
-
-def exhaust_matchings(g: Graph, start: int = 1, stop: Optional[int] = None
-                      ) -> tuple[Optional[frozenset[Edge]], dict[int, int]]:
-    """Test every matching of size start, start+1, ... (below `stop`).
-
-    Sizes rise until a matching forces the whole graph or a size has no
-    matching at all.  Returns the first forcing matching in lexicographic
-    edge order (None if there is none) and the number of matchings tested
-    at each size that had any.
-    """
-    counts: dict[int, int] = {}
-    search = _Exhaustion(g, g.edges)
-    k = start
-    while stop is None or k < stop:
-        found, tested = search.first(k)
-        if not tested:
-            break
-        counts[k] = tested
-        if found is not None:
-            return frozenset(found), counts
-        k += 1
-    return None, counts
+    found, _ = _Exhaustion(g, [(v,) for v in range(n)]).first_over(
+        itertools.count(max(1, g.min_degree())))
+    return len(found), frozenset(v for v, in found)
 
 
 def min_edge_forcing(g: Graph,
@@ -339,14 +311,16 @@ def min_edge_forcing(g: Graph,
             f"{max_edges}; raise max_edges explicitly to proceed")
     bound, _ = structural_lower_bound(g)
     start = max(1, bound)
-    witness, counts = exhaust_matchings(g, start)
+    search = _Exhaustion(g, g.edges)
+    found, counts = search.first_over(itertools.count(start))
     explored = sum(counts.values())
-    if witness is not None:
+    if found is not None:
         return EdgeForcingVerdict(
-            kind="exists", value=len(witness), witness=witness,
-            max_matching_size_searched=len(witness), explored=explored,
+            kind="exists", value=len(found), witness=frozenset(found),
+            max_matching_size_searched=len(found), explored=explored,
             matchings_tested_per_size=counts)
-    below, below_counts = exhaust_matchings(g, 1, start)
+    # the same pool again: the forts found above prune the smaller sizes
+    below, below_counts = search.first_over(range(1, start))
     if below is not None:
         raise AssertionError(
             f"matching {sorted(below)} forces below the lower bound {bound}")

@@ -18,9 +18,10 @@ from edgeforce.butterfly import build_butterfly
 from edgeforce.certificates import (MAX_GRAPH_VERTICES, CertificateError,
                                     bf2_nonexistence,
                                     bounds_certificate,
-                                    construction_certificate, emit_certificate,
-                                    parse_certificate, parse_graph,
-                                    resolve_graph, verify_certificate)
+                                    construction_certificate, edge_witness,
+                                    emit_certificate, parse_certificate,
+                                    parse_graph, resolve_graph,
+                                    verify_certificate, vertex_witness)
 from edgeforce.cli import main, to_dot
 from edgeforce.constructions import DEFAULT_SEED, construct_edge_forcing
 from edgeforce.graph import from_edges
@@ -32,6 +33,8 @@ SRC = pathlib.Path(__file__).parent.parent / "src"
 EMPTY = {"n": 0, "edges": []}
 C4 = {"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]]}
 K13 = {"n": 4, "edges": [[0, 1], [0, 2], [0, 3]]}
+C6G = cycle_graph(6)
+C6 = C6G.to_json_dict()
 # two 12-vertex paths joined by rungs at 0, 3, 7, 11: 26 edges, 102 lifted
 LADDER = {"n": 24, "edges": [[i, i + 1] for i in range(11)]
           + [[i, i + 1] for i in range(12, 23)]
@@ -433,8 +436,9 @@ class TestCli:
                       "matchings_tested_per_size": {"1": 4}}}))
         assert main(["verify", "--cert", str(cert)]) == 1
         out = json.loads(capsys.readouterr().out)
-        assert out["verified"] is False
-        assert "(0, 1)" in out["details"]
+        assert out == {"verified": False, "details":
+                       "kind recomputed as ef-number with witness edges "
+                       "[[0, 1]]"}
 
     @pytest.mark.parametrize("what", ["zf", "ef"])
     def test_solve_certificate_verifies(self, tmp_path, capsys, what):
@@ -447,17 +451,28 @@ class TestCli:
 
     @pytest.mark.parametrize("graph, kind, claim, witness, details", [
         (C4, "zf-number", {"value": 4}, {"vertices": [0, 1, 2, 3]},
-         "smaller zero-forcing set [0, 1, 2] of size 3"),
+         "claim recomputed as {'value': 2}"),
         (C4, "ef-number", {"value": 2}, {"edges": [[0, 1], [2, 3]]},
-         "smaller edge-forcing set [(0, 1)] of size 1"),
+         "claim recomputed as {'value': 1}"),
         (path_graph(25).to_json_dict(), "zf-number", {"value": 1},
          {"vertices": [0]},
          "minimality re-verification limited to small graphs"),
         (cycle_graph(41).to_json_dict(), "ef-number", {"value": 1},
          {"edges": [[0, 1]]},
          "minimality re-verification limited to small graphs"),
+        # forcing witnesses of the minimum size that are not the solver's
+        # lex-first ones, (0, 1) and {0, 1}
+        (C6, "ef-number", {"value": 1}, edge_witness(C6G, [(1, 2)]),
+         "witness recomputed differs from the certificate's"),
+        (C6, "zf-number", {"value": 2}, vertex_witness(C6G, [2, 3]),
+         "witness recomputed differs from the certificate's"),
+        (K13, "ef-number", {"value": 1},
+         edge_witness(parse_graph(K13), [(0, 1)]),
+         "kind recomputed as nonexistence"),
     ], ids=["zf-number-not-minimum", "ef-number-not-minimum",
-            "zf-number-above-guard", "ef-number-above-guard"])
+            "zf-number-above-guard", "ef-number-above-guard",
+            "ef-number-not-lex-first", "zf-number-not-lex-first",
+            "ef-number-without-forcing-matching"])
     def test_verify_minimality(self, tmp_path, capsys, graph, kind, claim,
                                witness, details):
         cert = tmp_path / "cert.json"
@@ -486,6 +501,9 @@ class TestCli:
         ("verify", json.dumps({"schema_version": "efc-1", "kind": "zf-number",
                                "graph": C4, "claim": {"value": True},
                                "witness": {"vertices": [0, 1]}})),
+        ("verify", json.dumps({"schema_version": "efc-1", "kind": "zf-number",
+                               "graph": C4, "claim": {"value": 2},
+                               "witness": {"vertices": [0, 7]}})),
         ("verify", json.dumps({"schema_version": "efc-1", "kind": "closure",
                                "graph": {"n": 3, "edges": [[0, True]]},
                                "claim": {"initial": [0]}})),
@@ -518,7 +536,8 @@ class TestCli:
     ], ids=["cert-not-object", "bounds-without-r", "cert-without-graph",
             "claim-not-object", "nonexistence-without-counts",
             "closure-without-initial", "zf-number-null-witness",
-            "zf-number-boolean-value", "graph-with-boolean-vertex",
+            "zf-number-boolean-value", "zf-number-vertex-out-of-range",
+            "graph-with-boolean-vertex",
             "graph-with-boolean-n", "closure-with-boolean-initial",
             "set-without-vertices", "set-with-non-integer",
             "edge-set-with-non-integer", "edge-set-with-boolean",

@@ -13,9 +13,7 @@ from edgeforce.graph import from_edges, is_matching, matchings_of_size
 from edgeforce.constructions import structural_lower_bound
 from edgeforce.certificates import bf2_nonexistence_counts
 from edgeforce.kernels import run_closure
-from edgeforce.solver import (InstanceTooLarge, _Exhaustion, _first_forcing,
-                              _minimal_fort, exhaust_matchings,
-                              first_forcing_subset,
+from edgeforce.solver import (InstanceTooLarge, _Exhaustion, _minimal_fort,
                               min_edge_forcing, min_zero_forcing)
 
 from conftest import complete_graph, cycle_graph, path_graph, random_graph
@@ -39,6 +37,23 @@ def oracle_min_edge_forcing(g):
             if is_matching(g, combo) and is_edge_forcing_set(g, combo):
                 return size
     return best
+
+
+def vertex_items(g):
+    return [(v,) for v in range(g.vertex_count)]
+
+
+def first_subset(g, k):
+    """(lex-first forcing k-subset or None, number of k-subsets tested)."""
+    found, tested = _Exhaustion(g, vertex_items(g)).first(k)
+    return None if found is None else frozenset(v for v, in found), tested
+
+
+def first_matching(g, sizes):
+    """(first forcing matching or None, tested per size) over `sizes`,
+    through one search, as min_edge_forcing runs it."""
+    found, counts = _Exhaustion(g, g.edges).first_over(sizes)
+    return None if found is None else frozenset(found), counts
 
 
 def brute_first_forcing(g, candidates, vertices):
@@ -66,12 +81,12 @@ class TestFirstForcing:
         g = from_edges(size, data.draw(st.lists(st.sampled_from(pool),
                                                 unique=True)))
         k = data.draw(st.integers(0, 6))
-        found, tested = _first_forcing(g, g.edges, k)
+        found, tested = _Exhaustion(g, g.edges).first(k)
         want, count = brute_first_forcing(g, matchings_of_size(g, k),
                                           matching_endpoints)
         assert (None if found is None else frozenset(found), tested) == (
             want, count)
-        subset, tested = first_forcing_subset(g, k)
+        subset, tested = first_subset(g, k)
         want, count = brute_first_forcing(
             g, itertools.combinations(range(size), k), set)
         assert (subset, tested) == (
@@ -79,14 +94,14 @@ class TestFirstForcing:
 
     def test_edgeless_graph(self):
         g = from_edges(3, [])
-        assert _first_forcing(g, g.edges, 1) == (None, 0)
-        assert first_forcing_subset(g, 2) == (None, 3)
-        assert first_forcing_subset(g, 3) == (frozenset({0, 1, 2}), 1)
+        assert _Exhaustion(g, g.edges).first(1) == (None, 0)
+        assert first_subset(g, 2) == (None, 3)
+        assert first_subset(g, 3) == (frozenset({0, 1, 2}), 1)
 
     def test_empty_graph(self):
         g = from_edges(0, [])
-        assert _first_forcing(g, g.edges, 0) == ((), 1)
-        assert first_forcing_subset(g, 1) == (None, 0)
+        assert _Exhaustion(g, g.edges).first(0) == ((), 1)
+        assert first_subset(g, 1) == (None, 0)
 
 
 def is_fort(g, fort):
@@ -138,7 +153,7 @@ class TestForts:
         for kind, items, combos, vertices in (
                 ("ef", g.edges, lambda k: matchings_of_size(g, k),
                  matching_endpoints),
-                ("zf", [(v,) for v in range(n)],
+                ("zf", vertex_items(g),
                  lambda k: itertools.combinations(range(n), k), set)):
             search = _Exhaustion(g, items)
             per_size[kind] = counts = {}
@@ -158,7 +173,10 @@ class TestForts:
             assert all(is_minimal_fort(g, vertex_set(f))
                        for f in search.forts)
             assert len(set(search.forts)) == len(search.forts)
-        assert exhaust_matchings(g)[1] == per_size["ef"]
+        assert first_matching(g, itertools.count(1))[1] == per_size["ef"]
+        verdict = min_edge_forcing(g)
+        if not verdict.exists:
+            assert verdict.matchings_tested_per_size == per_size["ef"]
         assert min_zero_forcing(g)[0] == max(per_size["zf"])
 
     @settings(max_examples=200, deadline=None)
@@ -274,7 +292,7 @@ class TestMinEdgeForcing:
         for _ in range(15):
             g = random_graph(rng, rng.randint(2, 6), 0.5)
             verdict = min_edge_forcing(g)
-            witness, counts = exhaust_matchings(g, 1)
+            witness, counts = first_matching(g, itertools.count(1))
             assert verdict.witness == witness
             if witness is None:
                 assert verdict.matchings_tested_per_size == counts
@@ -293,17 +311,30 @@ class TestMinEdgeForcing:
         with pytest.raises(InstanceTooLarge):
             min_edge_forcing(build_butterfly(3))
 
+    def test_one_fort_pool_for_both_passes(self, monkeypatch):
+        # BF(2) is searched from its lower bound 4, then sizes 1-3; the
+        # second pass reuses the forts of the first (31 harvests with a
+        # pool per pass)
+        add, forts = _Exhaustion.add, []
+        monkeypatch.setattr(_Exhaustion, "add",
+                            lambda self, fort: forts.append(fort)
+                            or add(self, fort))
+        verdict = min_edge_forcing(build_butterfly(2))
+        assert len(forts) == 20
+        assert verdict.matchings_tested_per_size == {1: 16, 2: 88, 3: 192,
+                                                     4: 136}
+
 
 class TestNoSmaller:
-    """exhaust_matchings(g, 1, k) finds no witness iff no matching of size
-    below k is edge-forcing."""
+    """Sizes 1 to k - 1 through one search find no witness iff no matching
+    of size below k is edge-forcing."""
 
     def test_vacuous(self):
-        assert exhaust_matchings(cycle_graph(4), 1, 1) == (None, {})
+        assert first_matching(cycle_graph(4), range(1, 1)) == (None, {})
 
     def test_k4(self):
-        assert exhaust_matchings(complete_graph(4), 1, 2)[0] is None
-        assert exhaust_matchings(complete_graph(4), 1, 3)[0] is not None
+        assert first_matching(complete_graph(4), range(1, 2))[0] is None
+        assert first_matching(complete_graph(4), range(1, 3))[0] is not None
 
     def test_monotone_failure_recount(self):
         # removing the largest-index edge never flips an all-fail verdict
@@ -311,12 +342,12 @@ class TestNoSmaller:
         for _ in range(10):
             g = random_graph(rng, rng.randint(3, 6), 0.6)
             k = 2
-            if exhaust_matchings(g, 1, k + 1)[0] is not None:
+            if first_matching(g, range(1, k + 1))[0] is not None:
                 continue
             if g.edge_count < 2:
                 continue
             reduced = from_edges(g.vertex_count, g.edges[:-1])
-            assert exhaust_matchings(reduced, 1, k + 1)[0] is None
+            assert first_matching(reduced, range(1, k + 1))[0] is None
             dropped = g.edges[-1]
             with_e = sum(1 for m in matchings_of_size(g, k) if dropped in m)
             without = sum(1 for _ in matchings_of_size(reduced, k))
