@@ -9,8 +9,10 @@ rule for every kind: it validates the fields the kind reads, refuses an
 exact claim (zf-number, ef-number, nonexistence) on a graph above the
 recorded search guard, rebuilds the certificate from its inputs with the
 same builder and compares kind, claim, graph, trace and witness.  So a
-zf-number or ef-number witness must be the solver's lex-first one.  The
-`search` block (`explored`, `seed`, ...) is provenance and is not compared.
+zf-number or ef-number witness must be the solver's lex-first one, and it
+must also force under the plain closure engine, which does not share the
+search's fort pruning.  The `search` block (`explored`, `seed`, ...) is
+provenance and is not compared.
 """
 
 from __future__ import annotations
@@ -206,7 +208,8 @@ def verify_certificate(doc: Union[str, dict, Certificate]
 
     Validates the fields its kind reads, applies the recorded search guard
     of an exact claim, rebuilds the certificate with the builder the CLI
-    used and compares kind, claim, graph, trace and witness.
+    used and compares kind, claim, graph, trace and witness.  A zf-number
+    or ef-number witness must also force under `engine.forces_all`.
     """
     c = doc if isinstance(doc, Certificate) else parse_certificate(doc)
     kind = c.kind
@@ -215,13 +218,14 @@ def verify_certificate(doc: Union[str, dict, Certificate]
     if kind in ("zf-number", "ef-number", "nonexistence"):
         require_vertex(g)
 
-    # the comparison below takes JSON true for 1, so types are checked here
+    # the comparison below takes JSON true for 1, so types are checked here;
+    # an exact claim's witness is also closed by the reference engine,
+    # which refuses a vertex outside [0, n) and prunes nothing
+    witness_forces = True
     if kind == "zf-number":
         require_field(c.claim, "value", int, "claim")
-        for v in _vertex_list(c.witness, "vertices", "witness"):
-            if not 0 <= v < g.vertex_count:
-                raise CertificateError(
-                    f"witness vertex {v} is not in [0, {g.vertex_count})")
+        witness_forces = is_zero_forcing_set(
+            g, _vertex_list(c.witness, "vertices", "witness"))
         max_n = _guard(c, "max_n", DEFAULT_MAX_VERTICES)
         if g.vertex_count > max_n:
             return False, "minimality re-verification limited to small graphs"
@@ -229,7 +233,7 @@ def verify_certificate(doc: Union[str, dict, Certificate]
     elif kind in ("ef-number", "nonexistence"):
         if kind == "ef-number":
             require_field(c.claim, "value", int, "claim")
-            _witness_edges(c.witness)
+            witness_forces = is_edge_forcing_set(g, _witness_edges(c.witness))
         else:
             require_field(c.claim, "matchings_tested_per_size", dict, "claim")
         max_edges = _guard(c, "max_edges", DEFAULT_MAX_EDGES)
@@ -267,6 +271,10 @@ def verify_certificate(doc: Union[str, dict, Certificate]
         return False, "trace recomputed differs from the certificate's"
     if rebuilt.witness != c.witness:
         return False, WITNESS_DIFFERS
+    if not witness_forces:
+        # the witness equals the solver's here, so only a closure without
+        # the search's fort pruning can catch a fault in that pruning
+        return False, "witness does not force under the reference closure"
     return True, f"{kind} certificate recomputed from its inputs"
 
 

@@ -25,6 +25,7 @@ from edgeforce.certificates import (MAX_GRAPH_VERTICES, CertificateError,
 from edgeforce.cli import main, to_dot
 from edgeforce.constructions import DEFAULT_SEED, construct_edge_forcing
 from edgeforce.graph import from_edges
+from edgeforce.solver import EdgeForcingVerdict
 
 from conftest import cycle_graph, path_graph
 
@@ -482,6 +483,29 @@ class TestCli:
         assert main(["verify", "--cert", str(cert)]) == 1
         out = json.loads(capsys.readouterr().out)
         assert out["verified"] is False and out["details"] == details
+
+    @pytest.mark.parametrize("kind", ["zf-number", "ef-number"])
+    def test_verify_closes_the_solver_witness(self, tmp_path, capsys,
+                                              monkeypatch, kind):
+        # a search that returned a non-forcing witness would rebuild the
+        # very certificate it emitted; the reference closure still refuses
+        if kind == "zf-number":
+            monkeypatch.setattr(certificates, "min_zero_forcing",
+                                lambda g, max_vertices: (1, frozenset({1})))
+            built = certificates.zf_number_certificate(cycle_graph(4), 24)
+        else:
+            monkeypatch.setattr(
+                certificates, "min_edge_forcing",
+                lambda g, max_edges: EdgeForcingVerdict(
+                    "exists", 1, frozenset({(0, 1)}), 1, 1, {1: 1}))
+            built = certificates.ef_number_certificate(parse_graph(K13), 40)
+        assert built.witness is not None
+        cert = tmp_path / "cert.json"
+        cert.write_text(emit_certificate(built))
+        assert main(["verify", "--cert", str(cert)]) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "verified": False,
+            "details": "witness does not force under the reference closure"}
 
     @pytest.mark.parametrize("command, text", [
         ("verify", "[]"),

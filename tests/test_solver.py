@@ -11,7 +11,6 @@ from edgeforce.engine import (forces_all, is_edge_forcing_set,
                               is_zero_forcing_set, matching_endpoints)
 from edgeforce.graph import from_edges, is_matching, matchings_of_size
 from edgeforce.constructions import structural_lower_bound
-from edgeforce.certificates import bf2_nonexistence_counts
 from edgeforce.kernels import run_closure
 from edgeforce.solver import (InstanceTooLarge, _Exhaustion, _minimal_fort,
                               min_edge_forcing, min_zero_forcing)
@@ -299,11 +298,15 @@ class TestMinEdgeForcing:
 
     def test_not_exists_counts_are_the_whole_exhaustion(self):
         star = from_edges(4, [(0, 1), (0, 2), (0, 3)])
+        # the star's three edges pairwise share the centre
+        assert min_edge_forcing(star).matchings_tested_per_size == {1: 3}
         for g in (star, build_butterfly(2)):
             verdict = min_edge_forcing(g)
             assert not verdict.exists
+            # one pass from size 1, where min_edge_forcing starts at the
+            # lower bound and fills in the sizes below it
             assert verdict.matchings_tested_per_size == \
-                bf2_nonexistence_counts(g)
+                first_matching(g, itertools.count(1))[1]
         # BF(2) searches from its lower bound 4; sizes 1-3 are filled in
         assert verdict.explored == 136
 
