@@ -15,9 +15,8 @@ from .constructions import (BoundsReport, ConstructionError,  # noqa: E402
                             structural_lower_bound)
 from .reduction import (ReductionMap, build_gbar, lift_zero_forcing,  # noqa: E402
                         normalize_and_project)
-from .certificates import (Certificate, bf2_nonexistence,  # noqa: E402
-                           emit_certificate, parse_certificate, parse_graph,
-                           verify_certificate)
+from .certificates import (Certificate, emit_certificate,  # noqa: E402
+                           parse_certificate, parse_graph, verify_certificate)
 
 __all__ = [
     "Graph", "GraphError", "from_edges", "is_matching", "matching_diagnostic",
@@ -31,6 +30,6 @@ __all__ = [
     "construct_edge_forcing", "find_obstructions", "known_bounds",
     "structural_lower_bound",
     "ReductionMap", "build_gbar", "lift_zero_forcing", "normalize_and_project",
-    "Certificate", "bf2_nonexistence", "emit_certificate", "parse_certificate",
-    "parse_graph", "verify_certificate",
+    "Certificate", "emit_certificate", "parse_certificate", "parse_graph",
+    "verify_certificate",
 ]

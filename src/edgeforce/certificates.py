@@ -4,15 +4,17 @@ A certificate carries everything needed to re-check its claim: the graph
 (inline or as a "butterfly:r" descriptor), the claimed value(s), the
 witness by canonical edge identity and by display label, and search
 metadata, including the guard an exact search ran under.  Each claim kind
-has one builder here, which the CLI emits.  ``verify_certificate`` has one
-rule for every kind: it validates the fields the kind reads, refuses an
-exact claim (zf-number, ef-number, nonexistence) on a graph above the
-recorded search guard, rebuilds the certificate from its inputs with the
-same builder and compares kind, claim, graph, trace and witness.  So a
-zf-number or ef-number witness must be the solver's lex-first one, and it
-must also force under the plain closure engine, which does not share the
-search's fort pruning.  The `search` block (`explored`, `seed`, ...) is
-provenance and is not compared.
+has one builder here, which the CLI emits; ef-number and nonexistence
+share `ef_number_certificate`, the one exact edge-forcing search.
+``verify_certificate`` has one rule for every kind: it validates the
+fields the kind reads, refuses an exact claim (zf-number, ef-number,
+nonexistence) on a graph above the recorded search guard, rebuilds the
+certificate from its inputs with the same builder and compares kind,
+claim, graph, trace and witness.  So a zf-number or ef-number witness
+must be the solver's lex-first one, and it must also force under the
+plain closure engine, which does not share the search's fort pruning.
+The `search` block (`explored`, `seed`, ...) is provenance and is not
+compared.
 """
 
 from __future__ import annotations
@@ -339,26 +341,15 @@ def ef_number_certificate(g: Graph, max_edges: int,
     search = {"explored": verdict.explored, "max_edges": max_edges,
               "max_matching_size_searched": verdict.max_matching_size_searched}
     if not verdict.exists:
-        return nonexistence_certificate(
-            graph, verdict.matchings_tested_per_size, search)
+        tested = {str(k): v for k, v in
+                  sorted(verdict.matchings_tested_per_size.items())}
+        return Certificate(kind="nonexistence", graph=graph, search=search,
+                           claim={"matchings_tested_per_size": tested,
+                                  "verdict": "not-exists"})
     return Certificate(kind="ef-number", graph=graph,
                        claim={"value": verdict.value},
                        witness=edge_witness(g, sorted(verdict.witness)),
                        search=search)
-
-
-def nonexistence_certificate(graph: Union[str, dict], counts: dict[int, int],
-                             search: Optional[dict] = None) -> Certificate:
-    tested = {str(k): v for k, v in sorted(counts.items())}
-    return Certificate(kind="nonexistence", graph=graph, search=search, claim={
-        "matchings_tested_per_size": tested, "verdict": "not-exists"})
-
-
-def bf2_nonexistence() -> Certificate:
-    """Exhaustive nonexistence certificate for BF(2)."""
-    counts = bf2_nonexistence_counts(build_butterfly(2))
-    return nonexistence_certificate("butterfly:2", counts, {
-        "mode": "exhaustive", "explored": sum(counts.values())})
 
 
 def reduction_certificate(g: Graph, graph: Union[str, dict, None] = None

@@ -14,13 +14,13 @@ import sys
 from typing import Iterable, Optional
 
 from .butterfly import ButterflyError, build_butterfly
-from .certificates import (CertificateError, bf2_nonexistence,
-                           bounds_certificate, closure_certificate,
-                           construction_certificate, efs_check_certificate,
-                           emit_certificate, ef_number_certificate,
-                           parse_edges, parse_graph, reduction_certificate,
-                           require_field, verify_certificate,
-                           zf_number_certificate, zfs_check_certificate)
+from .certificates import (CertificateError, bounds_certificate,
+                           closure_certificate, construction_certificate,
+                           efs_check_certificate, emit_certificate,
+                           ef_number_certificate, parse_edges, parse_graph,
+                           reduction_certificate, require_field,
+                           verify_certificate, zf_number_certificate,
+                           zfs_check_certificate)
 from .constructions import DEFAULT_SEED, ConstructionError, butterfly_witness
 from .graph import Edge, Graph
 from .reduction import build_gbar
@@ -88,7 +88,8 @@ def cmd_solve(args) -> int:
 
 def cmd_construct(args) -> int:
     if args.r == 2:
-        sys.stdout.write(emit_certificate(bf2_nonexistence()))
+        sys.stdout.write(emit_certificate(ef_number_certificate(
+            build_butterfly(2), DEFAULT_MAX_EDGES, "butterfly:2")))
         return 1
     g = build_butterfly(args.r)
     witness = butterfly_witness(g, args.r, seed=args.seed)

@@ -21,10 +21,12 @@ ConstructionError:
 
 * BF(3), BF(4), BF(5): a pattern-seeded search.  The skeleton (one edge
   per binding diamond) is fixed, then one seeded greedy completion over
-  middle-level edges is run to the size in `EXACT_VALUES` and verified.
-  Only those sizes are treated as ground truth; the witnesses are
-  recomputed, never hard-coded.  BF(3) needs no middle edge, so its
-  witness is the vertical plus the "cross_mix" horizontal skeleton.
+  middle-level edges is run to the size in `SEARCH_SIZES` and verified.
+  The witnesses are recomputed, never hard-coded.  Only BF(3)'s size is
+  proven least (it meets the obstruction bound 2^r); 25 and 47 are the
+  sizes these searches reach, upper bounds only.  BF(3) needs no middle
+  edge, so its witness is the vertical plus the "cross_mix" horizontal
+  skeleton.
 * BF(r), r >= 6: recursion.  The BF(r-2) witness is copied into the four
   sub-copies on levels 0..r-2 (`butterfly.subcopy_vertex`) and the
   "straight_low" horizontal skeleton is added; the result is verified by
@@ -45,7 +47,8 @@ from .engine import closure, is_edge_forcing_set, matching_endpoints
 from .graph import Edge, Graph, normalize_edge
 from .kernels import extend_closure
 
-EXACT_VALUES = {3: 8, 4: 25, 5: 47}
+# the witness size each seeded search completes to
+SEARCH_SIZES = {3: 8, 4: 25, 5: 47}
 
 # each seeded search's horizontal skeleton mode and the middle level pairs
 # its greedy completion draws edges from
@@ -221,7 +224,7 @@ def _recursive_witness(g: Graph, r: int, diamonds: list[Obstruction],
 def construct_edge_forcing(r: int, seed: int = DEFAULT_SEED) -> list[Edge]:
     """A verified edge-forcing matching of BF(r), r >= 3.
 
-    Sizes: `EXACT_VALUES` for r = 3, 4, 5; for r >= 6 the recursive set of
+    Sizes: `SEARCH_SIZES` for r = 3, 4, 5; for r >= 6 the recursive set of
     size u(r) = 4*u(r-2) + 2^(r-1), within the parity upper bound.  BF(r)
     is built once, before the recursion, so a dimension above the
     butterfly guard fails at once; each level verifies its own witness.
@@ -243,7 +246,7 @@ def butterfly_witness(g: Graph, r: int, seed: int = DEFAULT_SEED) -> list[Edge]:
     _require_dimension(r)
     diamonds = find_obstructions(g)
     if r in _SEARCHES:
-        return _seeded_search(g, r, diamonds, EXACT_VALUES[r], *_SEARCHES[r],
+        return _seeded_search(g, r, diamonds, SEARCH_SIZES[r], *_SEARCHES[r],
                               seed)
     return _recursive_witness(g, r, diamonds, seed)
 
@@ -260,7 +263,6 @@ class BoundsReport:
     exact: Optional[int]
     upper_formula: Optional[int]
     upper_recursive: Optional[int]
-    conjectured_exact: Optional[int]
     zero_forcing_upper_reference: int
 
 
@@ -271,9 +273,9 @@ def _upper_formula(r: int) -> int:
 
 
 def recursive_upper(r: int) -> int:
-    """u(r) = 4*u(r-2) + 2^(r-1), seeded with the exact values for r=3,4,5."""
-    if r in EXACT_VALUES:
-        return EXACT_VALUES[r]
+    """u(r) = 4*u(r-2) + 2^(r-1), seeded with the witness sizes for r=3,4,5."""
+    if r in SEARCH_SIZES:
+        return SEARCH_SIZES[r]
     return 4 * recursive_upper(r - 2) + (1 << (r - 1))
 
 
@@ -283,20 +285,22 @@ def zero_forcing_upper_reference(r: int) -> int:
 
 
 def known_bounds(r: int) -> BoundsReport:
-    """Edge-forcing bounds ledger for BF(r), 2 <= r <= MAX_DIMENSION."""
+    """Edge-forcing bounds for BF(r), 2 <= r <= MAX_DIMENSION, each proven
+    here: `lower` is the 2^r edge-disjoint binding diamonds
+    (`structural_lower_bound`), `upper_recursive` the size of the witness
+    `construct_edge_forcing` verifies, `upper_formula` a closed form no
+    smaller, and `exact` is set only where `lower` meets `upper_recursive`,
+    which is r = 3 alone.  `zero_forcing_upper_reference` is cited."""
     if not 2 <= r <= MAX_DIMENSION:
         raise ButterflyError(f"bounds need 2 <= r <= {MAX_DIMENSION}, got {r}")
     if r == 2:
         return BoundsReport(r=2, exists=False, lower=None, exact=None,
                             upper_formula=None, upper_recursive=None,
-                            conjectured_exact=None,
                             zero_forcing_upper_reference=zero_forcing_upper_reference(2))
-    lower = EXACT_VALUES.get(r, 1 << r)
-    exact = EXACT_VALUES.get(r)
-    upper_rec = recursive_upper(r)
+    lower, upper_rec = 1 << r, recursive_upper(r)
     return BoundsReport(
-        r=r, exists=True, lower=lower, exact=exact,
+        r=r, exists=True, lower=lower,
+        exact=lower if lower == upper_rec else None,
         upper_formula=_upper_formula(r),
         upper_recursive=upper_rec,
-        conjectured_exact=upper_rec if r >= 6 else None,
         zero_forcing_upper_reference=zero_forcing_upper_reference(r))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Optional, Sequence
 
@@ -21,30 +21,36 @@ class InstanceTooLarge(RuntimeError):
 
 @dataclass(frozen=True)
 class EdgeForcingVerdict:
-    """Outcome of the exact edge-forcing search.
+    """Outcome of the exact edge-forcing search: what it found, and nothing
+    derived.
 
-    kind is "exists" (with optimal value and a witness) or "not-exists"
-    (no matching of any size forces; max_matching_size_searched documents
-    how far the exhaustion went).  `explored` counts the candidate
-    matchings the search tested, from the lower bound up.
-    `matchings_tested_per_size` maps each size to its count of matchings
-    tested; for a not-exists verdict it covers every size from 1, the
-    sizes below the lower bound included, so it is the whole exhaustion.
-    A matching counts as tested whether its closure ran or a fort ruled
-    it out unclosed, so both counts are those of a search that closes
-    every matching in turn.
+    `witness` is the lex-first forcing matching of least size, or None when
+    no matching of any size forces.  `matchings_tested_per_size` maps each
+    size searched, from 1 up, to its count of matchings tested: up to the
+    witness's size when one forces, every size that has a matching when
+    none does.  A matching counts as tested whether its closure ran or a
+    fort ruled it out unclosed, so the counts are those of a search that
+    closes every matching in turn.  Everything else is read off these two.
     """
 
-    kind: str
-    value: Optional[int] = None
-    witness: Optional[frozenset[Edge]] = None
-    max_matching_size_searched: int = 0
-    explored: int = 0
-    matchings_tested_per_size: dict[int, int] = field(default_factory=dict)
+    witness: Optional[frozenset[Edge]]
+    matchings_tested_per_size: dict[int, int]
 
     @property
     def exists(self) -> bool:
-        return self.kind == "exists"
+        return self.witness is not None
+
+    @property
+    def value(self) -> Optional[int]:
+        return None if self.witness is None else len(self.witness)
+
+    @property
+    def explored(self) -> int:
+        return sum(self.matchings_tested_per_size.values())
+
+    @property
+    def max_matching_size_searched(self) -> int:
+        return max(self.matchings_tested_per_size, default=0)
 
 
 def require_vertex(g: Graph) -> None:
@@ -72,9 +78,10 @@ class _Exhaustion:
     no vertex outside F has exactly one neighbor in F; a fort disjoint
     from S stays disjoint from cl(S), so every forcing set meets every
     fort (Fast & Hicks 2018).  `forts` holds minimal forts of g as vertex
-    bitmasks: each leaf whose closure leaves a vertex white adds one, for
-    this size and the later ones.  Call a fort unhit when no chosen item
-    touches it.  The search skips
+    bitmasks: the caller may seed it through `add`, and each leaf whose
+    closure leaves a vertex white adds one, for this size and the later
+    ones.  Call a fort unhit when no chosen item touches it.  The search
+    skips
     - the rest of a loop once an unhit fort meets no later item;
     - the kernel call of a leaf whose item misses an unhit fort;
     - a node where more unhit forts than items still to choose meet
@@ -300,32 +307,21 @@ def min_edge_forcing(g: Graph,
                      max_edges: int = DEFAULT_MAX_EDGES) -> EdgeForcingVerdict:
     """Exact edge-forcing number, or NotExists after full exhaustion.
 
-    k starts at the obstruction lower bound, since smaller matchings
-    provably fail.  A not-exists verdict also counts the matchings below
-    that bound, so its per-size counts cover the whole exhaustion.
+    One search from size 1 up.  The blocked pair of each obstruction in
+    `structural_lower_bound`'s family is a fort, and the family's cycles
+    are edge-disjoint, so those forts seed the pool with disjoint covers:
+    every size below the bound is ruled out at the root and counted in
+    closed form.
     """
     require_vertex(g)
     if g.edge_count > max_edges:
         raise InstanceTooLarge(
             f"{g.edge_count} edges exceed the exhaustive-search guard "
             f"{max_edges}; raise max_edges explicitly to proceed")
-    bound, _ = structural_lower_bound(g)
-    start = max(1, bound)
     search = _Exhaustion(g, g.edges)
-    found, counts = search.first_over(itertools.count(start))
-    explored = sum(counts.values())
-    if found is not None:
-        return EdgeForcingVerdict(
-            kind="exists", value=len(found), witness=frozenset(found),
-            max_matching_size_searched=len(found), explored=explored,
-            matchings_tested_per_size=counts)
-    # the same pool again: the forts found above prune the smaller sizes
-    below, below_counts = search.first_over(range(1, start))
-    if below is not None:
-        raise AssertionError(
-            f"matching {sorted(below)} forces below the lower bound {bound}")
+    for o in structural_lower_bound(g)[1]:
+        x, y = o.blocked_pair
+        search.add(1 << x | 1 << y)
+    found, counts = search.first_over(itertools.count(1))
     return EdgeForcingVerdict(
-        kind="not-exists",
-        max_matching_size_searched=max(counts, default=start - 1),
-        explored=explored,
-        matchings_tested_per_size={**below_counts, **counts})
+        None if found is None else frozenset(found), counts)

@@ -262,20 +262,30 @@ class TestBounds:
         assert (b.lower, b.exact, b.upper_formula) == (8, 8, 8)
 
     def test_r4_cited_lower(self):
+        # the paper's 25 is the witness size, not a proven lower bound
         b = known_bounds(4)
-        assert (b.lower, b.exact, b.upper_formula) == (25, 25, 32)
+        assert (b.lower, b.exact, b.upper_formula, b.upper_recursive) == \
+            (16, None, 32, 25)
 
     def test_r5(self):
+        # 47 is refuted as a minimum: 44 of the constructed edges force
         b = known_bounds(5)
         assert (b.lower, b.exact, b.upper_formula, b.upper_recursive) == \
-            (47, 47, 48, 47)
+            (32, None, 48, 47)
 
     def test_r7_recursion_from_exact(self):
         b = known_bounds(7)
-        assert b.lower == 128
-        assert b.upper_formula == 256
+        assert (b.lower, b.exact, b.upper_formula) == (128, None, 256)
         assert b.upper_recursive == 4 * 47 + 64 == 252
-        assert b.conjectured_exact == 252
+        assert not hasattr(b, "conjectured_exact")
+
+    @pytest.mark.parametrize("r", range(3, 9))
+    def test_lower_is_the_diamond_packing(self, r):
+        b = known_bounds(r)
+        assert b.lower == structural_lower_bound(build_butterfly(r))[0] \
+            == 2 ** r
+        # exact only where the packing meets the recursive witness size
+        assert (b.exact is not None) == (r == 3)
 
     def test_r2_encodes_nonexistence(self):
         b = known_bounds(2)

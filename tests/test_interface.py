@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from edgeforce import certificates, cli, constructions
 from edgeforce.butterfly import build_butterfly
 from edgeforce.certificates import (MAX_GRAPH_VERTICES, CertificateError,
-                                    bf2_nonexistence,
                                     bounds_certificate,
                                     construction_certificate, edge_witness,
                                     emit_certificate, parse_certificate,
@@ -25,7 +24,7 @@ from edgeforce.certificates import (MAX_GRAPH_VERTICES, CertificateError,
 from edgeforce.cli import main, to_dot
 from edgeforce.constructions import DEFAULT_SEED, construct_edge_forcing
 from edgeforce.graph import from_edges
-from edgeforce.solver import EdgeForcingVerdict
+from edgeforce.solver import DEFAULT_MAX_EDGES, EdgeForcingVerdict
 
 from conftest import cycle_graph, path_graph
 
@@ -142,7 +141,8 @@ class TestCertificates:
         assert built == []
 
     def test_bf2_nonexistence_verifies(self):
-        ok, details = verify_certificate(bf2_nonexistence())
+        ok, details = verify_certificate(certificates.ef_number_certificate(
+            build_butterfly(2), DEFAULT_MAX_EDGES, "butterfly:2"))
         assert ok, details
 
     def test_schema_mismatch(self):
@@ -255,6 +255,22 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["kind"] == "nonexistence"
 
+    def test_construct_r2_is_solve_ef_of_bf2(self, tmp_path, capsys):
+        # one nonexistence builder: the two commands differ only in how
+        # they name the graph
+        assert main(["generate", "butterfly", "--r", "2"]) == 0
+        path = tmp_path / "bf2.json"
+        path.write_text(capsys.readouterr().out)
+        code, solved = run_json(capsys, ["solve", "ef", "--graph", path])
+        assert code == 1
+        code, constructed = run_json(capsys, ["construct", "--r", "2"])
+        assert code == 1
+        assert constructed.pop("graph") == "butterfly:2"
+        assert solved.pop("graph") == build_butterfly(2).to_json_dict()
+        assert constructed == solved
+        assert solved["search"] == {"explored": 432, "max_edges": 40,
+                                    "max_matching_size_searched": 4}
+
     def test_construct_r3_verifiable(self, tmp_path, capsys):
         assert main(["construct", "--r", "3"]) == 0
         cert = tmp_path / "c.json"
@@ -345,7 +361,10 @@ class TestCli:
     def test_bounds(self, capsys):
         assert main(["bounds", "--r", "5"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["claim"]["exact"] == 47
+        # only what is proven: the diamond packing below, 47 above
+        claim = doc["claim"]
+        assert (claim["lower"], claim["exact"], claim["upper_recursive"]) \
+            == (32, None, 47)
 
     def test_reduce_verify(self, tmp_path, capsys):
         path = write_graph(tmp_path, path_graph(3))
@@ -497,7 +516,7 @@ class TestCli:
             monkeypatch.setattr(
                 certificates, "min_edge_forcing",
                 lambda g, max_edges: EdgeForcingVerdict(
-                    "exists", 1, frozenset({(0, 1)}), 1, 1, {1: 1}))
+                    frozenset({(0, 1)}), {1: 1}))
             built = certificates.ef_number_certificate(parse_graph(K13), 40)
         assert built.witness is not None
         cert = tmp_path / "cert.json"

@@ -50,7 +50,7 @@ def first_subset(g, k):
 
 def first_matching(g, sizes):
     """(first forcing matching or None, tested per size) over `sizes`,
-    through one search, as min_edge_forcing runs it."""
+    through one search with no seeded fort."""
     found, counts = _Exhaustion(g, g.edges).first_over(sizes)
     return None if found is None else frozenset(found), counts
 
@@ -293,8 +293,7 @@ class TestMinEdgeForcing:
             verdict = min_edge_forcing(g)
             witness, counts = first_matching(g, itertools.count(1))
             assert verdict.witness == witness
-            if witness is None:
-                assert verdict.matchings_tested_per_size == counts
+            assert verdict.matchings_tested_per_size == counts
 
     def test_not_exists_counts_are_the_whole_exhaustion(self):
         star = from_edges(4, [(0, 1), (0, 2), (0, 3)])
@@ -303,27 +302,47 @@ class TestMinEdgeForcing:
         for g in (star, build_butterfly(2)):
             verdict = min_edge_forcing(g)
             assert not verdict.exists
-            # one pass from size 1, where min_edge_forcing starts at the
-            # lower bound and fills in the sizes below it
+            # the seeded obstruction forts change no count
             assert verdict.matchings_tested_per_size == \
                 first_matching(g, itertools.count(1))[1]
-        # BF(2) searches from its lower bound 4; sizes 1-3 are filled in
-        assert verdict.explored == 136
+        # every size of BF(2), the three below its lower bound 4 included
+        assert verdict.explored == 16 + 88 + 192 + 136 == 432
+
+    @pytest.mark.parametrize("edges, exists, counts", [
+        # K_{2,6}: fifteen obstructions on one hub pair, three disjoint
+        ([(i, j) for i in range(2) for j in range(2, 8)], False,
+         {1: 12, 2: 30}),
+        # two disjoint C4s: each is an obstruction, so the bound is 2
+        ([(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (6, 7), (4, 7)],
+         True, {1: 8, 2: 2}),
+    ])
+    def test_explored_is_the_sum_of_the_counts(self, edges, exists, counts):
+        # sizes below the lower bound are counted like any other, for both
+        # verdicts, so `explored` has one meaning
+        g = from_edges(1 + max(map(max, edges)), edges)
+        verdict = min_edge_forcing(g)
+        assert verdict.exists == exists
+        assert verdict.matchings_tested_per_size == counts
+        assert verdict.explored == sum(counts.values())
+        assert verdict.max_matching_size_searched == max(counts)
 
     def test_guard(self):
         with pytest.raises(InstanceTooLarge):
             min_edge_forcing(build_butterfly(3))
 
     def test_one_fort_pool_for_both_passes(self, monkeypatch):
-        # BF(2) is searched from its lower bound 4, then sizes 1-3; the
-        # second pass reuses the forts of the first (31 harvests with a
-        # pool per pass)
+        # BF(2)'s 4 obstruction forts seed the pool, which rules out sizes
+        # 1-3 at the root; the search harvests 16 more
         add, forts = _Exhaustion.add, []
         monkeypatch.setattr(_Exhaustion, "add",
                             lambda self, fort: forts.append(fort)
                             or add(self, fort))
-        verdict = min_edge_forcing(build_butterfly(2))
+        g = build_butterfly(2)
+        verdict = min_edge_forcing(g)
         assert len(forts) == 20
+        assert forts[:4] == [1 << x | 1 << y for x, y in (
+            o.blocked_pair for o in structural_lower_bound(g)[1])]
+        assert all(is_minimal_fort(g, vertex_set(f)) for f in forts)
         assert verdict.matchings_tested_per_size == {1: 16, 2: 88, 3: 192,
                                                      4: 136}
 
