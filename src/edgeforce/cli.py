@@ -87,11 +87,12 @@ def cmd_solve(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    if args.r == 2:
-        sys.stdout.write(emit_certificate(ef_number_certificate(
-            build_butterfly(2), DEFAULT_MAX_EDGES, "butterfly:2")))
-        return 1
     g = build_butterfly(args.r)
+    if args.r == 2:
+        # BF(2) has no edge-forcing set: exit 1, with nothing to highlight
+        sys.stdout.write(to_dot(g) if args.dot else emit_certificate(
+            ef_number_certificate(g, DEFAULT_MAX_EDGES, "butterfly:2")))
+        return 1
     witness = butterfly_witness(g, args.r, seed=args.seed)
     if args.dot:
         sys.stdout.write(to_dot(g, highlight=witness))

@@ -92,28 +92,6 @@ def closure(g: Graph, initial: Iterable[int]) -> ClosureResult:
     return ClosureResult(frozenset(black), init, tuple(events))
 
 
-def closure_sequential(g: Graph, initial: Iterable[int],
-                       rng=None) -> frozenset[int]:
-    """One-force-at-a-time closure, optionally in random order.
-
-    Independent of the kernels; used as the schedule-independence oracle.
-    """
-    black = set(initial)
-    while True:
-        candidates = []
-        for v in black:
-            whites = [u for u in g.adjacency[v] if u not in black]
-            if len(whites) == 1:
-                candidates.append((v, whites[0]))
-        if not candidates:
-            return frozenset(black)
-        if rng is None:
-            v, w = min(candidates)
-        else:
-            v, w = candidates[rng.randrange(len(candidates))]
-        black.add(w)
-
-
 def is_zero_forcing_set(g: Graph, t: Iterable[int]) -> bool:
     """True iff the closure of t is the whole vertex set."""
     return forces_all(g, t)

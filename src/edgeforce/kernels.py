@@ -24,12 +24,12 @@ in a bytearray and a list, so a call does no numpy work until
 `run_closure` packs its three event lists as int32 arrays: exhaustive
 searches test tens of thousands of candidates on graphs of a few dozen
 vertices, where fixed per-call setup would dominate.  This is the one
-module of the package that imports numpy.
+module of the package that imports numpy, and it does so inside
+`run_closure`: importing the package, and every command that packs no
+events, never loads numpy, which is most of a process's start-up.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 
 def backend_name() -> str:
@@ -82,6 +82,8 @@ def run_closure(graph, vertices):
     the kernel's 0/1 bytearray of length vertex_count, and the events as
     int32 arrays, sorted by round then forcer.
     """
+    import numpy as np
+
     adj = graph.adjacency
     final = bytearray(len(adj))
     events = extend_closure(adj, final, [len(a) for a in adj], vertices)

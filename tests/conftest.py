@@ -46,6 +46,27 @@ def reference_closure(g: Graph, initial) -> tuple[set[int], list[tuple]]:
         black |= claimed.keys()
 
 
+def closure_sequential(g: Graph, initial, rng=None) -> frozenset[int]:
+    """One-force-at-a-time closure, optionally in random order.
+
+    Independent of the kernel; the schedule-independence oracle.
+    """
+    black = set(initial)
+    while True:
+        candidates = []
+        for v in black:
+            whites = [u for u in g.adjacency[v] if u not in black]
+            if len(whites) == 1:
+                candidates.append((v, whites[0]))
+        if not candidates:
+            return frozenset(black)
+        if rng is None:
+            v, w = min(candidates)
+        else:
+            v, w = candidates[rng.randrange(len(candidates))]
+        black.add(w)
+
+
 def max_edge_disjoint(family) -> int:
     """Size of a largest pairwise edge-disjoint subfamily, by brute force.
 

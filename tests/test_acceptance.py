@@ -11,14 +11,15 @@ import time
 from edgeforce.butterfly import build_butterfly, vertex_coord, vertex_index
 from edgeforce.constructions import (construct_edge_forcing, find_obstructions,
                                      known_bounds, structural_lower_bound)
-from edgeforce.engine import (closure, closure_sequential, is_edge_forcing_set,
-                              is_zero_forcing_set, matching_endpoints)
+from edgeforce.engine import (closure, is_edge_forcing_set, is_zero_forcing_set,
+                              matching_endpoints)
 from edgeforce.graph import from_edges, is_matching, normalize_edge
 from edgeforce.reduction import (build_gbar, lift_zero_forcing,
                                  normalize_and_project)
 from edgeforce.solver import min_edge_forcing, min_zero_forcing
 
-from conftest import complete_graph, cycle_graph, path_graph, random_graph
+from conftest import (closure_sequential, complete_graph, cycle_graph,
+                      path_graph, random_graph)
 
 
 def report(number, label, elapsed, limit, ok):

@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 
 from edgeforce.butterfly import build_butterfly
 from edgeforce.constructions import construct_edge_forcing
-from edgeforce.engine import (closure, closure_sequential, forces_all,
-                              is_edge_forcing_set, is_zero_forcing_set,
-                              matching_endpoints)
+from edgeforce.engine import (closure, forces_all, is_edge_forcing_set,
+                              is_zero_forcing_set, matching_endpoints)
 from edgeforce.graph import from_edges
 from edgeforce.kernels import extend_closure, run_closure
 
-from conftest import (complete_graph, cycle_graph, path_graph, random_graph,
-                      reference_closure)
+from conftest import (closure_sequential, complete_graph, cycle_graph,
+                      path_graph, random_graph, reference_closure)
 
 
 class TestClosure:

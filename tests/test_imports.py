@@ -1,5 +1,8 @@
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -72,3 +75,53 @@ def test_only_outside_input_is_validated():
     users = [p.name for p in sorted(SRC.glob("*.py")) if "from_edges"
              in referenced_names(p.read_text(encoding="utf-8"))]
     assert users == ["__init__.py", "certificates.py", "graph.py"]
+
+
+C5 = '{"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]]}'
+
+RUN_CLI = """
+import contextlib, io, sys
+from edgeforce.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, "numpy" in sys.modules)
+"""
+
+
+def fresh_python(code: str, *args: str) -> str:
+    """Stdout of `code` run in a new interpreter that imports the package
+    from this checkout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
+@pytest.fixture
+def c5(tmp_path):
+    path = tmp_path / "c5.json"
+    path.write_text(C5)
+    return str(path)
+
+
+def test_import_loads_no_numpy():
+    assert fresh_python("import sys, edgeforce\n"
+                        "print('numpy' in sys.modules)") == "False"
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--r", "3"],
+    ["generate", "butterfly", "--r", "3"],
+    ["solve", "zf", "--graph", "{c5}"],
+    ["solve", "ef", "--graph", "{c5}"],
+], ids=" ".join)
+def test_commands_that_pack_no_events_load_no_numpy(c5, argv):
+    argv = [a.format(c5=c5) for a in argv]
+    assert fresh_python(RUN_CLI, *argv) == "0 False"
+
+
+def test_closure_loads_numpy(c5):
+    # the boundary: the kernel packs a closure's events as numpy arrays
+    assert fresh_python(RUN_CLI, "closure", "--graph", c5,
+                        "--black", "0,1") == "0 True"

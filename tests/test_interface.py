@@ -255,6 +255,13 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["kind"] == "nonexistence"
 
+    def test_construct_r2_dot(self, capsys):
+        # BF(2) has no edge-forcing set, so no edge is highlighted
+        assert main(["construct", "--r", "2", "--dot"]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("graph G {")
+        assert "color=red" not in out
+
     def test_construct_r2_is_solve_ef_of_bf2(self, tmp_path, capsys):
         # one nonexistence builder: the two commands differ only in how
         # they name the graph
