@@ -6,21 +6,36 @@ witness by canonical edge identity and by display label, and search
 metadata, including the guard an exact search ran under.  Each claim kind
 has one builder here, which the CLI emits; ef-number and nonexistence
 share `ef_number_certificate`, the one exact edge-forcing search.
+
+The exact builders (zf-number, ef-number, nonexistence and
+reduction-equivalence) also write the forts their searches harvested, as
+ascending vertex lists in harvest order: `search.forts`, and for a
+reduction `search.lifted_forts` of the lifted graph.  Every forcing set
+meets every fort (Fast & Hicks 2018), so a fort list is the lower side of
+a forcing number (the fort cover of Brimkov, Fast & Hicks 2019); seeded
+with it, a search rules out every combination the first search closed in
+vain without closing it again.
+
 ``verify_certificate`` has one rule for every kind: it validates the
 fields the kind reads, refuses an exact claim (zf-number, ef-number,
-nonexistence) on a graph above the recorded search guard, rebuilds the
-certificate from its inputs with the same builder and compares kind,
-claim, graph, trace and witness.  So a zf-number or ef-number witness
-must be the solver's lex-first one, and it must also force under the
-plain closure engine, which does not share the search's fort pruning.
-The `search` block (`explored`, `seed`, ...) is provenance and is not
-compared.
+nonexistence) on a graph above the recorded search guard, checks each
+listed fort with bit masks (non-empty, strictly ascending, inside
+[0, n), and no vertex outside it with exactly one neighbor in it),
+rebuilds the certificate from its inputs with the same builder, seeded
+with those forts, and compares kind, claim, graph, trace and witness.  A
+valid fort never rules out a forcing set and the per-size counts are
+computed in closed form, so the seeds change none of these.  A zf-number
+or ef-number witness must be the solver's lex-first one, and it must
+also force under the plain closure engine, which does not share the
+search's fort pruning.  The rest of the `search` block (`explored`,
+`seed`, ...) is provenance and is not compared.
 """
 
 from __future__ import annotations
 
 import bisect
 import json
+import re
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Iterable, Optional, Union
 
@@ -29,7 +44,7 @@ from .butterfly import MAX_DIMENSION, build_butterfly
 from .constructions import known_bounds
 from .engine import closure, is_edge_forcing_set, is_zero_forcing_set
 from .graph import Edge, Graph, GraphError, from_edges, normalize_edge
-from .reduction import solve_equivalence
+from .reduction import build_gbar, solve_equivalence
 from .solver import (DEFAULT_MAX_EDGES, DEFAULT_MAX_VERTICES, min_edge_forcing,
                      min_zero_forcing, require_vertex)
 
@@ -104,9 +119,12 @@ def parse_graph(text: Union[str, dict]) -> Graph:
 
 
 def resolve_graph(descriptor: Union[str, dict]) -> Graph:
+    """The graph of a certificate's `graph` field: a graph document, or
+    the canonical descriptor "butterfly:r" with r in plain decimal."""
     if isinstance(descriptor, str):
-        if descriptor.startswith("butterfly:"):
-            return build_butterfly(int(descriptor.split(":", 1)[1]))
+        found = re.fullmatch(r"butterfly:(0|[1-9][0-9]*)", descriptor)
+        if found:
+            return build_butterfly(int(found[1]))
         raise CertificateError(f"unknown graph descriptor {descriptor!r}")
     return parse_graph(descriptor)
 
@@ -183,6 +201,8 @@ def parse_certificate(doc: Union[str, dict]) -> Certificate:
         raise CertificateError('certificate needs a "graph" field')
     if not isinstance(doc.get("claim", {}), dict):
         raise CertificateError('certificate field "claim" must be an object')
+    if doc.get("search") is not None and not isinstance(doc["search"], dict):
+        raise CertificateError('certificate field "search" must be an object')
     return Certificate(
         kind=kind, graph=doc["graph"], claim=doc.get("claim", {}),
         witness=doc.get("witness"), trace=doc.get("trace"),
@@ -198,10 +218,46 @@ def parse_certificate(doc: Union[str, dict]) -> Certificate:
 WITNESS_DIFFERS = "witness recomputed differs from the certificate's"
 
 
-def _guard(c: Certificate, key: str, default: int) -> int:
+def _guard(search: dict, key: str, default: int) -> int:
     """The search guard recorded as search[key], else the solver default."""
-    search = c.search if isinstance(c.search, dict) else {}
     return require_field(search, key, int, "search") if key in search else default
+
+
+def _listed_forts(search: dict, key: str, g: Graph
+                  ) -> tuple[list[list[int]], Optional[str]]:
+    """The forts of g listed as search[key] (none when absent), and why
+    the first entry that is not a fort fails, else None.
+
+    CertificateError unless the field is a list of integer lists.  An
+    entry must be non-empty, strictly ascending and inside [0, n), and no
+    vertex outside it may have exactly one neighbor in it; the check uses
+    bit masks and runs no closure.
+    """
+    forts = require_field(search, key, list, "search") if key in search else []
+    for i, fort in enumerate(forts):
+        if not (isinstance(fort, list) and all(map(_is_int, fort))):
+            raise CertificateError(
+                f'search field "{key}" must hold integer lists, '
+                f'entry {i} does not')
+    adj = g.adjacency
+    for i, fort in enumerate(forts):
+        where = f"search.{key}[{i}] is not a fort:"
+        if not fort:
+            return forts, f"{where} it is empty"
+        if any(a >= b for a, b in zip(fort, fort[1:])):
+            return forts, f"{where} it is not strictly ascending"
+        if fort[0] < 0 or fort[-1] >= g.vertex_count:
+            return forts, f"{where} it leaves [0, {g.vertex_count})"
+        inside = once = twice = 0
+        for v in fort:
+            inside |= 1 << v
+            nbr = sum(1 << w for w in adj[v])
+            twice |= once & nbr
+            once |= nbr
+        if once & ~twice & ~inside:
+            return forts, (f"{where} a vertex outside it has exactly one "
+                           f"neighbor in it")
+    return forts, None
 
 
 def verify_certificate(doc: Union[str, dict, Certificate]
@@ -214,7 +270,7 @@ def verify_certificate(doc: Union[str, dict, Certificate]
     or ef-number witness must also force under `engine.forces_all`.
     """
     c = doc if isinstance(doc, Certificate) else parse_certificate(doc)
-    kind = c.kind
+    kind, search = c.kind, c.search or {}
     # a bounds certificate is rebuilt from claim.r alone, graph field included
     g = None if kind == "bounds" else resolve_graph(c.graph)
     if kind in ("zf-number", "ef-number", "nonexistence"):
@@ -228,21 +284,27 @@ def verify_certificate(doc: Union[str, dict, Certificate]
         require_field(c.claim, "value", int, "claim")
         witness_forces = is_zero_forcing_set(
             g, _vertex_list(c.witness, "vertices", "witness"))
-        max_n = _guard(c, "max_n", DEFAULT_MAX_VERTICES)
+        max_n = _guard(search, "max_n", DEFAULT_MAX_VERTICES)
         if g.vertex_count > max_n:
             return False, "minimality re-verification limited to small graphs"
-        rebuilt = zf_number_certificate(g, max_n, c.graph)
+        forts, fault = _listed_forts(search, "forts", g)
+        if fault:
+            return False, fault
+        rebuilt = zf_number_certificate(g, max_n, c.graph, forts)
     elif kind in ("ef-number", "nonexistence"):
         if kind == "ef-number":
             require_field(c.claim, "value", int, "claim")
             witness_forces = is_edge_forcing_set(g, _witness_edges(c.witness))
         else:
             require_field(c.claim, "matchings_tested_per_size", dict, "claim")
-        max_edges = _guard(c, "max_edges", DEFAULT_MAX_EDGES)
+        max_edges = _guard(search, "max_edges", DEFAULT_MAX_EDGES)
         if g.edge_count > max_edges:
             what = "minimality" if kind == "ef-number" else "nonexistence"
             return False, f"{what} re-verification limited to small graphs"
-        rebuilt = ef_number_certificate(g, max_edges, c.graph)
+        forts, fault = _listed_forts(search, "forts", g)
+        if fault:
+            return False, fault
+        rebuilt = ef_number_certificate(g, max_edges, c.graph, forts)
     elif kind == "closure":
         rebuilt = closure_certificate(
             g, _vertex_list(c.claim, "initial", "claim"), c.graph)
@@ -252,13 +314,18 @@ def verify_certificate(doc: Union[str, dict, Certificate]
     elif kind == "efs-check":
         edges = _witness_edges(c.witness)
         rebuilt = efs_check_certificate(g, edges, c.graph)
-        if isinstance(c.search, dict) and c.search.get("mode") == "construction":
+        if search.get("mode") == "construction":
             # construction_certificate's edge_witness record, from g
             rebuilt = replace(rebuilt, witness=edge_witness(g, edges))
     elif kind == "bounds":
         rebuilt = bounds_certificate(require_field(c.claim, "r", int, "claim"))
     elif kind == "reduction-equivalence":
-        rebuilt = reduction_certificate(g, c.graph)
+        forts, fault = _listed_forts(search, "forts", g)
+        lifted_forts, lifted_fault = _listed_forts(
+            search, "lifted_forts", build_gbar(g).lifted)
+        if fault or lifted_fault:
+            return False, fault or lifted_fault
+        rebuilt = reduction_certificate(g, c.graph, forts, lifted_forts)
     else:
         return False, f"unknown claim kind {kind!r}"
     if rebuilt.kind != kind:
@@ -325,20 +392,29 @@ def efs_check_certificate(g: Graph, edges: list[Edge],
 
 
 def zf_number_certificate(g: Graph, max_n: int,
-                          graph: Union[str, dict, None] = None) -> Certificate:
-    value, witness = min_zero_forcing(g, max_vertices=max_n)
+                          graph: Union[str, dict, None] = None,
+                          forts: Iterable[list[int]] = ()) -> Certificate:
+    """The zf-number certificate; `forts` (checked forts of g) seed the
+    search, and `search.forts` lists them and the search's harvest."""
+    forts = list(forts)
+    value, witness = min_zero_forcing(g, max_vertices=max_n, forts=forts)
     return Certificate(kind="zf-number",
                        graph=g.to_json_dict() if graph is None else graph,
-                       claim={"value": value}, search={"max_n": max_n},
+                       claim={"value": value},
+                       search={"forts": forts, "max_n": max_n},
                        witness=vertex_witness(g, witness))
 
 
 def ef_number_certificate(g: Graph, max_edges: int,
-                          graph: Union[str, dict, None] = None) -> Certificate:
-    """The ef-number certificate, or nonexistence when no matching forces."""
-    verdict = min_edge_forcing(g, max_edges=max_edges)
+                          graph: Union[str, dict, None] = None,
+                          forts: Iterable[list[int]] = ()) -> Certificate:
+    """The ef-number certificate, or nonexistence when no matching forces;
+    `forts` as in `zf_number_certificate`."""
+    forts = list(forts)
+    verdict = min_edge_forcing(g, max_edges=max_edges, forts=forts)
     graph = g.to_json_dict() if graph is None else graph
-    search = {"explored": verdict.explored, "max_edges": max_edges,
+    search = {"explored": verdict.explored, "forts": forts,
+              "max_edges": max_edges,
               "max_matching_size_searched": verdict.max_matching_size_searched}
     if not verdict.exists:
         tested = {str(k): v for k, v in
@@ -352,12 +428,19 @@ def ef_number_certificate(g: Graph, max_edges: int,
                        search=search)
 
 
-def reduction_certificate(g: Graph, graph: Union[str, dict, None] = None
+def reduction_certificate(g: Graph, graph: Union[str, dict, None] = None,
+                          forts: Iterable[list[int]] = (),
+                          lifted_forts: Iterable[list[int]] = ()
                           ) -> Certificate:
-    zf, zf_witness, verdict = solve_equivalence(g)
+    """The reduction-equivalence certificate; `forts` and `lifted_forts`
+    (checked forts of g and of its lifted graph) seed the two searches,
+    as in `zf_number_certificate`."""
+    forts, lifted_forts = list(forts), list(lifted_forts)
+    zf, zf_witness, verdict = solve_equivalence(g, forts, lifted_forts)
     return Certificate(
         kind="reduction-equivalence",
         graph=g.to_json_dict() if graph is None else graph,
+        search={"forts": forts, "lifted_forts": lifted_forts},
         claim={"zero_forcing_number": zf,
                "lifted_edge_forcing_number": verdict.value,
                "equal": verdict.exists and verdict.value == zf},

@@ -147,8 +147,9 @@ def matchings_of_size(g: Graph, k: int) -> Iterator[frozenset[Edge]]:
 
     The stream is empty when k exceeds the maximum matching size.  Two runs
     produce identical sequences.  The exhaustive searches in `solver` walk
-    the same order themselves, closing each prefix once; this generator is
-    the tests' oracle for them, and perfbench's tracer wraps it by name.
+    the same order themselves, closing a prefix only when a matching below
+    it is tested; this generator is the tests' oracle for them, and
+    perfbench's tracer wraps it by name.
     """
     if k < 0:
         raise GraphError(f"matching size must be non-negative, got {k}")

@@ -16,8 +16,10 @@ frontier (the black vertices whose count just fell to one) and the
 neighbors of the vertices it forces.  `run_closure` starts it from the
 all-white state, whose counts are the degrees.  Since the closure is a
 closure operator, cl(S | T) = cl(cl(S) | T): the exhaustive searches and
-the greedy completion close each prefix once and extend a copy of its
-state by one candidate, instead of closing every candidate from scratch.
+the greedy completion extend a copy of a closed prefix's state by one
+candidate, instead of closing every candidate from scratch, and the
+searches close a prefix from its nearest closed ancestor, in one call,
+only once a candidate below it is tested.
 
 The kernel walks the graph's cached adjacency tuples and keeps its state
 in a bytearray and a list, so a call does no numpy work until

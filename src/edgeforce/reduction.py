@@ -18,6 +18,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 from .engine import is_edge_forcing_set
 from .graph import Edge, Graph, matching_diagnostic, normalize_edge
@@ -102,9 +103,17 @@ def normalize_and_project(m: ReductionMap, x: set[Edge] | frozenset[Edge]
     return frozenset(chosen)
 
 
-def solve_equivalence(g: Graph) -> tuple[int, frozenset[int], EdgeForcingVerdict]:
-    """zf(g) with its witness, and the exact verdict on the lifted graph."""
-    zf, witness = min_zero_forcing(g)
+def solve_equivalence(g: Graph, forts: Optional[list[list[int]]] = None,
+                      lifted_forts: Optional[list[list[int]]] = None
+                      ) -> tuple[int, frozenset[int], EdgeForcingVerdict]:
+    """zf(g) with its witness, and the exact verdict on the lifted graph.
+
+    `forts` and `lifted_forts` are the two searches' fort lists, forts of
+    g and of the lifted graph: each seeds its search and receives its
+    harvest (`min_zero_forcing`).
+    """
+    zf, witness = min_zero_forcing(g, forts=forts)
     lifted = build_gbar(g).lifted
-    return zf, witness, min_edge_forcing(lifted, max_edges=MAX_LIFTED_EDGES)
+    return zf, witness, min_edge_forcing(lifted, max_edges=MAX_LIFTED_EDGES,
+                                         forts=lifted_forts)
 

@@ -68,20 +68,27 @@ class _Exhaustion:
     endpoints (edge forcing); `items` is either every vertex of g in
     ascending order or `g.edges`.  Combinations go in lexicographic order
     of item positions, as itertools.combinations and
-    graph.matchings_of_size list them.  The search is depth first and
-    keeps each prefix's closed state; a child extends a copy of it by one
-    item, since cl(S | T) = cl(cl(S) | T).  An item whose vertices are all
-    black adds nothing, so its state is its parent's, and a leaf of that
-    kind is tested without a kernel call.
+    graph.matchings_of_size list them.  The search is depth first, and a
+    prefix is closed only when a leaf below it is tested: most subtrees
+    are pruned whole, so their prefixes need no closure.  A node carries
+    the closed state of its nearest closed ancestor and the vertices
+    chosen since that are white there; the first tested leaf closes its
+    prefix from that state in one kernel call, since cl(S | T) =
+    cl(cl(S) | T), and its sibling leaves reuse the result.  A leaf
+    extends a copy of its prefix's state by its item; an item whose
+    vertices are all black adds nothing, so such a leaf is tested without
+    a kernel call.
 
     Forts prune the search.  A fort is a non-empty vertex set F such that
     no vertex outside F has exactly one neighbor in F; a fort disjoint
     from S stays disjoint from cl(S), so every forcing set meets every
-    fort (Fast & Hicks 2018).  `forts` holds minimal forts of g as vertex
+    fort (Fast & Hicks 2018).  `forts` holds forts of g as vertex
     bitmasks: the caller may seed it through `add`, and each leaf whose
-    closure leaves a vertex white adds one, for this size and the later
-    ones.  Call a fort unhit when no chosen item touches it.  The search
-    skips
+    closure leaves a vertex white adds a minimal one, for this size and
+    the later ones.  A search seeded with every fort an earlier search of
+    g harvested tests no leaf that stalled there, so it runs no
+    `_minimal_fort` and closes only the witness and its prefix.  Call a
+    fort unhit when no chosen item touches it.  The search skips
     - the rest of a loop once an unhit fort meets no later item;
     - the kernel call of a leaf whose item misses an unhit fort;
     - a node where more unhit forts than items still to choose meet
@@ -148,7 +155,10 @@ class _Exhaustion:
             return False
 
         def search(start: int, need: int, hit: int, used: int,
-                   black: bytearray, counts: list[int]) -> bool:
+                   black: bytearray, counts: list[int],
+                   pending: tuple[int, ...]) -> bool:
+            # (black, counts) is the closed state of the nearest closed
+            # ancestor; `pending` holds the prefix's vertices white there
             nonlocal tested
             if packs(start, need, ~hit & ((1 << len(forts)) - 1)):
                 tested += count(start, need, used)
@@ -162,29 +172,34 @@ class _Exhaustion:
                 if mask & used:
                     continue
                 item = items[i]
-                if need == 1 and ~(hit | touch[i]) & ((1 << len(forts)) - 1):
-                    tested += 1
+                if need > 1:
+                    chosen.append(item)
+                    if search(i + 1, need - 1, hit | touch[i], used | mask,
+                              black, counts,
+                              pending + tuple(v for v in item if not black[v])):
+                        return True
+                    chosen.pop()
                     continue
+                tested += 1
+                if ~(hit | touch[i]) & ((1 << len(forts)) - 1):
+                    continue
+                if pending:
+                    # close the prefix once, for this leaf and its siblings
+                    black, counts = bytearray(black), counts[:]
+                    extend_closure(adj, black, counts, pending)
+                    pending = ()
                 state, cnt = black, counts
                 if not (black[item[0]] and black[item[-1]]):
                     state, cnt = bytearray(black), counts[:]
                     extend_closure(adj, state, cnt, item)
-                if need == 1:
-                    tested += 1
-                    if 0 not in state:
-                        chosen.append(item)
-                        return True
-                    self.add(_minimal_fort(adj, state, cnt))
-                    continue
-                chosen.append(item)
-                if search(i + 1, need - 1, hit | touch[i], used | mask,
-                          state, cnt):
+                if 0 not in state:
+                    chosen.append(item)
                     return True
-                chosen.pop()
+                self.add(_minimal_fort(adj, state, cnt))
             return False
 
         if search(0, k, 0, 0, bytearray(g.vertex_count),
-                  [len(a) for a in adj]):
+                  [len(a) for a in adj], ()):
             return tuple(chosen), tested
         return None, tested
 
@@ -203,6 +218,23 @@ class _Exhaustion:
             if found is not None:
                 return found, counts
         return None, counts
+
+
+def _first_seeded(search: _Exhaustion, forts: Optional[list[list[int]]],
+                  sizes: Iterable[int]
+                  ) -> tuple[Optional[tuple[tuple[int, ...], ...]],
+                             dict[int, int]]:
+    """`search.first_over(sizes)` with the vertex lists `forts` added to
+    the pool first; the forts the search harvests are then appended to
+    `forts` as ascending vertex lists, in harvest order."""
+    for fort in forts or ():
+        search.add(sum(1 << v for v in fort))
+    seeded = len(search.forts)
+    result = search.first_over(sizes)
+    if forts is not None:
+        forts.extend([v for v in range(f.bit_length()) if f >> v & 1]
+                     for f in search.forts[seeded:])
+    return result
 
 
 def _minimal_fort(adj, black: bytearray, counts: list[int]) -> int:
@@ -284,13 +316,17 @@ def _completion_counter(g: Graph, items: Sequence[tuple[int, ...]]):
 
 
 def min_zero_forcing(g: Graph,
-                     max_vertices: int = DEFAULT_MAX_VERTICES
+                     max_vertices: int = DEFAULT_MAX_VERTICES,
+                     forts: Optional[list[list[int]]] = None
                      ) -> tuple[int, frozenset[int]]:
     """Smallest zero-forcing set size with its lex-first witness.
 
     Searches k ascending from max(1, min degree); min degree is a valid
     lower bound because the first vertex of each forcing chain needs all
-    its other neighbors black.
+    its other neighbors black.  `forts`, when given, lists forts of g as
+    vertex lists that the caller has checked: they seed the search's
+    pool, and the search appends the forts it harvests.  A fort rules out
+    no forcing set, so the result is the same with any forts.
     """
     require_vertex(g)
     n = g.vertex_count
@@ -298,20 +334,24 @@ def min_zero_forcing(g: Graph,
         raise InstanceTooLarge(
             f"{n} vertices exceed the exhaustive-search guard {max_vertices}; "
             f"raise max_vertices explicitly to proceed")
-    found, _ = _Exhaustion(g, [(v,) for v in range(n)]).first_over(
-        itertools.count(max(1, g.min_degree())))
+    found, _ = _first_seeded(_Exhaustion(g, [(v,) for v in range(n)]), forts,
+                             itertools.count(max(1, g.min_degree())))
     return len(found), frozenset(v for v, in found)
 
 
 def min_edge_forcing(g: Graph,
-                     max_edges: int = DEFAULT_MAX_EDGES) -> EdgeForcingVerdict:
+                     max_edges: int = DEFAULT_MAX_EDGES,
+                     forts: Optional[list[list[int]]] = None
+                     ) -> EdgeForcingVerdict:
     """Exact edge-forcing number, or NotExists after full exhaustion.
 
     One search from size 1 up.  The blocked pair of each obstruction in
     `structural_lower_bound`'s family is a fort, and the family's cycles
     are edge-disjoint, so those forts seed the pool with disjoint covers:
     every size below the bound is ruled out at the root and counted in
-    closed form.
+    closed form.  `forts` seeds the pool after them and receives the
+    harvest, as in `min_zero_forcing`; the obstruction forts, derived
+    again on every run, are not appended.
     """
     require_vertex(g)
     if g.edge_count > max_edges:
@@ -322,6 +362,6 @@ def min_edge_forcing(g: Graph,
     for o in structural_lower_bound(g)[1]:
         x, y = o.blocked_pair
         search.add(1 << x | 1 << y)
-    found, counts = search.first_over(itertools.count(1))
+    found, counts = _first_seeded(search, forts, itertools.count(1))
     return EdgeForcingVerdict(
         None if found is None else frozenset(found), counts)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from edgeforce import certificates, cli, constructions
+from edgeforce import certificates, cli, constructions, solver
 from edgeforce.butterfly import build_butterfly
 from edgeforce.certificates import (MAX_GRAPH_VERTICES, CertificateError,
                                     bounds_certificate,
@@ -33,6 +33,7 @@ SRC = pathlib.Path(__file__).parent.parent / "src"
 EMPTY = {"n": 0, "edges": []}
 C4 = {"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]]}
 K13 = {"n": 4, "edges": [[0, 1], [0, 2], [0, 3]]}
+C5 = cycle_graph(5).to_json_dict()
 C6G = cycle_graph(6)
 C6 = C6G.to_json_dict()
 # two 12-vertex paths joined by rungs at 0, 3, 7, 11: 26 edges, 102 lifted
@@ -101,6 +102,16 @@ class TestParseGraph:
     def test_resolve_unknown_descriptor(self):
         with pytest.raises(CertificateError, match="unknown graph descriptor"):
             resolve_graph("hypercube:3")
+
+    @pytest.mark.parametrize("descriptor", [
+        "butterfly:x", "butterfly:03", "butterfly:+3", "butterfly:-3",
+        "butterfly: 3", "butterfly:3 ", "butterfly:\u0663", "butterfly:"])
+    def test_resolve_only_canonical_butterfly(self, descriptor):
+        # int() reads "03", "+3", " 3", "3 " and the Arabic-Indic digit
+        # three as 3, so a certificate naming its graph so verified
+        # against BF(3), with its own graph field rebuilt unchanged
+        with pytest.raises(CertificateError, match="unknown graph descriptor"):
+            resolve_graph(descriptor)
 
 
 class TestCertificates:
@@ -275,8 +286,17 @@ class TestCli:
         assert constructed.pop("graph") == "butterfly:2"
         assert solved.pop("graph") == build_butterfly(2).to_json_dict()
         assert constructed == solved
-        assert solved["search"] == {"explored": 432, "max_edges": 40,
-                                    "max_matching_size_searched": 4}
+        assert solved["search"] == {
+            "explored": 432, "max_edges": 40,
+            "max_matching_size_searched": 4,
+            # the 16 minimal forts the search harvested, in harvest order;
+            # the 4 obstruction forts that seed it are not listed
+            "forts": [[1, 3, 10, 11], [1, 3, 8, 11], [1, 3, 9, 10],
+                      [1, 3, 8, 9], [1, 2, 10, 11], [1, 2, 8, 11],
+                      [1, 2, 9, 10], [1, 2, 8, 9], [0, 3, 10, 11],
+                      [0, 3, 8, 11], [0, 3, 9, 10], [0, 3, 8, 9],
+                      [0, 2, 10, 11], [0, 2, 8, 11], [0, 2, 9, 10],
+                      [0, 2, 8, 9]]}
 
     def test_construct_r3_verifiable(self, tmp_path, capsys):
         assert main(["construct", "--r", "3"]) == 0
@@ -455,6 +475,72 @@ class TestCli:
         assert main(["verify", "--cert", str(cert)]) == 0
         assert json.loads(capsys.readouterr().out)["verified"] is True
 
+    def test_verify_refuses_unchecked_forts(self, tmp_path, capsys):
+        # {0}, ..., {4} are not forts of C5, whose ef number is 1; seeded
+        # with them the search rules out every matching, so the builder
+        # reproduces this forged certificate, and only the fort check
+        # stands between it and a verified nonexistence claim
+        forged = certificates.ef_number_certificate(
+            cycle_graph(5), DEFAULT_MAX_EDGES, C5, [[v] for v in range(5)])
+        assert forged.kind == "nonexistence"
+        cert = tmp_path / "forged.json"
+        cert.write_text(emit_certificate(forged))
+        assert main(["verify", "--cert", str(cert)]) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "verified": False,
+            "details": "search.forts[0] is not a fort: a vertex outside it "
+                       "has exactly one neighbor in it"}
+
+    @pytest.mark.parametrize("argv, key", [
+        (["solve", "zf"], "forts"), (["solve", "ef"], "forts"),
+        (["reduce", "--verify"], "forts"),
+        (["reduce", "--verify"], "lifted_forts")])
+    @pytest.mark.parametrize("fort, why", [
+        ([], "it is empty"),
+        ([3, 2, 1, 0], "it is not strictly ascending"),
+        ([0, 1, 1, 2, 3, 4], "it is not strictly ascending"),
+        ([-1, 0], "it leaves [0, {n})"),
+        ([0, 1, 2, 3, 4, 10], "it leaves [0, {n})"),
+        ([0, 2], "a vertex outside it has exactly one neighbor in it"),
+    ])
+    def test_verify_names_a_listed_non_fort(self, tmp_path, capsys, argv,
+                                            key, fort, why):
+        # C5 and its lifted graph: every listed entry is checked, and a
+        # valid fort list ahead of a bad entry does not hide it
+        code, doc = run_json(capsys, argv + [
+            "--graph", write_graph(tmp_path, cycle_graph(5))])
+        assert code == 0
+        n = 10 if key == "lifted_forts" else 5
+        doc["search"][key] = [list(range(n)), fort]
+        cert = tmp_path / "bad.json"
+        cert.write_text(json.dumps(doc))
+        assert main(["verify", "--cert", str(cert)]) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "verified": False, "details":
+            f"search.{key}[1] is not a fort: {why.format(n=n)}"}
+
+    @pytest.mark.parametrize("argv", [["solve", "zf"], ["reduce", "--verify"]])
+    def test_verify_runs_no_fort_minimisation(self, tmp_path, capsys,
+                                              monkeypatch, argv):
+        # seeded with the forts that the emitting search harvested, the
+        # rebuild rules out every leaf that stalled there unclosed
+        petersen = from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                              + [(i, i + 5) for i in range(5)]
+                              + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+        calls = []
+        minimal_fort = solver._minimal_fort
+        monkeypatch.setattr(solver, "_minimal_fort",
+                            lambda *a: calls.append(a) or minimal_fort(*a))
+        code, doc = run_json(capsys, argv + [
+            "--graph", write_graph(tmp_path, petersen)])
+        assert code == 0 and calls
+        calls.clear()
+        cert = tmp_path / "petersen.json"
+        cert.write_text(json.dumps(doc))
+        code, out = run_json(capsys, ["verify", "--cert", cert])
+        assert code == 0 and out["verified"] is True
+        assert calls == []
+
     def test_verify_false_nonexistence_claim(self, tmp_path, capsys):
         cert = tmp_path / "c4.json"
         cert.write_text(json.dumps({
@@ -517,12 +603,13 @@ class TestCli:
         # very certificate it emitted; the reference closure still refuses
         if kind == "zf-number":
             monkeypatch.setattr(certificates, "min_zero_forcing",
-                                lambda g, max_vertices: (1, frozenset({1})))
+                                lambda g, max_vertices, forts:
+                                (1, frozenset({1})))
             built = certificates.zf_number_certificate(cycle_graph(4), 24)
         else:
             monkeypatch.setattr(
                 certificates, "min_edge_forcing",
-                lambda g, max_edges: EdgeForcingVerdict(
+                lambda g, max_edges, forts: EdgeForcingVerdict(
                     frozenset({(0, 1)}), {1: 1}))
             built = certificates.ef_number_certificate(parse_graph(K13), 40)
         assert built.witness is not None
@@ -583,6 +670,46 @@ class TestCli:
         ("verify", json.dumps({"schema_version": "efc-1", "kind": "zf-number",
                                "graph": EMPTY, "claim": {"value": 0},
                                "witness": {"vertices": [], "labels": []}})),
+        # `search` is read: a guard and the forts that seed the search
+        ("verify", json.dumps({"schema_version": "efc-1", "kind": "zf-number",
+                               "graph": C5, "claim": {"value": 2},
+                               "witness": {"vertices": [0, 1],
+                                           "labels": ["0", "1"]},
+                               "search": [1]})),
+        ("verify", json.dumps({"schema_version": "efc-1", "kind": "zf-number",
+                               "graph": C5, "claim": {"value": 2},
+                               "witness": {"vertices": [0, 1],
+                                           "labels": ["0", "1"]},
+                               "search": []})),
+        ("verify", json.dumps({"schema_version": "efc-1", "kind": "zf-number",
+                               "graph": C5, "claim": {"value": 2},
+                               "witness": {"vertices": [0, 1],
+                                           "labels": ["0", "1"]},
+                               "search": {"forts": [[0, "1"]]}})),
+        ("verify", json.dumps({"schema_version": "efc-1", "kind": "ef-number",
+                               "graph": C5, "claim": {"value": 1},
+                               "witness": edge_witness(parse_graph(C5),
+                                                       [(0, 1)]),
+                               "search": {"forts": [[0, True]]}})),
+        ("verify", json.dumps({"schema_version": "efc-1",
+                               "kind": "nonexistence", "graph": C5,
+                               "claim": {"matchings_tested_per_size": {},
+                                         "verdict": "not-exists"},
+                               "search": {"forts": {"0": [0]}}})),
+        ("verify", json.dumps({"schema_version": "efc-1",
+                               "kind": "reduction-equivalence", "graph": C5,
+                               "claim": {}, "search": {"forts": [],
+                                                       "lifted_forts": [3]}})),
+        # only the canonical butterfly:<decimal r> names a graph
+        ("verify", json.dumps({"schema_version": "efc-1", "kind": "closure",
+                               "graph": "butterfly:x",
+                               "claim": {"initial": [0]}})),
+        ("verify", json.dumps({"schema_version": "efc-1", "kind": "closure",
+                               "graph": "butterfly:03",
+                               "claim": {"initial": [0]}})),
+        ("verify", json.dumps({"schema_version": "efc-1", "kind": "closure",
+                               "graph": "butterfly:+3",
+                               "claim": {"initial": [0]}})),
     ], ids=["cert-not-object", "bounds-without-r", "cert-without-graph",
             "claim-not-object", "nonexistence-without-counts",
             "closure-without-initial", "zf-number-null-witness",
@@ -592,7 +719,12 @@ class TestCli:
             "set-without-vertices", "set-with-non-integer",
             "edge-set-with-non-integer", "edge-set-with-boolean",
             "solve-ef-empty-graph", "nonexistence-empty-graph",
-            "ef-number-empty-graph", "zf-number-empty-graph"])
+            "ef-number-empty-graph", "zf-number-empty-graph",
+            "search-not-object", "search-empty-array",
+            "forts-entry-with-string",
+            "forts-entry-with-boolean", "forts-not-array",
+            "lifted-forts-entry-not-array", "butterfly-not-decimal",
+            "butterfly-leading-zero", "butterfly-plus-sign"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, command, text):
         doc = tmp_path / "doc.json"
         doc.write_text(text)

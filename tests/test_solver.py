@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgeforce import solver
 from edgeforce.butterfly import build_butterfly
 from edgeforce.engine import (forces_all, is_edge_forcing_set,
                               is_zero_forcing_set, matching_endpoints)
@@ -196,6 +197,41 @@ class TestForts:
         assert (black, counts) == before
         assert not fort & closed
         assert is_minimal_fort(g, fort)
+
+    @settings(max_examples=150, deadline=None)
+    @given(disjoint_unions(), st.data())
+    def test_seeded_forts_change_no_result(self, g, data):
+        # the white set of a closure that stalls is a fort, minimal or not;
+        # seeded with such forts, both searches find the same witness after
+        # the same counts and append minimal forts after the seeds, and a
+        # search seeded with that whole list harvests nothing more
+        n = g.vertex_count
+        seeds = []
+        for start in data.draw(st.lists(
+                st.sets(st.integers(0, n - 1), max_size=n - 1), max_size=6)):
+            black = run_closure(g, sorted(start))[0]
+            seeds.append([v for v in range(n) if not black[v]])
+        seeds = [fort for fort in seeds if fort]
+        for solve in (min_zero_forcing, min_edge_forcing):
+            unseeded = solve(g)
+            forts = [fort[:] for fort in seeds]
+            assert solve(g, forts=forts) == unseeded
+            assert forts[:len(seeds)] == seeds
+            assert all(is_minimal_fort(g, set(f)) for f in forts[len(seeds):])
+            again = forts[:]
+            assert solve(g, forts=again) == unseeded
+            assert again == forts
+
+    def test_bf2_closures(self, monkeypatch):
+        # a prefix is closed only for a leaf below it that is tested: 88
+        # kernel calls, the 16 fort minimisations' included, where closing
+        # every prefix made 304
+        calls = []
+        extend = solver.extend_closure
+        monkeypatch.setattr(solver, "extend_closure",
+                            lambda *a: calls.append(a) or extend(*a))
+        assert not min_edge_forcing(build_butterfly(2)).exists
+        assert len(calls) == 88
 
     def test_disjoint_edges(self):
         # k disjoint edges: each is a 2-vertex fort, so every size below k
