@@ -6,7 +6,7 @@ from .graph import (Graph, GraphError, from_edges, is_matching,  # noqa: E402
                     matching_diagnostic, matchings_of_size)
 from .engine import (ClosureResult, ForcingTrace, closure,  # noqa: E402
                      is_edge_forcing_set, is_zero_forcing_set)
-from .butterfly import build_butterfly, edge_kind, subcopy_vertex  # noqa: E402
+from .butterfly import build_butterfly, subcopy_vertex  # noqa: E402
 from .solver import (EdgeForcingVerdict, InstanceTooLarge,  # noqa: E402
                      min_edge_forcing, min_zero_forcing)
 from .constructions import (BoundsReport, ConstructionError,  # noqa: E402
@@ -23,7 +23,7 @@ __all__ = [
     "matchings_of_size",
     "ClosureResult", "ForcingTrace", "closure", "is_edge_forcing_set",
     "is_zero_forcing_set",
-    "build_butterfly", "edge_kind", "subcopy_vertex",
+    "build_butterfly", "subcopy_vertex",
     "EdgeForcingVerdict", "InstanceTooLarge", "min_edge_forcing",
     "min_zero_forcing",
     "BoundsReport", "ConstructionError", "Obstruction",

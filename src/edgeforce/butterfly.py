@@ -1,4 +1,4 @@
-"""Butterfly network BF(r): construction, edge classes, labels, sub-copies.
+"""Butterfly network BF(r): construction, coordinates, labels, sub-copies.
 
 BF(r) has vertices (row, level) with row in [0, 2^r) and level in [0, r].
 Between levels i and i+1 every row w carries a straight edge (same row) and
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Mapping
-from typing import Iterator, Literal
+from typing import Iterator
 
 from .graph import Graph
 
@@ -83,25 +83,6 @@ def build_butterfly(r: int) -> Graph:
             # rows w and w ^ bit, smaller first: bit cleared, then bit set
             edges += ((a, up + (w & ~bit)), (a, up + (w | bit)))
     return Graph((r + 1) * rows, tuple(edges), ButterflyLabels(r))
-
-
-def edge_kind(r: int, a: tuple[int, int], b: tuple[int, int]) -> Literal["straight", "cross"]:
-    """Classify a BF(r) edge given as two (row, level) coordinates."""
-    (w1, i1), (w2, i2) = a, b
-    if i1 > i2:
-        (w1, i1), (w2, i2) = (w2, i2), (w1, i1)
-    if i2 != i1 + 1:
-        raise ButterflyError(
-            f"not an edge: levels {i1} and {i2} are not consecutive")
-    if not (0 <= w1 < (1 << r) and 0 <= w2 < (1 << r) and 0 <= i1 and i2 <= r):
-        raise ButterflyError(f"coordinate out of range for BF({r})")
-    if w1 == w2:
-        return "straight"
-    if w1 ^ w2 == 1 << i1:
-        return "cross"
-    raise ButterflyError(
-        f"not an edge: rows {w1} and {w2} differ in bit weight {w1 ^ w2}, "
-        f"but the level pair ({i1},{i2}) flips weight {1 << i1}")
 
 
 def subcopy_vertex(r: int, high_bits: int, v: int) -> int:

@@ -5,12 +5,14 @@ A certificate carries everything needed to re-check its claim: the graph
 witness by canonical edge identity and by display label, and search
 metadata, including the guard an exact search ran under.  Each claim kind
 has one builder here, which the CLI emits; ef-number and nonexistence
-share `ef_number_certificate`, the one exact edge-forcing search.
+share `ef_number_certificate`, the one exact edge-forcing search, and
+`reduction_certificate` runs both exact searches around the gadget.
 
 The exact builders (zf-number, ef-number, nonexistence and
 reduction-equivalence) also write the forts their searches harvested, as
 ascending vertex lists in harvest order: `search.forts`, and for a
-reduction `search.lifted_forts` of the lifted graph.  Every forcing set
+reduction `search.lifted_forts` of the lifted graph; a builder's list
+seeds the solver's fort pool and receives its harvest.  Every forcing set
 meets every fort (Fast & Hicks 2018), so a fort list is the lower side of
 a forcing number (the fort cover of Brimkov, Fast & Hicks 2019); seeded
 with it, a search rules out every combination the first search closed in
@@ -22,7 +24,8 @@ nonexistence) on a graph above the recorded search guard, checks each
 listed fort with bit masks (non-empty, strictly ascending, inside
 [0, n), and no vertex outside it with exactly one neighbor in it),
 rebuilds the certificate from its inputs with the same builder, seeded
-with those forts, and compares kind, claim, graph, trace and witness.  A
+with those forts, and compares kind, claim, graph, trace and witness,
+with JSON's types kept apart (true and 1.0 are not 1).  A
 valid fort never rules out a forcing set and the per-size counts are
 computed in closed form, so the seeds change none of these.  A zf-number
 or ef-number witness must be the solver's lex-first one, and it must
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import bisect
 import json
+import marshal
 import re
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Iterable, Optional, Union
@@ -44,9 +48,9 @@ from .butterfly import MAX_DIMENSION, build_butterfly
 from .constructions import known_bounds
 from .engine import closure, is_edge_forcing_set, is_zero_forcing_set
 from .graph import Edge, Graph, GraphError, from_edges, normalize_edge
-from .reduction import build_gbar, solve_equivalence
+from .reduction import MAX_LIFTED_EDGES, build_gbar
 from .solver import (DEFAULT_MAX_EDGES, DEFAULT_MAX_VERTICES, min_edge_forcing,
-                     min_zero_forcing, require_vertex)
+                     min_zero_forcing)
 
 SCHEMA_VERSION = "efc-1"
 # vertex count of BF(MAX_DIMENSION), the largest graph the tool builds
@@ -98,15 +102,18 @@ class Certificate:
 # graph parsing / description
 # ---------------------------------------------------------------------------
 
+def decode_json(text: str) -> Any:
+    """The JSON value of outside text (every file the CLI reads);
+    CertificateError when it is malformed or nested too deeply."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise CertificateError(f"malformed JSON: {exc}") from None
+
+
 def parse_graph(text: Union[str, dict]) -> Graph:
     """Parse {"n": int, "edges": [[u,v], ...]} (JSON text or dict)."""
-    if isinstance(text, str):
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise CertificateError(f"malformed JSON: {exc}") from None
-    else:
-        doc = text
+    doc = decode_json(text) if isinstance(text, str) else text
     n = require_field(doc, "n", int, "graph document")
     if n > MAX_GRAPH_VERTICES:
         raise CertificateError(
@@ -184,10 +191,7 @@ def emit_certificate(c: Certificate) -> str:
 
 def parse_certificate(doc: Union[str, dict]) -> Certificate:
     if isinstance(doc, str):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
-            raise CertificateError(f"malformed JSON: {exc}") from None
+        doc = decode_json(doc)
     if not isinstance(doc, dict):
         raise CertificateError("certificate must be a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:
@@ -216,6 +220,15 @@ def parse_certificate(doc: Union[str, dict]) -> Certificate:
 # ---------------------------------------------------------------------------
 
 WITNESS_DIFFERS = "witness recomputed differs from the certificate's"
+
+
+def _same(a: Any, b: Any) -> bool:
+    """Rebuilt a == given b, which takes true and 1.0 for 1, and then equal
+    marshal bytes: format 2 codes each type apart and writes no references,
+    but keeps dict order, so dicts go key by key."""
+    if type(a) is dict and type(b) is dict:
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    return a is b or a == b and marshal.dumps(a, 2) == marshal.dumps(b, 2)
 
 
 def _guard(search: dict, key: str, default: int) -> int:
@@ -273,10 +286,7 @@ def verify_certificate(doc: Union[str, dict, Certificate]
     kind, search = c.kind, c.search or {}
     # a bounds certificate is rebuilt from claim.r alone, graph field included
     g = None if kind == "bounds" else resolve_graph(c.graph)
-    if kind in ("zf-number", "ef-number", "nonexistence"):
-        require_vertex(g)
 
-    # the comparison below takes JSON true for 1, so types are checked here;
     # an exact claim's witness is also closed by the reference engine,
     # which refuses a vertex outside [0, n) and prunes nothing
     witness_forces = True
@@ -332,13 +342,13 @@ def verify_certificate(doc: Union[str, dict, Certificate]
         found = (f" with witness edges {rebuilt.witness['edges']}"
                  if rebuilt.witness else "")
         return False, f"kind recomputed as {rebuilt.kind}{found}"
-    if rebuilt.claim != c.claim:
+    if not _same(rebuilt.claim, c.claim):
         return False, f"claim recomputed as {rebuilt.claim}"
-    if rebuilt.graph != c.graph:
+    if not _same(rebuilt.graph, c.graph):
         return False, f"graph recomputed as {rebuilt.graph}"
-    if rebuilt.trace != c.trace:
+    if not _same(rebuilt.trace, c.trace):
         return False, "trace recomputed differs from the certificate's"
-    if rebuilt.witness != c.witness:
+    if not _same(rebuilt.witness, c.witness):
         return False, WITNESS_DIFFERS
     if not witness_forces:
         # the witness equals the solver's here, so only a closure without
@@ -436,7 +446,9 @@ def reduction_certificate(g: Graph, graph: Union[str, dict, None] = None,
     (checked forts of g and of its lifted graph) seed the two searches,
     as in `zf_number_certificate`."""
     forts, lifted_forts = list(forts), list(lifted_forts)
-    zf, zf_witness, verdict = solve_equivalence(g, forts, lifted_forts)
+    zf, zf_witness = min_zero_forcing(g, forts=forts)
+    verdict = min_edge_forcing(build_gbar(g).lifted, MAX_LIFTED_EDGES,
+                               lifted_forts)
     return Certificate(
         kind="reduction-equivalence",
         graph=g.to_json_dict() if graph is None else graph,

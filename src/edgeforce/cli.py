@@ -16,11 +16,11 @@ from typing import Iterable, Optional
 from .butterfly import ButterflyError, build_butterfly
 from .certificates import (CertificateError, bounds_certificate,
                            closure_certificate, construction_certificate,
-                           efs_check_certificate, emit_certificate,
-                           ef_number_certificate, parse_edges, parse_graph,
-                           reduction_certificate, require_field,
-                           verify_certificate, zf_number_certificate,
-                           zfs_check_certificate)
+                           decode_json, efs_check_certificate,
+                           emit_certificate, ef_number_certificate,
+                           parse_edges, parse_graph, reduction_certificate,
+                           require_field, verify_certificate,
+                           zf_number_certificate, zfs_check_certificate)
 from .constructions import DEFAULT_SEED, ConstructionError, butterfly_witness
 from .graph import Edge, Graph
 from .reduction import build_gbar
@@ -48,7 +48,7 @@ def _load_graph(path: str) -> Graph:
 def _load_set(path: str, key: str) -> list:
     """The array field `key` of a JSON set file."""
     with open(path, encoding="utf-8") as fh:
-        return require_field(json.load(fh), key, list, "set file")
+        return require_field(decode_json(fh.read()), key, list, "set file")
 
 
 def cmd_generate(args) -> int:

@@ -18,11 +18,9 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from .engine import is_edge_forcing_set
 from .graph import Edge, Graph, matching_diagnostic, normalize_edge
-from .solver import EdgeForcingVerdict, min_edge_forcing, min_zero_forcing
 
 log = logging.getLogger(__name__)
 
@@ -101,19 +99,3 @@ def normalize_and_project(m: ReductionMap, x: set[Edge] | frozenset[Edge]
         log.warning("replacement collapsed %d edges to %d (non-minimal input)",
                     len(edges), len(chosen))
     return frozenset(chosen)
-
-
-def solve_equivalence(g: Graph, forts: Optional[list[list[int]]] = None,
-                      lifted_forts: Optional[list[list[int]]] = None
-                      ) -> tuple[int, frozenset[int], EdgeForcingVerdict]:
-    """zf(g) with its witness, and the exact verdict on the lifted graph.
-
-    `forts` and `lifted_forts` are the two searches' fort lists, forts of
-    g and of the lifted graph: each seeds its search and receives its
-    harvest (`min_zero_forcing`).
-    """
-    zf, witness = min_zero_forcing(g, forts=forts)
-    lifted = build_gbar(g).lifted
-    return zf, witness, min_edge_forcing(lifted, max_edges=MAX_LIFTED_EDGES,
-                                         forts=lifted_forts)
-

@@ -1,4 +1,5 @@
-"""Exact zero-forcing and edge-forcing numbers at desk scale."""
+"""Exact zero-forcing and edge-forcing numbers at desk scale, both from one
+exhaustion routine, `_Exhaustion`, which gets the caller's fort list."""
 
 from __future__ import annotations
 
@@ -83,10 +84,11 @@ class _Exhaustion:
     no vertex outside F has exactly one neighbor in F; a fort disjoint
     from S stays disjoint from cl(S), so every forcing set meets every
     fort (Fast & Hicks 2018).  `forts` holds forts of g as vertex
-    bitmasks: the caller may seed it through `add`, and each leaf whose
-    closure leaves a vertex white adds a minimal one, for this size and
-    the later ones.  A search seeded with every fort an earlier search of
-    g harvested tests no leaf that stalled there, so it runs no
+    bitmasks: the caller may seed it through `add`, then `first_over`, and
+    each leaf whose closure leaves a vertex white adds a minimal one, for
+    this size and the later ones, and appends it to `listed` as an
+    ascending vertex list.  A search seeded with every fort an earlier
+    search of g harvested tests no leaf that stalled there, so it runs no
     `_minimal_fort` and closes only the witness and its prefix.  Call a
     fort unhit when no chosen item touches it.  The search skips
     - the rest of a loop once an unhit fort meets no later item;
@@ -102,6 +104,7 @@ class _Exhaustion:
         self.touch = [0] * len(items)  # item position -> forts it touches
         self.covers: list[int] = []  # fort -> positions of items touching it
         self.below = [0] * len(items)  # position -> forts no later item touches
+        self.listed: list[list[int]] = []  # receives the harvest
         self.count = _completion_counter(g, items)
 
     def add(self, fort: int) -> None:
@@ -195,7 +198,10 @@ class _Exhaustion:
                 if 0 not in state:
                     chosen.append(item)
                     return True
-                self.add(_minimal_fort(adj, state, cnt))
+                fort = _minimal_fort(adj, state, cnt)
+                self.add(fort)
+                self.listed.append(
+                    [v for v in range(fort.bit_length()) if fort >> v & 1])
             return False
 
         if search(0, k, 0, 0, bytearray(g.vertex_count),
@@ -203,12 +209,17 @@ class _Exhaustion:
             return tuple(chosen), tested
         return None, tested
 
-    def first_over(self, sizes: Iterable[int]
+    def first_over(self, sizes: Iterable[int],
+                   forts: Optional[list[list[int]]] = None
                    ) -> tuple[Optional[tuple[tuple[int, ...], ...]],
                               dict[int, int]]:
         """`first` for each of `sizes` in turn, until a size has a forcing
         combination or has no combination at all: that combination (None
-        if none forces) and the number tested at each size that had any."""
+        if none forces) and the number tested at each size that had any.
+        `forts` (vertex lists) join the pool and become `listed`."""
+        self.listed = self.listed if forts is None else forts
+        for fort in forts or ():
+            self.add(sum(1 << v for v in fort))
         counts: dict[int, int] = {}
         for k in sizes:
             found, tested = self.first(k)
@@ -218,23 +229,6 @@ class _Exhaustion:
             if found is not None:
                 return found, counts
         return None, counts
-
-
-def _first_seeded(search: _Exhaustion, forts: Optional[list[list[int]]],
-                  sizes: Iterable[int]
-                  ) -> tuple[Optional[tuple[tuple[int, ...], ...]],
-                             dict[int, int]]:
-    """`search.first_over(sizes)` with the vertex lists `forts` added to
-    the pool first; the forts the search harvests are then appended to
-    `forts` as ascending vertex lists, in harvest order."""
-    for fort in forts or ():
-        search.add(sum(1 << v for v in fort))
-    seeded = len(search.forts)
-    result = search.first_over(sizes)
-    if forts is not None:
-        forts.extend([v for v in range(f.bit_length()) if f >> v & 1]
-                     for f in search.forts[seeded:])
-    return result
 
 
 def _minimal_fort(adj, black: bytearray, counts: list[int]) -> int:
@@ -334,8 +328,8 @@ def min_zero_forcing(g: Graph,
         raise InstanceTooLarge(
             f"{n} vertices exceed the exhaustive-search guard {max_vertices}; "
             f"raise max_vertices explicitly to proceed")
-    found, _ = _first_seeded(_Exhaustion(g, [(v,) for v in range(n)]), forts,
-                             itertools.count(max(1, g.min_degree())))
+    found, _ = _Exhaustion(g, [(v,) for v in range(n)]).first_over(
+        itertools.count(max(1, g.min_degree())), forts)
     return len(found), frozenset(v for v, in found)
 
 
@@ -362,6 +356,6 @@ def min_edge_forcing(g: Graph,
     for o in structural_lower_bound(g)[1]:
         x, y = o.blocked_pair
         search.add(1 << x | 1 << y)
-    found, counts = _first_seeded(search, forts, itertools.count(1))
+    found, counts = search.first_over(itertools.count(1), forts)
     return EdgeForcingVerdict(
         None if found is None else frozenset(found), counts)

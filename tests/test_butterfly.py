@@ -3,8 +3,8 @@ import itertools
 import pytest
 
 from edgeforce.butterfly import (ButterflyError, build_butterfly,
-                                 coord_label, edge_kind,
-                                 subcopy_vertex, vertex_coord, vertex_index)
+                                 coord_label, subcopy_vertex, vertex_coord,
+                                 vertex_index)
 from edgeforce.constructions import find_obstructions
 from edgeforce.graph import from_edges, normalize_edge
 
@@ -77,31 +77,6 @@ class TestBuild:
             build_butterfly(0)
         with pytest.raises(ButterflyError):
             build_butterfly(99)
-
-
-class TestEdgeKind:
-    def test_straight(self):
-        assert edge_kind(3, (0, 0), (0, 1)) == "straight"
-
-    def test_cross_from_bf3_algorithm(self):
-        # rows 2 and 6 differ in the weight-4 bit, flipped between levels 2-3
-        assert edge_kind(3, (2, 2), (6, 3)) == "cross"
-
-    def test_wrong_bit_is_rejected(self):
-        with pytest.raises(ButterflyError, match="flips weight 1"):
-            edge_kind(3, (0, 0), (2, 1))
-
-    def test_non_consecutive_levels_rejected(self):
-        with pytest.raises(ButterflyError, match="not consecutive"):
-            edge_kind(3, (0, 0), (0, 2))
-
-    def test_every_bf3_edge_classifies(self):
-        r = 3
-        g = build_butterfly(r)
-        for u, v in g.edges:
-            kind = edge_kind(r, vertex_coord(r, u), vertex_coord(r, v))
-            (wu, _), (wv, _) = vertex_coord(r, u), vertex_coord(r, v)
-            assert kind == ("straight" if wu == wv else "cross")
 
 
 class TestBindingDiamonds:
@@ -181,9 +156,10 @@ class TestBindingDiamonds:
         assert [tuple(vertex_coord(r, v) for v in d.blocked_pair)
                 for d in ds] == expected
         for d in ds:
-            kinds = [edge_kind(r, vertex_coord(r, u), vertex_coord(r, v))
-                     for u, v in d.cycle_edges()]
-            assert kinds == ["straight", "straight", "cross", "cross"]
+            # a straight edge stays in its row, a cross edge changes row
+            straight = [vertex_coord(r, u)[0] == vertex_coord(r, v)[0]
+                        for u, v in d.cycle_edges()]
+            assert straight == [True, True, False, False]
 
 
 class TestStructure:

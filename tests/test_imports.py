@@ -59,6 +59,25 @@ def test_only_the_kernel_imports_numpy():
     assert users == ["kernels.py"]
 
 
+def package_imports(source: str) -> set[str]:
+    """The modules of this package a source file imports from."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names |= ({node.module} if node.module
+                      else {alias.name for alias in node.names})
+    return names
+
+
+def test_the_gadget_imports_no_search():
+    # reduction.py builds and maps the lifted graph; the exact searches on
+    # both of its sides run in certificates.reduction_certificate
+    source = (SRC / "reduction.py").read_text(encoding="utf-8")
+    assert not package_imports(source) & {"solver", "certificates"}
+    assert package_imports("from . import solver\nfrom .graph import Graph\n"
+                           ) == {"solver", "graph"}
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -33,6 +33,7 @@ SRC = pathlib.Path(__file__).parent.parent / "src"
 EMPTY = {"n": 0, "edges": []}
 C4 = {"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]]}
 K13 = {"n": 4, "edges": [[0, 1], [0, 2], [0, 3]]}
+DEEP = "[" * 1500 + "]" * 1500
 C5 = cycle_graph(5).to_json_dict()
 C6G = cycle_graph(6)
 C6 = C6G.to_json_dict()
@@ -710,6 +711,8 @@ class TestCli:
         ("verify", json.dumps({"schema_version": "efc-1", "kind": "closure",
                                "graph": "butterfly:+3",
                                "claim": {"initial": [0]}})),
+        # nested deeper than the decoder recurses
+        ("verify", DEEP), ("check zfs", DEEP), ("solve zf", DEEP),
     ], ids=["cert-not-object", "bounds-without-r", "cert-without-graph",
             "claim-not-object", "nonexistence-without-counts",
             "closure-without-initial", "zf-number-null-witness",
@@ -724,7 +727,9 @@ class TestCli:
             "forts-entry-with-string",
             "forts-entry-with-boolean", "forts-not-array",
             "lifted-forts-entry-not-array", "butterfly-not-decimal",
-            "butterfly-leading-zero", "butterfly-plus-sign"])
+            "butterfly-leading-zero", "butterfly-plus-sign",
+            "verify-deeply-nested", "set-deeply-nested",
+            "graph-deeply-nested"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, command, text):
         doc = tmp_path / "doc.json"
         doc.write_text(text)
@@ -798,6 +803,41 @@ class TestCli:
         cert.write_text(json.dumps(doc))
         code, out = run_json(capsys, ["verify", "--cert", cert])
         assert code == 1 and "recomputed" in out["details"]
+
+    @pytest.mark.parametrize("source, path, value, details", [
+        ("closure", ("claim", "final"), [False, True, 2], "claim"),
+        ("closure", ("claim", "covers_all"), 1, "claim"),
+        ("closure", ("trace",), [[True, True, 2]], "trace"),
+        ("nonexistence", ("claim", "matchings_tested_per_size", "1"), True,
+         "claim"),
+        ("nonexistence", ("claim", "matchings_tested_per_size", "1"), 1.0,
+         "claim"),
+        ("bf3-construction", ("claim", "size"), 8.0, "claim"),
+        ("bf3-construction", ("witness", "edge_ids", 0), 3.0, "witness"),
+        ("bf3-bounds", ("claim", "lower"), 8.0, "claim"),
+    ], ids=["closure-final-booleans", "closure-covers-all-one",
+            "closure-trace-booleans", "nonexistence-count-true",
+            "nonexistence-count-float", "construction-size-float",
+            "construction-edge-id-float", "bounds-lower-float"])
+    def test_verify_compares_types_strictly(self, tmp_path, capsys, source,
+                                            path, value, details):
+        # Python's == takes JSON true and 1.0 for 1; verify does not
+        if source == "closure":
+            doc = json.loads(emit_certificate(certificates.closure_certificate(
+                path_graph(3), [0, 1])))
+        elif source == "nonexistence":
+            doc = json.loads(emit_certificate(
+                certificates.ef_number_certificate(from_edges(3, [(0, 1)]),
+                                                   40)))
+        else:
+            doc = json.loads((FIXTURES / f"{source}.json").read_text())
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(doc))
+        assert run_json(capsys, ["verify", "--cert", cert])[0] == 0
+        cert.write_text(json.dumps(replaced(doc, path, value)))
+        code, out = run_json(capsys, ["verify", "--cert", cert])
+        assert code == 1 and out["verified"] is False
+        assert out["details"].startswith(f"{details} recomputed")
 
     @pytest.mark.parametrize("argv, cert_claim_r", [
         (["bounds", "--r", "17"], None),
