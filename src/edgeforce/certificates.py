@@ -126,13 +126,20 @@ def parse_graph(text: Union[str, dict]) -> Graph:
 
 
 def resolve_graph(descriptor: Union[str, dict]) -> Graph:
-    """The graph of a certificate's `graph` field: a graph document, or
-    the canonical descriptor "butterfly:r" with r in plain decimal."""
+    """The graph of a certificate's `graph` field: a graph document with
+    the keys "n" and "edges" and no other, or the canonical descriptor
+    "butterfly:r" with r in plain decimal.  The builders write the graph
+    field back as given, so an unknown key would pass unchecked."""
     if isinstance(descriptor, str):
         found = re.fullmatch(r"butterfly:(0|[1-9][0-9]*)", descriptor)
         if found:
             return build_butterfly(int(found[1]))
         raise CertificateError(f"unknown graph descriptor {descriptor!r}")
+    if isinstance(descriptor, dict):
+        unknown = [key for key in descriptor if key not in ("n", "edges")]
+        if unknown:
+            raise CertificateError(
+                f"graph document has unknown keys {unknown}")
     return parse_graph(descriptor)
 
 

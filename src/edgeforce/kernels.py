@@ -19,7 +19,10 @@ closure operator, cl(S | T) = cl(cl(S) | T): the exhaustive searches and
 the greedy completion extend a copy of a closed prefix's state by one
 candidate, instead of closing every candidate from scratch, and the
 searches close a prefix from its nearest closed ancestor, in one call,
-only once a candidate below it is tested.
+only once a candidate below it is tested.  The searches' fort
+minimisation (`solver._minimal_fort`) calls no kernel: it shrinks a
+stall's white set on vertex bitmasks, and produces no closed state and
+no events.
 
 The kernel walks the graph's cached adjacency tuples and keeps its state
 in a bytearray and a list, so a call does no numpy work until

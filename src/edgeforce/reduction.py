@@ -8,8 +8,15 @@ lifted edge (a, b), a < b, tells its class by its indices alone:
 * E' - the twin matching (x, x'): b == a + |V|,
 * E''- for every edge (x, y): (y, x') and (x, y'): any other b.
 
-Zero-forcing sets of G and edge-forcing sets of the lifted graph then
-correspond exactly, preserving cardinality in both directions.
+What is proven is one direction: a zero-forcing set S of G lifts to the
+twin matching {(x, x') : x in S} of the same size, which forces the
+lifted graph (`lift_zero_forcing`), so ef(lifted) <= Z(G).  The converse
+fails, so the gadget does not preserve cardinality: the 7-vertex graph
+with edges 0-1, 0-3, 0-4, 0-6, 1-2, 2-3, 2-4, 2-5, 5-6 has Z(G) = 4,
+while the 3 lifted edges (0,1), (2,10), (4,7) force its lifted graph.
+So `normalize_and_project` cannot map every minimum lifted witness to a
+zero-forcing set of G of the same size, and `reduce --verify` reports
+both numbers with `equal` false there.
 """
 
 from __future__ import annotations

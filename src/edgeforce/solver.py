@@ -87,10 +87,13 @@ class _Exhaustion:
     bitmasks: the caller may seed it through `add`, then `first_over`, and
     each leaf whose closure leaves a vertex white adds a minimal one, for
     this size and the later ones, and appends it to `listed` as an
-    ascending vertex list.  A search seeded with every fort an earlier
-    search of g harvested tests no leaf that stalled there, so it runs no
-    `_minimal_fort` and closes only the witness and its prefix.  Call a
-    fort unhit when no chosen item touches it.  The search skips
+    ascending vertex list.  `_minimal_fort` shrinks the stall's white set
+    to that fort on the neighbour bitmasks `nbr`, with no kernel call, so
+    the only kernel calls are the prefixes' and the leaves' closures.  A
+    search seeded with every fort an earlier search of g harvested tests
+    no leaf that stalled there, so it runs no `_minimal_fort` and closes
+    only the witness and its prefix.  Call a fort unhit when no chosen
+    item touches it.  The search skips
     - the rest of a loop once an unhit fort meets no later item;
     - the kernel call of a leaf whose item misses an unhit fort;
     - a node where more unhit forts than items still to choose meet
@@ -100,12 +103,13 @@ class _Exhaustion:
     def __init__(self, g: Graph, items: Sequence[tuple[int, ...]]):
         self.g, self.items = g, items
         self.masks = [sum(1 << v for v in item) for item in items]
+        self.nbr = [sum(1 << w for w in a) for a in g.adjacency]
         self.forts: list[int] = []
         self.touch = [0] * len(items)  # item position -> forts it touches
         self.covers: list[int] = []  # fort -> positions of items touching it
         self.below = [0] * len(items)  # position -> forts no later item touches
         self.listed: list[list[int]] = []  # receives the harvest
-        self.count = _completion_counter(g, items)
+        self.count = _completion_counter(self.nbr, items)
 
     def add(self, fort: int) -> None:
         """Put the vertex bitmask `fort` in the pool."""
@@ -134,9 +138,9 @@ class _Exhaustion:
         g, items = self.g, self.items
         if k == 0:
             return ((), 1) if g.vertex_count == 0 else (None, 1)
-        masks, touch, covers, below, forts, count = (
+        masks, touch, covers, below, forts, count, nbr = (
             self.masks, self.touch, self.covers, self.below, self.forts,
-            self.count)
+            self.count, self.nbr)
         adj = g.adjacency
         m = len(items)
         chosen: list[tuple[int, ...]] = []
@@ -191,14 +195,15 @@ class _Exhaustion:
                     black, counts = bytearray(black), counts[:]
                     extend_closure(adj, black, counts, pending)
                     pending = ()
-                state, cnt = black, counts
+                state = black
                 if not (black[item[0]] and black[item[-1]]):
-                    state, cnt = bytearray(black), counts[:]
-                    extend_closure(adj, state, cnt, item)
+                    state = bytearray(black)
+                    extend_closure(adj, state, counts[:], item)
                 if 0 not in state:
                     chosen.append(item)
                     return True
-                fort = _minimal_fort(adj, state, cnt)
+                fort = _minimal_fort(
+                    nbr, sum(1 << v for v, b in enumerate(state) if not b))
                 self.add(fort)
                 self.listed.append(
                     [v for v in range(fort.bit_length()) if fort >> v & 1])
@@ -231,26 +236,46 @@ class _Exhaustion:
         return None, counts
 
 
-def _minimal_fort(adj, black: bytearray, counts: list[int]) -> int:
-    """A minimal fort among the white vertices of the closed state
-    (black, counts), as a vertex bitmask; the state is left as it is.
+def _minimal_fort(nbr: list[int], white: int) -> int:
+    """A minimal fort inside the fort `white`, both vertex bitmasks;
+    `nbr` holds each vertex's neighbours as a bitmask.
 
-    Blackens the white vertices in turn, each on a copy that is kept when
-    its closure leaves a vertex white.  What stays white is the white set
-    of a closed state, so a fort.  Each vertex of it closed a smaller
-    black set to all black when it was tried, so no fort inside the white
-    set leaves that vertex out: the fort is minimal.
+    For each vertex w of `white` in ascending order that is still in the
+    fort, shrinks the fort less w to the largest fort inside it, and keeps
+    that when it is not empty.  The largest fort inside a set S is what
+    stays after removing, while some vertex outside S has exactly one
+    neighbour in S, that neighbour: the white set of the closure of the
+    complement of S.  So a trial gives the fort that blackening w in the
+    closed state of the fort's complement leaves white, with no kernel
+    call.  That state is closed, so only w, the removed vertices and
+    their neighbours outside the set can have exactly one neighbour left
+    inside, and only those are examined.  Each vertex of the result left
+    no fort when it was tried, so no fort inside the result leaves it
+    out: the fort is minimal.
     """
-    for w in range(len(black)):
-        if not black[w]:
-            trial, trial_counts = bytearray(black), counts[:]
-            extend_closure(adj, trial, trial_counts, (w,))
-            if 0 in trial:
-                black, counts = trial, trial_counts
-    return sum(1 << v for v, b in enumerate(black) if not b)
+    fort = white
+    while white:
+        low = white & -white
+        white ^= low
+        if not fort & low:
+            continue
+        rest = fort ^ low
+        # vertices outside rest still to examine; rest only shrinks, so
+        # they stay outside
+        check = low | nbr[low.bit_length() - 1] & ~rest
+        while check:
+            v = check & -check
+            check ^= v
+            inside = nbr[v.bit_length() - 1] & rest
+            if inside and not inside & (inside - 1):
+                rest ^= inside
+                check |= inside | nbr[inside.bit_length() - 1] & ~rest
+        if rest:
+            fort = rest
+    return fort
 
 
-def _completion_counter(g: Graph, items: Sequence[tuple[int, ...]]):
+def _completion_counter(nbr: list[int], items: Sequence[tuple[int, ...]]):
     """count(i, need, used): the number of need-combinations of pairwise
     disjoint items from position i on that avoid the vertex bitmask
     `used`, which holds only vertices of items before position i.
@@ -258,12 +283,12 @@ def _completion_counter(g: Graph, items: Sequence[tuple[int, ...]]):
     Vertex items give a binomial.  For edge items, position i = (a, b)
     leaves the edges (a, v) with v >= b, and the edges of g among the
     vertices above a; the count of matchings there recurses on the lowest
-    vertex, memoised by vertex mask for every later count.
+    vertex, memoised by vertex mask for every later count.  `nbr` holds
+    each vertex's neighbours as a bitmask.
     """
     m = len(items)
     if not items or len(items[0]) == 1:
         return lambda i, need, used: comb(m - i, need)
-    nbr = [sum(1 << w for w in a) for a in g.adjacency]
     memo: dict[int, tuple[int, ...]] = {0: (1,)}
 
     def matchings(mask: int) -> tuple[int, ...]:
@@ -294,7 +319,7 @@ def _completion_counter(g: Graph, items: Sequence[tuple[int, ...]]):
         if i >= m:
             return 0
         a, b = items[i]
-        free = ~used & ((1 << g.vertex_count) - (2 << a))
+        free = ~used & ((1 << len(nbr)) - (2 << a))
         sizes = matchings(free)
         total = sizes[need] if need < len(sizes) else 0
         if not used >> a & 1:

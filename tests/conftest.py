@@ -2,6 +2,7 @@ import itertools
 import random
 
 from edgeforce.graph import Graph, from_edges
+from edgeforce.kernels import extend_closure
 
 
 def path_graph(n: int) -> Graph:
@@ -65,6 +66,26 @@ def closure_sequential(g: Graph, initial, rng=None) -> frozenset[int]:
         else:
             v, w = candidates[rng.randrange(len(candidates))]
         black.add(w)
+
+
+def minimal_fort_reference(adj, black: bytearray, counts: list[int]) -> int:
+    """A minimal fort among the white vertices of the closed state
+    (black, counts), as a vertex bitmask, by kernel trials; the state is
+    left as it is.  The oracle of `solver._minimal_fort`.
+
+    Blackens the white vertices in ascending order, each on a copy that is
+    kept when its closure leaves a vertex white.  What stays white is the
+    white set of a closed state, so a fort.  Each vertex of it closed a
+    smaller black set to all black when it was tried, so no fort inside
+    the white set leaves that vertex out: the fort is minimal.
+    """
+    for w in range(len(black)):
+        if not black[w]:
+            trial, trial_counts = bytearray(black), counts[:]
+            extend_closure(adj, trial, trial_counts, (w,))
+            if 0 in trial:
+                black, counts = trial, trial_counts
+    return sum(1 << v for v, b in enumerate(black) if not b)
 
 
 def max_edge_disjoint(family) -> int:

@@ -104,6 +104,14 @@ class TestParseGraph:
         with pytest.raises(CertificateError, match="unknown graph descriptor"):
             resolve_graph("hypercube:3")
 
+    def test_resolve_refuses_unknown_keys(self):
+        # a certificate's inline graph is written back as given, so a key
+        # other than n and edges would pass unchecked
+        with pytest.raises(CertificateError,
+                           match=r"unknown keys \['x'\]"):
+            resolve_graph({**C5, "x": [[[1]]]})
+        assert parse_graph({**C5, "x": 1}).edges == cycle_graph(5).edges
+
     @pytest.mark.parametrize("descriptor", [
         "butterfly:x", "butterfly:03", "butterfly:+3", "butterfly:-3",
         "butterfly: 3", "butterfly:3 ", "butterfly:\u0663", "butterfly:"])
@@ -400,6 +408,24 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["claim"]["equal"] is True
 
+    def test_reduce_verify_gadget_not_cardinality_preserving(
+            self, tmp_path, capsys):
+        # the gadget proves only ef(lifted) <= Z(G): here the lifted graph
+        # is forced by 3 edges while G needs 4 vertices, and the
+        # certificate that says so verifies
+        g = from_edges(7, [(0, 1), (0, 3), (0, 4), (0, 6), (1, 2), (2, 3),
+                           (2, 4), (2, 5), (5, 6)])
+        code, (verify_code, out) = emit_and_verify(
+            tmp_path, capsys,
+            ["reduce", "--graph", write_graph(tmp_path, g), "--verify"])
+        assert code == 1
+        assert verify_code == 0 and out["verified"] is True
+        doc = json.loads((tmp_path / "emitted.json").read_text())
+        assert doc["claim"] == {"zero_forcing_number": 4,
+                                "lifted_edge_forcing_number": 3,
+                                "equal": False}
+        assert doc["witness"]["lifted_edges"] == [[0, 1], [2, 10], [4, 7]]
+
     def test_reduce_plain(self, tmp_path, capsys):
         path = write_graph(tmp_path, path_graph(3))
         assert main(["reduce", "--graph", path]) == 0
@@ -452,6 +478,21 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == (f"error: graph has {2 ** 40} vertices, "
                                 f"above the limit {MAX_GRAPH_VERTICES}\n")
+
+    def test_verify_refuses_unknown_graph_keys(self, tmp_path, capsys):
+        # a --graph file keeps its leniency; a certificate's graph does not
+        graph = tmp_path / "c5.json"
+        graph.write_text(json.dumps({**C5, "x": [[[1]]]}))
+        code, doc = run_json(capsys, ["closure", "--graph", graph,
+                                      "--black", "0,1"])
+        assert code == 0 and doc["graph"] == C5
+        doc["graph"]["x"] = [[[1]]]
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(doc))
+        assert main(["verify", "--cert", str(cert)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: graph document has unknown keys ['x']\n"
 
     def test_verify_nonexistence_at_the_solve_guard(self, tmp_path, capsys):
         from edgeforce.graph import from_edges

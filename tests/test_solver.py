@@ -3,7 +3,7 @@ import random
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from edgeforce import solver
@@ -12,11 +12,13 @@ from edgeforce.engine import (forces_all, is_edge_forcing_set,
                               is_zero_forcing_set, matching_endpoints)
 from edgeforce.graph import from_edges, is_matching, matchings_of_size
 from edgeforce.constructions import structural_lower_bound
-from edgeforce.kernels import run_closure
+from edgeforce.kernels import extend_closure, run_closure
+from edgeforce.reduction import build_gbar
 from edgeforce.solver import (InstanceTooLarge, _Exhaustion, _minimal_fort,
                               min_edge_forcing, min_zero_forcing)
 
-from conftest import complete_graph, cycle_graph, path_graph, random_graph
+from conftest import (complete_graph, cycle_graph, minimal_fort_reference,
+                      path_graph, random_graph)
 
 
 def oracle_min_zero_forcing(g):
@@ -140,6 +142,33 @@ def disjoint_unions(draw):
     return from_edges(n, [(perm[u], perm[v]) for u, v in edges])
 
 
+def neighbour_masks(g):
+    return [sum(1 << w for w in a) for a in g.adjacency]
+
+
+@st.composite
+def stalled_states(draw):
+    """(g, black, counts): a closed state of g that leaves a vertex white.
+    g is a random graph plus isolated vertices, a disjoint union, or the
+    lifted gadget of a random graph."""
+    kind = draw(st.sampled_from(["random", "union", "lifted"]))
+    if kind == "union":
+        g = draw(disjoint_unions())
+    else:
+        n = draw(st.integers(2, 12 if kind == "random" else 6))
+        pool = list(itertools.combinations(range(n), 2))
+        edges = draw(st.lists(st.sampled_from(pool), unique=True))
+        g = from_edges(n + draw(st.integers(0, 3)), edges)
+        if kind == "lifted":
+            g = build_gbar(g).lifted
+    n = g.vertex_count
+    start = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+    black, counts = bytearray(n), [len(a) for a in g.adjacency]
+    extend_closure(g.adjacency, black, counts, sorted(start))
+    assume(0 in black)
+    return g, black, counts
+
+
 class TestForts:
     """The fort pool prunes the exhaustion without changing a count."""
 
@@ -189,14 +218,24 @@ class TestForts:
         start = data.draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
         black = run_closure(g, sorted(start))[0]
         closed = {v for v in range(n) if black[v]}
-        counts = [sum(not black[w] for w in a) for a in g.adjacency]
         if len(closed) == n:
             return
-        before = (bytearray(black), counts[:])
-        fort = vertex_set(_minimal_fort(g.adjacency, black, counts))
-        assert (black, counts) == before
+        white = sum(1 << v for v in range(n) if not black[v])
+        fort = vertex_set(_minimal_fort(neighbour_masks(g), white))
         assert not fort & closed
         assert is_minimal_fort(g, fort)
+
+    @settings(max_examples=300, deadline=None)
+    @given(stalled_states())
+    def test_minimal_fort_matches_kernel_trials(self, stalled):
+        # the greedy on bitmasks keeps, for each vertex, the white set of
+        # the closure that blackens it: the fort of the kernel trials
+        g, black, counts = stalled
+        before = (bytearray(black), counts[:])
+        want = minimal_fort_reference(g.adjacency, black, counts)
+        assert (black, counts) == before
+        white = sum(1 << v for v, b in enumerate(black) if not b)
+        assert _minimal_fort(neighbour_masks(g), white) == want
 
     @settings(max_examples=150, deadline=None)
     @given(disjoint_unions(), st.data())
@@ -223,15 +262,15 @@ class TestForts:
             assert again == forts
 
     def test_bf2_closures(self, monkeypatch):
-        # a prefix is closed only for a leaf below it that is tested: 88
-        # kernel calls, the 16 fort minimisations' included, where closing
-        # every prefix made 304
+        # a prefix is closed only for a leaf below it that is tested, and
+        # the 16 fort minimisations run on bitmasks: 24 kernel calls, where
+        # minimising by kernel trials made 88 and closing every prefix 304
         calls = []
         extend = solver.extend_closure
         monkeypatch.setattr(solver, "extend_closure",
                             lambda *a: calls.append(a) or extend(*a))
         assert not min_edge_forcing(build_butterfly(2)).exists
-        assert len(calls) == 88
+        assert len(calls) == 24
 
     def test_disjoint_edges(self):
         # k disjoint edges: each is a 2-vertex fort, so every size below k
