@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .graph import (Graph, GraphError, from_edges, is_matching,  # noqa: E402
+from .graph import (Graph, GraphError, from_edges,  # noqa: E402
                     matching_diagnostic, matchings_of_size)
 from .engine import (ClosureResult, ForcingTrace, closure,  # noqa: E402
                      is_edge_forcing_set, is_zero_forcing_set)
@@ -19,7 +19,7 @@ from .certificates import (Certificate, emit_certificate,  # noqa: E402
                            parse_certificate, parse_graph, verify_certificate)
 
 __all__ = [
-    "Graph", "GraphError", "from_edges", "is_matching", "matching_diagnostic",
+    "Graph", "GraphError", "from_edges", "matching_diagnostic",
     "matchings_of_size",
     "ClosureResult", "ForcingTrace", "closure", "is_edge_forcing_set",
     "is_zero_forcing_set",

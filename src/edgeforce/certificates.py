@@ -18,20 +18,20 @@ a forcing number (the fort cover of Brimkov, Fast & Hicks 2019); seeded
 with it, a search rules out every combination the first search closed in
 vain without closing it again.
 
-``verify_certificate`` has one rule for every kind: it validates the
-fields the kind reads, refuses an exact claim (zf-number, ef-number,
-nonexistence) on a graph above the recorded search guard, checks each
-listed fort with bit masks (non-empty, strictly ascending, inside
-[0, n), and no vertex outside it with exactly one neighbor in it),
-rebuilds the certificate from its inputs with the same builder, seeded
-with those forts, and compares kind, claim, graph, trace and witness,
-with JSON's types kept apart (true and 1.0 are not 1).  A
-valid fort never rules out a forcing set and the per-size counts are
-computed in closed form, so the seeds change none of these.  A zf-number
-or ef-number witness must be the solver's lex-first one, and it must
-also force under the plain closure engine, which does not share the
-search's fort pruning.  The rest of the `search` block (`explored`,
-`seed`, ...) is provenance and is not compared.
+Each input is checked where it is consumed: here a document's keys and
+the JSON type of each field its kind reads, in the engine vertex sets,
+in the solvers their guard and each listed fort.  ``verify_certificate``
+rebuilds a certificate of any kind with its builder, seeded with the
+listed forts, and compares kind, claim, graph, trace and witness, with
+JSON's types kept apart (true and 1.0 are not 1); where a solver refuses
+the rebuild (a graph above the recorded guard, a listed set that is not
+a fort) it answers false.  A valid fort never rules out a forcing set
+and the per-size counts are computed in closed form, so the seeds change
+none of these.  A zf-number or ef-number witness must be the solver's
+lex-first one, and it must also force under the plain closure engine,
+which does not share the search's fort pruning.  The rest of `search`
+(`explored`, `seed`, ...) is provenance, not compared, but a key the
+rebuild does not write is refused.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import bisect
 import json
 import marshal
 import re
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Iterable, Optional, Union
 
 from . import __version__
@@ -49,7 +49,8 @@ from .constructions import known_bounds
 from .engine import closure, is_edge_forcing_set, is_zero_forcing_set
 from .graph import Edge, Graph, GraphError, from_edges, normalize_edge
 from .reduction import MAX_LIFTED_EDGES, build_gbar
-from .solver import (DEFAULT_MAX_EDGES, DEFAULT_MAX_VERTICES, min_edge_forcing,
+from .solver import (DEFAULT_MAX_EDGES, DEFAULT_MAX_VERTICES,
+                     InstanceTooLarge, NotAFort, min_edge_forcing,
                      min_zero_forcing)
 
 SCHEMA_VERSION = "efc-1"
@@ -62,10 +63,6 @@ CLAIM_KINDS = ("closure", "zfs-check", "efs-check", "zf-number", "ef-number",
 
 class CertificateError(ValueError):
     pass
-
-
-class EdgeForcingSetFound(CertificateError):
-    """Exhaustion found an edge-forcing set where none was expected."""
 
 
 def _is_int(value: Any) -> bool:
@@ -174,13 +171,6 @@ def parse_edges(edges: list) -> list[Edge]:
     return pairs
 
 
-def _vertex_list(doc: Any, key: str, where: str) -> list[int]:
-    value = require_field(doc, key, list, where)
-    if not all(map(_is_int, value)):
-        raise CertificateError(f'{where} field "{key}" must hold integers')
-    return value
-
-
 def _witness_edges(witness: Any) -> list[Edge]:
     return parse_edges(require_field(witness, "edges", list, "witness"))
 
@@ -201,6 +191,10 @@ def parse_certificate(doc: Union[str, dict]) -> Certificate:
         doc = decode_json(doc)
     if not isinstance(doc, dict):
         raise CertificateError("certificate must be a JSON object")
+    known = {f.name for f in fields(Certificate)}
+    unknown = [key for key in doc if key not in known]
+    if unknown:
+        raise CertificateError(f"certificate has unknown keys {unknown}")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise CertificateError(
             f"schema mismatch: expected {SCHEMA_VERSION!r}, "
@@ -214,6 +208,9 @@ def parse_certificate(doc: Union[str, dict]) -> Certificate:
         raise CertificateError('certificate field "claim" must be an object')
     if doc.get("search") is not None and not isinstance(doc["search"], dict):
         raise CertificateError('certificate field "search" must be an object')
+    if doc.get("obstructions") is not None:
+        # no builder writes one, so nothing would check it
+        raise CertificateError('certificate field "obstructions" must be null')
     return Certificate(
         kind=kind, graph=doc["graph"], claim=doc.get("claim", {}),
         witness=doc.get("witness"), trace=doc.get("trace"),
@@ -243,51 +240,27 @@ def _guard(search: dict, key: str, default: int) -> int:
     return require_field(search, key, int, "search") if key in search else default
 
 
-def _listed_forts(search: dict, key: str, g: Graph
-                  ) -> tuple[list[list[int]], Optional[str]]:
-    """The forts of g listed as search[key] (none when absent), and why
-    the first entry that is not a fort fails, else None.
-
-    CertificateError unless the field is a list of integer lists.  An
-    entry must be non-empty, strictly ascending and inside [0, n), and no
-    vertex outside it may have exactly one neighbor in it; the check uses
-    bit masks and runs no closure.
-    """
+def _listed_forts(search: dict, key: str) -> list[list[int]]:
+    """The fort list search[key] (empty when absent); CertificateError
+    unless it is a list of integer lists.  Whether each entry is a fort of
+    the graph is the solver's check, where the list seeds its search."""
     forts = require_field(search, key, list, "search") if key in search else []
     for i, fort in enumerate(forts):
         if not (isinstance(fort, list) and all(map(_is_int, fort))):
             raise CertificateError(
                 f'search field "{key}" must hold integer lists, '
                 f'entry {i} does not')
-    adj = g.adjacency
-    for i, fort in enumerate(forts):
-        where = f"search.{key}[{i}] is not a fort:"
-        if not fort:
-            return forts, f"{where} it is empty"
-        if any(a >= b for a, b in zip(fort, fort[1:])):
-            return forts, f"{where} it is not strictly ascending"
-        if fort[0] < 0 or fort[-1] >= g.vertex_count:
-            return forts, f"{where} it leaves [0, {g.vertex_count})"
-        inside = once = twice = 0
-        for v in fort:
-            inside |= 1 << v
-            nbr = sum(1 << w for w in adj[v])
-            twice |= once & nbr
-            once |= nbr
-        if once & ~twice & ~inside:
-            return forts, (f"{where} a vertex outside it has exactly one "
-                           f"neighbor in it")
-    return forts, None
+    return forts
 
 
 def verify_certificate(doc: Union[str, dict, Certificate]
                        ) -> tuple[bool, str]:
     """Re-check a certificate from its own contents; (ok, details).
 
-    Validates the fields its kind reads, applies the recorded search guard
-    of an exact claim, rebuilds the certificate with the builder the CLI
-    used and compares kind, claim, graph, trace and witness.  A zf-number
-    or ef-number witness must also force under `engine.forces_all`.
+    Rebuilds it with the builder the CLI used and compares kind, claim,
+    graph, trace and witness, or answers false where a solver refuses the
+    rebuild.  A zf-number or ef-number witness must also force under
+    `engine.forces_all`.
     """
     c = doc if isinstance(doc, Certificate) else parse_certificate(doc)
     kind, search = c.kind, c.search or {}
@@ -297,54 +270,59 @@ def verify_certificate(doc: Union[str, dict, Certificate]
     # an exact claim's witness is also closed by the reference engine,
     # which refuses a vertex outside [0, n) and prunes nothing
     witness_forces = True
-    if kind == "zf-number":
-        require_field(c.claim, "value", int, "claim")
-        witness_forces = is_zero_forcing_set(
-            g, _vertex_list(c.witness, "vertices", "witness"))
-        max_n = _guard(search, "max_n", DEFAULT_MAX_VERTICES)
-        if g.vertex_count > max_n:
-            return False, "minimality re-verification limited to small graphs"
-        forts, fault = _listed_forts(search, "forts", g)
-        if fault:
-            return False, fault
-        rebuilt = zf_number_certificate(g, max_n, c.graph, forts)
-    elif kind in ("ef-number", "nonexistence"):
-        if kind == "ef-number":
+    try:
+        if kind == "zf-number":
             require_field(c.claim, "value", int, "claim")
-            witness_forces = is_edge_forcing_set(g, _witness_edges(c.witness))
+            witness_forces = is_zero_forcing_set(
+                g, require_field(c.witness, "vertices", list, "witness"))
+            rebuilt = zf_number_certificate(
+                g, _guard(search, "max_n", DEFAULT_MAX_VERTICES), c.graph,
+                _listed_forts(search, "forts"))
+        elif kind in ("ef-number", "nonexistence"):
+            if kind == "ef-number":
+                require_field(c.claim, "value", int, "claim")
+                witness_forces = is_edge_forcing_set(
+                    g, _witness_edges(c.witness))
+            else:
+                require_field(c.claim, "matchings_tested_per_size", dict,
+                              "claim")
+            rebuilt = ef_number_certificate(
+                g, _guard(search, "max_edges", DEFAULT_MAX_EDGES), c.graph,
+                _listed_forts(search, "forts"))
+        elif kind == "closure":
+            rebuilt = closure_certificate(
+                g, require_field(c.claim, "initial", list, "claim"), c.graph)
+        elif kind == "zfs-check":
+            rebuilt = zfs_check_certificate(
+                g, require_field(c.claim, "set", list, "claim"), c.graph)
+        elif kind == "efs-check":
+            edges = _witness_edges(c.witness)
+            rebuilt = efs_check_certificate(g, edges, c.graph)
+            if search.get("mode") == "construction":
+                # construction_certificate's witness record and search
+                # keys, from g; the seed is provenance and is not re-run
+                rebuilt = replace(rebuilt, witness=edge_witness(g, edges),
+                                  search={"mode": "construction",
+                                          "seed": search.get("seed")})
+        elif kind == "bounds":
+            rebuilt = bounds_certificate(
+                require_field(c.claim, "r", int, "claim"))
+        elif kind == "reduction-equivalence":
+            rebuilt = reduction_certificate(
+                g, c.graph, _listed_forts(search, "forts"),
+                _listed_forts(search, "lifted_forts"))
         else:
-            require_field(c.claim, "matchings_tested_per_size", dict, "claim")
-        max_edges = _guard(search, "max_edges", DEFAULT_MAX_EDGES)
-        if g.edge_count > max_edges:
-            what = "minimality" if kind == "ef-number" else "nonexistence"
-            return False, f"{what} re-verification limited to small graphs"
-        forts, fault = _listed_forts(search, "forts", g)
-        if fault:
-            return False, fault
-        rebuilt = ef_number_certificate(g, max_edges, c.graph, forts)
-    elif kind == "closure":
-        rebuilt = closure_certificate(
-            g, _vertex_list(c.claim, "initial", "claim"), c.graph)
-    elif kind == "zfs-check":
-        rebuilt = zfs_check_certificate(
-            g, _vertex_list(c.claim, "set", "claim"), c.graph)
-    elif kind == "efs-check":
-        edges = _witness_edges(c.witness)
-        rebuilt = efs_check_certificate(g, edges, c.graph)
-        if search.get("mode") == "construction":
-            # construction_certificate's edge_witness record, from g
-            rebuilt = replace(rebuilt, witness=edge_witness(g, edges))
-    elif kind == "bounds":
-        rebuilt = bounds_certificate(require_field(c.claim, "r", int, "claim"))
-    elif kind == "reduction-equivalence":
-        forts, fault = _listed_forts(search, "forts", g)
-        lifted_forts, lifted_fault = _listed_forts(
-            search, "lifted_forts", build_gbar(g).lifted)
-        if fault or lifted_fault:
-            return False, fault or lifted_fault
-        rebuilt = reduction_certificate(g, c.graph, forts, lifted_forts)
-    else:
-        return False, f"unknown claim kind {kind!r}"
+            return False, f"unknown claim kind {kind!r}"
+    except NotAFort as exc:
+        return False, f"search.{exc}"
+    except InstanceTooLarge:
+        if kind == "reduction-equivalence":
+            raise
+        what = "nonexistence" if kind == "nonexistence" else "minimality"
+        return False, f"{what} re-verification limited to small graphs"
+    unknown = [key for key in search if key not in (rebuilt.search or {})]
+    if unknown:
+        raise CertificateError(f"search has unknown keys {unknown}")
     if rebuilt.kind != kind:
         found = (f" with witness edges {rebuilt.witness['edges']}"
                  if rebuilt.witness else "")
@@ -366,10 +344,10 @@ def verify_certificate(doc: Union[str, dict, Certificate]
 
 def bf2_nonexistence_counts(g: Graph) -> dict[int, int]:
     """Exhaustion counts for a small graph with no edge-forcing set
-    (EdgeForcingSetFound, naming the set, if it has one)."""
+    (CertificateError, naming the set, if it has one)."""
     verdict = min_edge_forcing(g, max_edges=g.edge_count)
     if verdict.exists:
-        raise EdgeForcingSetFound(
+        raise CertificateError(
             f"graph admits an edge-forcing set {sorted(verdict.witness)}")
     return verdict.matchings_tested_per_size
 
@@ -411,8 +389,9 @@ def efs_check_certificate(g: Graph, edges: list[Edge],
 def zf_number_certificate(g: Graph, max_n: int,
                           graph: Union[str, dict, None] = None,
                           forts: Iterable[list[int]] = ()) -> Certificate:
-    """The zf-number certificate; `forts` (checked forts of g) seed the
-    search, and `search.forts` lists them and the search's harvest."""
+    """The zf-number certificate; `forts` (forts of g, which the solver
+    checks) seed the search, and `search.forts` lists them and the
+    search's harvest."""
     forts = list(forts)
     value, witness = min_zero_forcing(g, max_vertices=max_n, forts=forts)
     return Certificate(kind="zf-number",
@@ -450,12 +429,16 @@ def reduction_certificate(g: Graph, graph: Union[str, dict, None] = None,
                           lifted_forts: Iterable[list[int]] = ()
                           ) -> Certificate:
     """The reduction-equivalence certificate; `forts` and `lifted_forts`
-    (checked forts of g and of its lifted graph) seed the two searches,
-    as in `zf_number_certificate`."""
+    (forts of g and of its lifted graph) seed the two searches, as in
+    `zf_number_certificate`, and a refusal of a lifted fort names it as
+    `lifted_forts`."""
     forts, lifted_forts = list(forts), list(lifted_forts)
     zf, zf_witness = min_zero_forcing(g, forts=forts)
-    verdict = min_edge_forcing(build_gbar(g).lifted, MAX_LIFTED_EDGES,
-                               lifted_forts)
+    try:
+        verdict = min_edge_forcing(build_gbar(g).lifted, MAX_LIFTED_EDGES,
+                                   lifted_forts)
+    except NotAFort as exc:
+        raise NotAFort(f"lifted_{exc}") from None
     return Certificate(
         kind="reduction-equivalence",
         graph=g.to_json_dict() if graph is None else graph,

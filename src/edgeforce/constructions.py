@@ -11,8 +11,8 @@ vertex, the cross edge from the high row's.  Each construction level
 takes `find_obstructions` of its BF(r) once and picks every skeleton edge
 by position in that order.  The vertical skeleton takes each vertical
 diamond's high-row straight edge; the horizontal skeleton takes one edge
-per horizontal diamond, the low row's straight edge ("straight_low") or,
-in "cross_mix", the low row's cross edge in the first half of the
+per horizontal diamond, the low row's straight edge (`STRAIGHT_LOW`) or,
+in `CROSS_MIX`, the low row's cross edge in the first half of the
 diamonds and the high row's after.
 
 The butterfly witnesses come in two flavors, each built once and verified
@@ -21,15 +21,15 @@ ConstructionError:
 
 * BF(3), BF(4), BF(5): a pattern-seeded search.  The skeleton (one edge
   per binding diamond) is fixed, then one seeded greedy completion over
-  middle-level edges is run to the size in `SEARCH_SIZES` and verified.
-  The witnesses are recomputed, never hard-coded.  Only BF(3)'s size is
-  proven least (it meets the obstruction bound 2^r); 25 and 47 are the
-  sizes these searches reach, upper bounds only.  BF(3) needs no middle
-  edge, so its witness is the vertical plus the "cross_mix" horizontal
-  skeleton.
+  middle-level edges is run to the size in `SEEDED_SEARCHES` and
+  verified.  The witnesses are recomputed, never hard-coded.  Only
+  BF(3)'s size is proven least (it meets the obstruction bound 2^r); 25
+  and 47 are the sizes these searches reach, upper bounds only.  BF(3)
+  needs no middle edge, so its witness is the vertical plus the
+  `CROSS_MIX` horizontal skeleton.
 * BF(r), r >= 6: recursion.  The BF(r-2) witness is copied into the four
   sub-copies on levels 0..r-2 (`butterfly.subcopy_vertex`) and the
-  "straight_low" horizontal skeleton is added; the result is verified by
+  `STRAIGHT_LOW` horizontal skeleton is added; the result is verified by
   closure.
 """
 
@@ -47,13 +47,16 @@ from .engine import closure, is_edge_forcing_set, matching_endpoints
 from .graph import Edge, Graph, normalize_edge
 from .kernels import extend_closure
 
-# the witness size each seeded search completes to
-SEARCH_SIZES = {3: 8, 4: 25, 5: 47}
+# the horizontal skeleton's picks: cycle_edges() positions in the first
+# and second half of the horizontal diamonds
+STRAIGHT_LOW = (0, 0)
+CROSS_MIX = (2, 3)
 
-# each seeded search's horizontal skeleton mode and the middle level pairs
-# its greedy completion draws edges from
-_SEARCHES = {3: ("cross_mix", []), 4: ("cross_mix", [1, 2]),
-             5: ("straight_low", [2, 3])}
+# each seeded search by r: the witness size it completes to, its horizontal
+# skeleton picks and the middle level pairs its greedy completion draws
+# edges from
+SEEDED_SEARCHES = {3: (8, CROSS_MIX, []), 4: (25, CROSS_MIX, [1, 2]),
+                   5: (47, STRAIGHT_LOW, [2, 3])}
 
 DEFAULT_SEED = 12345
 
@@ -132,14 +135,10 @@ def _vertical_skeleton(diamonds: list[Obstruction]) -> list[Edge]:
     return [d.cycle_edges()[1] for d in diamonds[:len(diamonds) // 2]]
 
 
-# each mode's cycle_edges() position in the first and second half of the
-# horizontal diamonds
-_HORIZONTAL_PICKS = {"straight_low": (0, 0), "cross_mix": (2, 3)}
-
-
-def _horizontal_skeleton(diamonds: list[Obstruction], mode: str) -> list[Edge]:
-    """One edge per horizontal diamond (levels r-1, r)."""
-    first, second = _HORIZONTAL_PICKS[mode]
+def _horizontal_skeleton(diamonds: list[Obstruction],
+                         picks: tuple[int, int]) -> list[Edge]:
+    """One edge per horizontal diamond (levels r-1, r), by `picks`."""
+    first, second = picks
     horizontal = diamonds[len(diamonds) // 2:]
     half = len(horizontal) // 2
     return [d.cycle_edges()[first if w < half else second]
@@ -195,9 +194,9 @@ def _greedy_complete(g: Graph, base: list[Edge], candidates: list[Edge],
 
 
 def _seeded_search(g: Graph, r: int, diamonds: list[Obstruction],
-                   target: int, h_mode: str, level_pairs: list[int],
-                   seed: int) -> list[Edge]:
-    base = _vertical_skeleton(diamonds) + _horizontal_skeleton(diamonds, h_mode)
+                   target: int, picks: tuple[int, int],
+                   level_pairs: list[int], seed: int) -> list[Edge]:
+    base = _vertical_skeleton(diamonds) + _horizontal_skeleton(diamonds, picks)
     full = _greedy_complete(g, base, _middle_candidates(g, r, level_pairs),
                             target - len(diamonds), random.Random(seed))
     if full is None:
@@ -212,7 +211,7 @@ def _recursive_witness(g: Graph, r: int, diamonds: list[Obstruction],
     sub = construct_edge_forcing(r - 2, seed=seed)
     edges = [(subcopy_vertex(r, high_bits, u), subcopy_vertex(r, high_bits, v))
              for high_bits in range(4) for u, v in sub]
-    edges += _horizontal_skeleton(diamonds, "straight_low")
+    edges += _horizontal_skeleton(diamonds, STRAIGHT_LOW)
     if not is_edge_forcing_set(g, edges):
         forced = closure(g, matching_endpoints(edges)).final
         raise ConstructionError(
@@ -224,7 +223,7 @@ def _recursive_witness(g: Graph, r: int, diamonds: list[Obstruction],
 def construct_edge_forcing(r: int, seed: int = DEFAULT_SEED) -> list[Edge]:
     """A verified edge-forcing matching of BF(r), r >= 3.
 
-    Sizes: `SEARCH_SIZES` for r = 3, 4, 5; for r >= 6 the recursive set of
+    Sizes: `SEEDED_SEARCHES` for r = 3, 4, 5; for r >= 6 the recursive set of
     size u(r) = 4*u(r-2) + 2^(r-1), within the parity upper bound.  BF(r)
     is built once, before the recursion, so a dimension above the
     butterfly guard fails at once; each level verifies its own witness.
@@ -245,9 +244,8 @@ def butterfly_witness(g: Graph, r: int, seed: int = DEFAULT_SEED) -> list[Edge]:
     caller that also needs the graph builds it once."""
     _require_dimension(r)
     diamonds = find_obstructions(g)
-    if r in _SEARCHES:
-        return _seeded_search(g, r, diamonds, SEARCH_SIZES[r], *_SEARCHES[r],
-                              seed)
+    if r in SEEDED_SEARCHES:
+        return _seeded_search(g, r, diamonds, *SEEDED_SEARCHES[r], seed)
     return _recursive_witness(g, r, diamonds, seed)
 
 
@@ -274,8 +272,8 @@ def _upper_formula(r: int) -> int:
 
 def recursive_upper(r: int) -> int:
     """u(r) = 4*u(r-2) + 2^(r-1), seeded with the witness sizes for r=3,4,5."""
-    if r in SEARCH_SIZES:
-        return SEARCH_SIZES[r]
+    if r in SEEDED_SEARCHES:
+        return SEEDED_SEARCHES[r][0]
     return 4 * recursive_upper(r - 2) + (1 << (r - 1))
 
 

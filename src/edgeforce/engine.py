@@ -1,4 +1,7 @@
-"""Color change rule, closure process and forcing-set membership tests."""
+"""Color change rule, closure process and forcing-set membership tests.
+
+The engine checks the vertex sets it is given, for every caller: an entry
+that is not an integer in [0, n) raises ValueError."""
 
 from __future__ import annotations
 
@@ -66,7 +69,7 @@ def _vertex_set(g: Graph, vertices: Iterable[int]) -> set[int]:
     Python ints and numpy integer scalars pass through `operator.index`.
     Raises ValueError for a vertex that is not an integer in [0, n), which
     indexing would otherwise wrap (-1), reject with an IndexError (n) or
-    accept as 1 (True).
+    accept as 1 (True), before duplicates go: False is refused next to 0.
     """
     n = g.vertex_count
     black = set()
@@ -86,10 +89,10 @@ def closure(g: Graph, initial: Iterable[int]) -> ClosureResult:
     round-synchronous reference schedule (ascending-index scan per round,
     smallest-index forcer on ties, forces applied together at round end).
     """
-    init = frozenset(initial)
-    final, *events = run_closure(g, _vertex_set(g, init))
+    init = _vertex_set(g, initial)
+    final, *events = run_closure(g, init)
     black = compress(range(g.vertex_count), final)
-    return ClosureResult(frozenset(black), init, tuple(events))
+    return ClosureResult(frozenset(black), frozenset(init), tuple(events))
 
 
 def is_zero_forcing_set(g: Graph, t: Iterable[int]) -> bool:

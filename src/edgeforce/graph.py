@@ -79,9 +79,6 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def min_degree(self) -> int:
         if self.vertex_count == 0:
             return 0
@@ -135,11 +132,6 @@ def matching_diagnostic(g: Graph, edges: Iterable[tuple[int, int]]) -> Optional[
             return f"shares endpoint: vertex {shared} appears in two edges"
         used.update(e)
     return None
-
-
-def is_matching(g: Graph, edges: Iterable[tuple[int, int]]) -> bool:
-    """True iff every pair is an edge of g and no vertex is used twice."""
-    return matching_diagnostic(g, list(edges)) is None
 
 
 def matchings_of_size(g: Graph, k: int) -> Iterator[frozenset[Edge]]:

@@ -1,5 +1,6 @@
 """Exact zero-forcing and edge-forcing numbers at desk scale, both from one
-exhaustion routine, `_Exhaustion`, which gets the caller's fort list."""
+exhaustion routine, `_Exhaustion`, which gets the caller's fort list and
+checks it: a listed set that is not a fort could rule out a forcing set."""
 
 from __future__ import annotations
 
@@ -18,6 +19,10 @@ DEFAULT_MAX_EDGES = 40
 
 class InstanceTooLarge(RuntimeError):
     """Explicit refusal for instances beyond the configured exhaustive-search guard."""
+
+
+class NotAFort(GraphError):
+    """A listed fort that is not one: "forts[1] is not a fort: it is empty"."""
 
 
 @dataclass(frozen=True)
@@ -84,10 +89,11 @@ class _Exhaustion:
     no vertex outside F has exactly one neighbor in F; a fort disjoint
     from S stays disjoint from cl(S), so every forcing set meets every
     fort (Fast & Hicks 2018).  `forts` holds forts of g as vertex
-    bitmasks: the caller may seed it through `add`, then `first_over`, and
-    each leaf whose closure leaves a vertex white adds a minimal one, for
-    this size and the later ones, and appends it to `listed` as an
-    ascending vertex list.  `_minimal_fort` shrinks the stall's white set
+    bitmasks: the caller may seed it through `add`, then `first_over`,
+    which refuses a listed set that is not a fort, and each leaf whose
+    closure leaves a vertex white adds a minimal one, for this size and
+    the later ones, and appends it to `listed` as an ascending vertex
+    list.  `_minimal_fort` shrinks the stall's white set
     to that fort on the neighbour bitmasks `nbr`, with no kernel call, so
     the only kernel calls are the prefixes' and the leaves' closures.  A
     search seeded with every fort an earlier search of g harvested tests
@@ -126,18 +132,13 @@ class _Exhaustion:
 
     def first(self, k: int
               ) -> tuple[Optional[tuple[tuple[int, ...], ...]], int]:
-        """The first forcing k-combination (None if none forces) and the
-        number of combinations up to it (all of them if none forces).
+        """The first forcing k-combination, k >= 1 (None if none forces), and
+        the number of combinations up to it (all of them if none forces).
 
         The number covers every combination, whether its closure ran or a
         fort ruled it out, so it is that of closing each one in turn.
         """
-        if k < 0:
-            raise GraphError(
-                f"combination size must be non-negative, got {k}")
         g, items = self.g, self.items
-        if k == 0:
-            return ((), 1) if g.vertex_count == 0 else (None, 1)
         masks, touch, covers, below, forts, count, nbr = (
             self.masks, self.touch, self.covers, self.below, self.forts,
             self.count, self.nbr)
@@ -221,10 +222,11 @@ class _Exhaustion:
         """`first` for each of `sizes` in turn, until a size has a forcing
         combination or has no combination at all: that combination (None
         if none forces) and the number tested at each size that had any.
-        `forts` (vertex lists) join the pool and become `listed`."""
+        `forts` (vertex lists) join the pool and become `listed`; NotAFort
+        names the first that is not a fort of g."""
         self.listed = self.listed if forts is None else forts
-        for fort in forts or ():
-            self.add(sum(1 << v for v in fort))
+        for i, fort in enumerate(forts or ()):
+            self.add(self._fort_mask(i, fort))
         counts: dict[int, int] = {}
         for k in sizes:
             found, tested = self.first(k)
@@ -234,6 +236,27 @@ class _Exhaustion:
             if found is not None:
                 return found, counts
         return None, counts
+
+    def _fort_mask(self, i: int, fort: list[int]) -> int:
+        """The bitmask of `fort`, entry i of the caller's list, which must
+        be non-empty, strictly ascending, inside [0, n) and a fort."""
+        nbr, n = self.nbr, len(self.nbr)
+        where = f"forts[{i}] is not a fort:"
+        if not fort:
+            raise NotAFort(f"{where} it is empty")
+        if any(a >= b for a, b in zip(fort, fort[1:])):
+            raise NotAFort(f"{where} it is not strictly ascending")
+        if fort[0] < 0 or fort[-1] >= n:
+            raise NotAFort(f"{where} it leaves [0, {n})")
+        inside = once = twice = 0
+        for v in fort:
+            inside |= 1 << v
+            twice |= once & nbr[v]
+            once |= nbr[v]
+        if once & ~twice & ~inside:
+            raise NotAFort(f"{where} a vertex outside it has exactly one "
+                           f"neighbor in it")
+        return inside
 
 
 def _minimal_fort(nbr: list[int], white: int) -> int:
@@ -343,9 +366,10 @@ def min_zero_forcing(g: Graph,
     Searches k ascending from max(1, min degree); min degree is a valid
     lower bound because the first vertex of each forcing chain needs all
     its other neighbors black.  `forts`, when given, lists forts of g as
-    vertex lists that the caller has checked: they seed the search's
-    pool, and the search appends the forts it harvests.  A fort rules out
-    no forcing set, so the result is the same with any forts.
+    vertex lists: they seed the search's pool, and the search appends the
+    forts it harvests.  A fort rules out no forcing set, so the result is
+    the same with any forts; a listed set that is not a fort raises
+    NotAFort before the search starts.
     """
     require_vertex(g)
     n = g.vertex_count

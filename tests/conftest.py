@@ -1,5 +1,6 @@
 import itertools
 import random
+from typing import Optional
 
 from edgeforce.graph import Graph, from_edges
 from edgeforce.kernels import extend_closure
@@ -86,6 +87,26 @@ def minimal_fort_reference(adj, black: bytearray, counts: list[int]) -> int:
             if 0 in trial:
                 black, counts = trial, trial_counts
     return sum(1 << v for v, b in enumerate(black) if not b)
+
+
+def listed_fort_fault(g: Graph, fort: list[int]) -> Optional[str]:
+    """Why the vertex list `fort` is not a fort of g, else None: it must
+    be non-empty, strictly ascending and inside [0, n), and no vertex
+    outside it may have exactly one neighbor in it.  The reference of the
+    check a solver makes of each fort its caller lists, on sets instead
+    of bitmasks."""
+    n = g.vertex_count
+    if not fort:
+        return "it is empty"
+    if any(a >= b for a, b in zip(fort, fort[1:])):
+        return "it is not strictly ascending"
+    if fort[0] < 0 or fort[-1] >= n:
+        return f"it leaves [0, {n})"
+    inside = set(fort)
+    if any(sum(w in inside for w in g.adjacency[v]) == 1
+           for v in range(n) if v not in inside):
+        return "a vertex outside it has exactly one neighbor in it"
+    return None
 
 
 def max_edge_disjoint(family) -> int:

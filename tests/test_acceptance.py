@@ -13,7 +13,7 @@ from edgeforce.constructions import (construct_edge_forcing, find_obstructions,
                                      known_bounds, structural_lower_bound)
 from edgeforce.engine import (closure, is_edge_forcing_set, is_zero_forcing_set,
                               matching_endpoints)
-from edgeforce.graph import from_edges, is_matching, normalize_edge
+from edgeforce.graph import from_edges, matching_diagnostic, normalize_edge
 from edgeforce.reduction import (build_gbar, lift_zero_forcing,
                                  normalize_and_project)
 from edgeforce.solver import min_edge_forcing, min_zero_forcing
@@ -69,8 +69,8 @@ def test_criterion_4_recursive_bounds():
         g = build_butterfly(r)
         witness = construct_edge_forcing(r)
         bound = known_bounds(r).upper_formula
-        ok = (is_matching(g, witness) and len(witness) <= bound
-              and is_edge_forcing_set(g, witness))
+        ok = (matching_diagnostic(g, witness) is None
+              and len(witness) <= bound and is_edge_forcing_set(g, witness))
         if r == 7:
             ok = ok and len(witness) <= 252
         elapsed = time.perf_counter() - start
@@ -114,7 +114,8 @@ def test_criterion_5_reduction_equivalence():
 def oracle_min_edge_forcing(g):
     for size in range(1, g.edge_count + 1):
         for combo in itertools.combinations(g.edges, size):
-            if is_matching(g, combo) and is_edge_forcing_set(g, combo):
+            if (matching_diagnostic(g, combo) is None
+                    and is_edge_forcing_set(g, combo)):
                 return size
     return None
 

@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 
 from edgeforce import constructions
 from edgeforce.butterfly import build_butterfly, vertex_index
-from edgeforce.certificates import bf2_nonexistence_counts
+from edgeforce.certificates import CertificateError, bf2_nonexistence_counts
 from edgeforce.constructions import (DEFAULT_SEED, ConstructionError,
                                      construct_edge_forcing, find_obstructions,
                                      known_bounds, recursive_upper,
                                      structural_lower_bound,
                                      zero_forcing_upper_reference)
 from edgeforce.engine import closure, is_edge_forcing_set, matching_endpoints
-from edgeforce.graph import from_edges, is_matching, normalize_edge
+from edgeforce.graph import from_edges, matching_diagnostic, normalize_edge
 
 from conftest import cycle_graph, max_edge_disjoint
 
@@ -56,7 +56,7 @@ class TestStructuralLowerBound:
         g = build_butterfly(3)
         for o in find_obstructions(g):
             x, y = o.blocked_pair
-            assert g.degree(x) == g.degree(y) == 2
+            assert len(g.adjacency[x]) == len(g.adjacency[y]) == 2
             assert g.adjacency[x] == g.adjacency[y]
 
     @settings(max_examples=300, deadline=None)
@@ -112,6 +112,12 @@ class TestBF2Nonexistence:
         counts = bf2_nonexistence_counts(build_butterfly(2))
         assert counts == {1: 16, 2: 88, 3: 192, 4: 136}
 
+    def test_refuses_a_graph_with_a_forcing_matching(self):
+        with pytest.raises(CertificateError) as exc:
+            bf2_nonexistence_counts(from_edges(2, [(0, 1)]))
+        assert type(exc.value) is CertificateError
+        assert str(exc.value) == "graph admits an edge-forcing set [(0, 1)]"
+
 
 class TestConstructions:
     def test_bf3_witness(self):
@@ -153,7 +159,7 @@ class TestConstructions:
     def test_within_bounds(self, r):
         w = construct_edge_forcing(r)
         report = known_bounds(r)
-        assert is_matching(build_butterfly(r), w)
+        assert matching_diagnostic(build_butterfly(r), w) is None
         assert report.lower <= len(w) <= report.upper_formula
         assert len(w) <= report.upper_recursive
 

@@ -46,6 +46,12 @@ class TestClosure:
         with pytest.raises(ValueError):
             closure(path_graph(3), {5})
 
+    def test_boolean_next_to_its_equal_int(self):
+        # False == 0, so deduplicating first would keep 0 alone
+        with pytest.raises(ValueError,
+                           match=r"^vertex False is not an integer in"):
+            closure(path_graph(3), [0, False])
+
     def test_both_endpoints_can_force_same_round(self):
         # an edge may force two vertices at once
         result = closure(path_graph(4), {1, 2})

@@ -177,6 +177,21 @@ class TestCertificates:
         with pytest.raises(CertificateError, match="unknown claim kind"):
             parse_certificate(doc)
 
+    def test_closure_certificate_refuses_a_boolean_vertex(self):
+        # the engine checks the list as given, so False is not taken for 0
+        with pytest.raises(ValueError, match=r"^vertex False is not an"):
+            certificates.closure_certificate(path_graph(3), [0, False])
+
+    def test_verify_builds_the_lifted_graph_once(self, monkeypatch):
+        cert = certificates.reduction_certificate(cycle_graph(5))
+        built = []
+        build_gbar = certificates.build_gbar
+        monkeypatch.setattr(certificates, "build_gbar",
+                            lambda g: built.append(g) or build_gbar(g))
+        ok, details = verify_certificate(emit_certificate(cert))
+        assert ok, details
+        assert len(built) == 1
+
 
 class TestDot:
     def test_highlight_count(self):
@@ -494,6 +509,44 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == "error: graph document has unknown keys ['x']\n"
 
+    @pytest.mark.parametrize("extra, error", [
+        ({"zzz": [[[1]]]}, "certificate has unknown keys ['zzz']"),
+        ({"search": {"x": 1}}, "search has unknown keys ['x']"),
+        ({"obstructions": [[[1]]]},
+         'certificate field "obstructions" must be null')])
+    def test_verify_refuses_unread_keys(self, tmp_path, capsys, extra, error):
+        # the C5 closure certificate verifies as emitted; each of these
+        # keys would pass unchecked, so verify refuses it instead
+        code, doc = run_json(capsys, ["closure", "--graph", write_graph(
+            tmp_path, cycle_graph(5)), "--black", "0,1"])
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps({**doc, **extra}))
+        assert main(["verify", "--cert", str(cert)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {error}\n"
+
+    @pytest.mark.parametrize("argv, omitted", [
+        (["solve", "zf"], "max_n"), (["solve", "ef"], "explored"),
+        (["reduce", "--verify"], "lifted_forts"),
+        (["construct", "--r", "3"], "seed")])
+    def test_verify_refuses_search_keys_the_rebuild_omits(
+            self, tmp_path, capsys, argv, omitted):
+        # search keys the builder writes may be left out, others not
+        if argv[0] != "construct":
+            argv = argv + ["--graph", write_graph(tmp_path, cycle_graph(5))]
+        code, doc = run_json(capsys, argv)
+        assert code == 0
+        cert = tmp_path / "cert.json"
+        del doc["search"][omitted]
+        cert.write_text(json.dumps(doc))
+        code, out = run_json(capsys, ["verify", "--cert", cert])
+        assert code == 0 and out["verified"] is True
+        doc["search"]["x"] = 1
+        cert.write_text(json.dumps(doc))
+        assert main(["verify", "--cert", str(cert)]) == 2
+        assert capsys.readouterr().err == (
+            "error: search has unknown keys ['x']\n")
+
     def test_verify_nonexistence_at_the_solve_guard(self, tmp_path, capsys):
         from edgeforce.graph import from_edges
         star = from_edges(31, [(0, v) for v in range(1, 31)])
@@ -519,14 +572,19 @@ class TestCli:
 
     def test_verify_refuses_unchecked_forts(self, tmp_path, capsys):
         # {0}, ..., {4} are not forts of C5, whose ef number is 1; seeded
-        # with them the search rules out every matching, so the builder
-        # reproduces this forged certificate, and only the fort check
-        # stands between it and a verified nonexistence claim
-        forged = certificates.ef_number_certificate(
-            cycle_graph(5), DEFAULT_MAX_EDGES, C5, [[v] for v in range(5)])
-        assert forged.kind == "nonexistence"
+        # with them a search would rule out every matching and rebuild
+        # this forged nonexistence certificate, so only the fort check
+        # stands between it and a verified claim.  The builder refuses
+        # such forts, so the forgery edits an emitted certificate.
+        doc = json.loads(emit_certificate(certificates.ef_number_certificate(
+            cycle_graph(5), DEFAULT_MAX_EDGES, C5)))
+        doc.update(kind="nonexistence", witness=None, claim={
+            "matchings_tested_per_size": {"1": 5, "2": 5},
+            "verdict": "not-exists"})
+        doc["search"].update(explored=10, forts=[[v] for v in range(5)],
+                             max_matching_size_searched=2)
         cert = tmp_path / "forged.json"
-        cert.write_text(emit_certificate(forged))
+        cert.write_text(json.dumps(doc))
         assert main(["verify", "--cert", str(cert)]) == 1
         assert json.loads(capsys.readouterr().out) == {
             "verified": False,
@@ -712,6 +770,11 @@ class TestCli:
         ("verify", json.dumps({"schema_version": "efc-1", "kind": "zf-number",
                                "graph": EMPTY, "claim": {"value": 0},
                                "witness": {"vertices": [], "labels": []}})),
+        # the solver refuses the empty graph before it reads its guard
+        ("verify", json.dumps({"schema_version": "efc-1", "kind": "zf-number",
+                               "graph": EMPTY, "claim": {"value": 0},
+                               "witness": {"vertices": [], "labels": []},
+                               "search": {"forts": [], "max_n": -1}})),
         # `search` is read: a guard and the forts that seed the search
         ("verify", json.dumps({"schema_version": "efc-1", "kind": "zf-number",
                                "graph": C5, "claim": {"value": 2},
@@ -764,6 +827,7 @@ class TestCli:
             "edge-set-with-non-integer", "edge-set-with-boolean",
             "solve-ef-empty-graph", "nonexistence-empty-graph",
             "ef-number-empty-graph", "zf-number-empty-graph",
+            "zf-number-empty-graph-negative-guard",
             "search-not-object", "search-empty-array",
             "forts-entry-with-string",
             "forts-entry-with-boolean", "forts-not-array",

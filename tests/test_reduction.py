@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgeforce.certificates import reduction_certificate
+from edgeforce.certificates import (emit_certificate, reduction_certificate,
+                                    verify_certificate)
 from edgeforce.engine import is_edge_forcing_set, is_zero_forcing_set
 from edgeforce.graph import from_edges, normalize_edge
 from edgeforce.reduction import (build_gbar, lift_zero_forcing,
                                  normalize_and_project)
-from edgeforce.solver import min_edge_forcing, min_zero_forcing
+from edgeforce.solver import NotAFort, min_edge_forcing, min_zero_forcing
 
 from conftest import complete_graph, cycle_graph, path_graph, random_graph
 
@@ -149,6 +150,32 @@ class TestEquivalence:
                                    complete_graph(4)])
     def test_named_graphs(self, g):
         assert reduction_certificate(g).claim["equal"]
+
+    def test_lifted_fort_refusal_names_its_list(self):
+        with pytest.raises(NotAFort) as exc:
+            reduction_certificate(cycle_graph(5),
+                                  lifted_forts=[list(range(10)), [0]])
+        assert str(exc.value) == (
+            "lifted_forts[1] is not a fort: a vertex outside it has exactly "
+            "one neighbor in it")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_proven_inequality_on_relabelled_graphs(self, data):
+        # the gadget proves ef(lifted) <= Z(G) only; `equal` reports
+        # whether the two numbers meet, and the certificate verifies
+        n = data.draw(st.integers(3, 7))
+        pool = list(itertools.combinations(range(n), 2))
+        edges = data.draw(st.lists(st.sampled_from(pool), unique=True,
+                                   max_size=12))
+        label = data.draw(st.permutations(range(n)))
+        g = from_edges(n, [(label[u], label[v]) for u, v in edges])
+        cert = reduction_certificate(g)
+        zf = cert.claim["zero_forcing_number"]
+        ef = cert.claim["lifted_edge_forcing_number"]
+        assert ef is not None and ef <= zf
+        assert cert.claim["equal"] is (ef == zf)
+        assert verify_certificate(emit_certificate(cert))[0] is True
 
     def test_witnesses_round_trip(self):
         rng = random.Random(23)

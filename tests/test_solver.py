@@ -10,15 +10,17 @@ from edgeforce import solver
 from edgeforce.butterfly import build_butterfly
 from edgeforce.engine import (forces_all, is_edge_forcing_set,
                               is_zero_forcing_set, matching_endpoints)
-from edgeforce.graph import from_edges, is_matching, matchings_of_size
+from edgeforce.graph import (GraphError, from_edges, matching_diagnostic,
+                             matchings_of_size)
 from edgeforce.constructions import structural_lower_bound
 from edgeforce.kernels import extend_closure, run_closure
 from edgeforce.reduction import build_gbar
-from edgeforce.solver import (InstanceTooLarge, _Exhaustion, _minimal_fort,
-                              min_edge_forcing, min_zero_forcing)
+from edgeforce.solver import (InstanceTooLarge, NotAFort, _Exhaustion,
+                              _minimal_fort, min_edge_forcing,
+                              min_zero_forcing)
 
-from conftest import (complete_graph, cycle_graph, minimal_fort_reference,
-                      path_graph, random_graph)
+from conftest import (complete_graph, cycle_graph, listed_fort_fault,
+                      minimal_fort_reference, path_graph, random_graph)
 
 
 def oracle_min_zero_forcing(g):
@@ -36,7 +38,8 @@ def oracle_min_edge_forcing(g):
     best = None
     for size in range(1, g.edge_count + 1):
         for combo in itertools.combinations(g.edges, size):
-            if is_matching(g, combo) and is_edge_forcing_set(g, combo):
+            if (matching_diagnostic(g, combo) is None
+                    and is_edge_forcing_set(g, combo)):
                 return size
     return best
 
@@ -76,13 +79,13 @@ class TestFirstForcing:
     @given(st.data())
     def test_matches_brute_force(self, data):
         # edges may be empty, trailing vertices are always isolated, and k
-        # may be 0 or above the maximum matching
+        # may be above the maximum matching; the solvers start at k = 1
         n = data.draw(st.integers(2, 9))
         size = n + data.draw(st.integers(0, 2))
         pool = list(itertools.combinations(range(n), 2))
         g = from_edges(size, data.draw(st.lists(st.sampled_from(pool),
                                                 unique=True)))
-        k = data.draw(st.integers(0, 6))
+        k = data.draw(st.integers(1, 6))
         found, tested = _Exhaustion(g, g.edges).first(k)
         want, count = brute_first_forcing(g, matchings_of_size(g, k),
                                           matching_endpoints)
@@ -99,11 +102,6 @@ class TestFirstForcing:
         assert _Exhaustion(g, g.edges).first(1) == (None, 0)
         assert first_subset(g, 2) == (None, 3)
         assert first_subset(g, 3) == (frozenset({0, 1, 2}), 1)
-
-    def test_empty_graph(self):
-        g = from_edges(0, [])
-        assert _Exhaustion(g, g.edges).first(0) == ((), 1)
-        assert first_subset(g, 1) == (None, 0)
 
 
 def is_fort(g, fort):
@@ -281,6 +279,53 @@ class TestForts:
         assert (verdict.value, verdict.explored) == (k, 2 ** k - 1)
         assert verdict.matchings_tested_per_size == {
             s: comb(k, s) for s in range(1, k + 1)}
+
+
+class TestListedForts:
+    """A solver checks each fort its caller lists before it seeds the
+    search: a set that is not a fort could rule out a forcing set."""
+
+    @pytest.mark.parametrize("forts, why", [
+        ([[v] for v in range(5)],
+         "a vertex outside it has exactly one neighbor in it"),
+        ([[7]], "it leaves [0, 5)")])
+    def test_edge_search_refuses_non_forts(self, forts, why):
+        # seeded with these, the search once ruled out every matching of
+        # C5 and answered nonexistence, although one edge forces C5
+        with pytest.raises(NotAFort) as exc:
+            min_edge_forcing(cycle_graph(5), forts=forts)
+        assert str(exc.value) == f"forts[0] is not a fort: {why}"
+
+    def test_vertex_search_refuses_non_forts(self):
+        with pytest.raises(NotAFort) as exc:
+            min_zero_forcing(cycle_graph(5), forts=[list(range(5)), [9]])
+        assert isinstance(exc.value, GraphError)
+        assert str(exc.value) == "forts[1] is not a fort: it leaves [0, 5)"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_the_reference_rule(self, data):
+        # first_over refuses exactly the lists with an entry that the
+        # reference rejects, and names the first such entry
+        n = data.draw(st.integers(2, 7))
+        pool = list(itertools.combinations(range(n), 2))
+        g = from_edges(n, data.draw(st.lists(st.sampled_from(pool),
+                                             unique=True)))
+        forts = data.draw(st.lists(st.one_of(
+            st.lists(st.integers(-1, n), max_size=n + 1),
+            st.sets(st.integers(0, n - 1)).map(sorted)), max_size=4))
+        search = _Exhaustion(g, data.draw(st.sampled_from(
+            [g.edges, vertex_items(g)])))
+        faults = [(i, why) for i, fort in enumerate(forts)
+                  if (why := listed_fort_fault(g, fort))]
+        if faults:
+            with pytest.raises(NotAFort) as exc:
+                search.first_over((), forts)
+            assert str(exc.value) == "forts[{}] is not a fort: {}".format(
+                *faults[0])
+        else:
+            assert search.first_over((), forts) == (None, {})
+            assert search.forts == [sum(1 << v for v in f) for f in forts]
 
 
 class TestMinZeroForcing:
