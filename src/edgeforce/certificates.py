@@ -211,12 +211,19 @@ def parse_certificate(doc: Union[str, dict]) -> Certificate:
     if doc.get("obstructions") is not None:
         # no builder writes one, so nothing would check it
         raise CertificateError('certificate field "obstructions" must be null')
+    tool = doc.get("tool", {})
+    if "tool" in doc and not (
+            isinstance(tool, dict) and tool.keys() == {"name", "version"}
+            and tool["name"] == "edgeforce"
+            and isinstance(tool["version"], str)):
+        raise CertificateError('certificate field "tool" must be '
+                               '{"name": "edgeforce", "version": <string>}')
     return Certificate(
         kind=kind, graph=doc["graph"], claim=doc.get("claim", {}),
         witness=doc.get("witness"), trace=doc.get("trace"),
         obstructions=doc.get("obstructions"), search=doc.get("search"),
         schema_version=doc["schema_version"],
-        tool=doc.get("tool", {}))
+        tool=tool)
 
 
 # ---------------------------------------------------------------------------

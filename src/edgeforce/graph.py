@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain
+from numbers import Integral
 from typing import Iterable, Iterator, Mapping, Optional
 
 Edge = tuple[int, int]
@@ -12,6 +13,12 @@ Edge = tuple[int, int]
 
 class GraphError(ValueError):
     """Raised when a graph or edge set violates a structural precondition."""
+
+
+def is_vertex(v: object) -> bool:
+    """The package's rule for a vertex: an integer (numpy integer scalars
+    included) that is not a bool, which would pass as 0 or 1."""
+    return type(v) is int or isinstance(v, Integral) and not isinstance(v, bool)
 
 
 def normalize_edge(u: int, v: int) -> Edge:

@@ -10,29 +10,22 @@ lifted edge (a, b), a < b, tells its class by its indices alone:
 
 What is proven is one direction: a zero-forcing set S of G lifts to the
 twin matching {(x, x') : x in S} of the same size, which forces the
-lifted graph (`lift_zero_forcing`), so ef(lifted) <= Z(G).  The converse
-fails, so the gadget does not preserve cardinality: the 7-vertex graph
-with edges 0-1, 0-3, 0-4, 0-6, 1-2, 2-3, 2-4, 2-5, 5-6 has Z(G) = 4,
-while the 3 lifted edges (0,1), (2,10), (4,7) force its lifted graph.
-So `normalize_and_project` cannot map every minimum lifted witness to a
-zero-forcing set of G of the same size, and `reduce --verify` reports
-both numbers with `equal` false there.
+lifted graph (`lift_zero_forcing`), so ef(lifted) <= Z(G).
+`normalize_and_project` is the exact inverse of that map and nothing
+more: it takes twin edges back to their base vertices and refuses any E
+or E'' edge.  The converse inequality fails, so the gadget does not
+preserve cardinality: the 7-vertex graph with edges 0-1, 0-3, 0-4, 0-6,
+1-2, 2-3, 2-4, 2-5, 5-6 has Z(G) = 4, while the 3 lifted edges (0,1),
+(2,10), (4,7) force its lifted graph, and `reduce --verify` reports both
+numbers with `equal` false there.
 """
 
 from __future__ import annotations
 
-import itertools
-import logging
-import math
 from dataclasses import dataclass
 
-from .engine import is_edge_forcing_set
-from .graph import Edge, Graph, matching_diagnostic, normalize_edge
+from .graph import Edge, Graph, is_vertex, normalize_edge
 
-log = logging.getLogger(__name__)
-
-# normalize_and_project refuses to search more twin-replacement candidates
-MAX_PROJECTION_CANDIDATES = 2 ** 20
 # edge guard of the exact edge-forcing search on a lifted graph
 MAX_LIFTED_EDGES = 120
 
@@ -60,49 +53,20 @@ def lift_zero_forcing(m: ReductionMap, s: set[int] | frozenset[int]) -> frozense
     """S -> {(x, x')}: a matching of the lifted graph; edge-forcing iff S is
     zero-forcing on the base graph."""
     for x in s:
-        if not (0 <= x < m.base.vertex_count):
-            raise ValueError(f"vertex {x} not in the base graph")
+        if not (is_vertex(x) and 0 <= x < m.base.vertex_count):
+            raise ValueError(f"vertex {x!r} not in the base graph")
     return frozenset(normalize_edge(x, m.prime(x)) for x in s)
 
 
 def normalize_and_project(m: ReductionMap, x: set[Edge] | frozenset[Edge]
                           ) -> frozenset[int]:
-    """Replace E/E'' edges by twin edges, then project to base vertices.
-
-    Each non-twin edge offers two candidate base vertices: an E edge
-    (a, b) can stand in for a or b, an E'' edge (u, v') for v or u.  No
-    fixed per-edge choice preserves the forcing property on every input,
-    so when the input is edge-forcing the candidates are searched (in a
-    deterministic order, primed endpoint first for E'' edges and lower
-    index first for E edges) for a same-size twin matching that still
-    forces the lifted graph.  Non-forcing inputs take the first choice
-    for every edge, with any collision de-duplicated and logged.  A search
-    over more than MAX_PROJECTION_CANDIDATES choices raises ValueError.
-    """
-    edges = sorted(normalize_edge(u, v) for u, v in x)
-    diag = matching_diagnostic(m.lifted, edges)
-    if diag is not None:
-        raise ValueError(f"input is not a matching of the lifted graph: {diag}")
+    """{(v, v')} -> {v}: the inverse of `lift_zero_forcing`.  Any edge that
+    is not a twin edge (v, v + n), 0 <= v < n, raises ValueError naming it."""
     n = m.base.vertex_count
-    # the edge's class from its indices (module docstring)
-    candidates = [(a, b) if b < n else (a,) if b == a + n else (b - n, a)
-                  for a, b in edges]
-    if is_edge_forcing_set(m.lifted, edges):
-        count = math.prod(map(len, candidates))
-        if count > MAX_PROJECTION_CANDIDATES:
-            raise ValueError(
-                f"{count} twin-replacement candidates exceed the limit "
-                f"{MAX_PROJECTION_CANDIDATES}")
-        for combo in itertools.product(*candidates):
-            chosen = set(combo)
-            if len(chosen) < len(edges):
-                continue
-            twins = [normalize_edge(v, m.prime(v)) for v in chosen]
-            if is_edge_forcing_set(m.lifted, twins):
-                return frozenset(chosen)
-        raise ValueError("no twin replacement preserves forcing")
-    chosen = {c[0] for c in candidates}
-    if len(chosen) < len(edges):
-        log.warning("replacement collapsed %d edges to %d (non-minimal input)",
-                    len(edges), len(chosen))
-    return frozenset(chosen)
+    base = set()
+    for u, v in x:
+        if not (is_vertex(u) and is_vertex(v) and 0 <= min(u, v) < n
+                and abs(u - v) == n):
+            raise ValueError(f"edge {(u, v)} is not a twin edge (v, v + {n})")
+        base.add(min(u, v))
+    return frozenset(base)

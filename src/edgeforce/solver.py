@@ -7,10 +7,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
+from operator import index
 from typing import Iterable, Optional, Sequence
 
 from .constructions import structural_lower_bound
-from .graph import Edge, Graph, GraphError
+from .graph import Edge, Graph, GraphError, is_vertex
 from .kernels import extend_closure
 
 DEFAULT_MAX_VERTICES = 24
@@ -239,17 +240,21 @@ class _Exhaustion:
 
     def _fort_mask(self, i: int, fort: list[int]) -> int:
         """The bitmask of `fort`, entry i of the caller's list, which must
-        be non-empty, strictly ascending, inside [0, n) and a fort."""
+        be non-empty vertices (`is_vertex`), strictly ascending, inside
+        [0, n) and a fort."""
         nbr, n = self.nbr, len(self.nbr)
         where = f"forts[{i}] is not a fort:"
         if not fort:
             raise NotAFort(f"{where} it is empty")
+        for v in fort:
+            if not is_vertex(v):
+                raise NotAFort(f"{where} entry {v!r} is not a vertex")
         if any(a >= b for a, b in zip(fort, fort[1:])):
             raise NotAFort(f"{where} it is not strictly ascending")
         if fort[0] < 0 or fort[-1] >= n:
             raise NotAFort(f"{where} it leaves [0, {n})")
         inside = once = twice = 0
-        for v in fort:
+        for v in map(index, fort):
             inside |= 1 << v
             twice |= once & nbr[v]
             once |= nbr[v]

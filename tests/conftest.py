@@ -1,5 +1,6 @@
 import itertools
 import random
+from numbers import Integral
 from typing import Optional
 
 from edgeforce.graph import Graph, from_edges
@@ -91,13 +92,16 @@ def minimal_fort_reference(adj, black: bytearray, counts: list[int]) -> int:
 
 def listed_fort_fault(g: Graph, fort: list[int]) -> Optional[str]:
     """Why the vertex list `fort` is not a fort of g, else None: it must
-    be non-empty, strictly ascending and inside [0, n), and no vertex
-    outside it may have exactly one neighbor in it.  The reference of the
-    check a solver makes of each fort its caller lists, on sets instead
-    of bitmasks."""
+    be non-empty, hold integers that are not bools, be strictly ascending
+    and inside [0, n), and no vertex outside it may have exactly one
+    neighbor in it.  The reference of the check a solver makes of each
+    fort its caller lists, on sets instead of bitmasks."""
     n = g.vertex_count
     if not fort:
         return "it is empty"
+    for v in fort:
+        if isinstance(v, bool) or not isinstance(v, Integral):
+            return f"entry {v!r} is not a vertex"
     if any(a >= b for a, b in zip(fort, fort[1:])):
         return "it is not strictly ascending"
     if fort[0] < 0 or fort[-1] >= n:

@@ -70,10 +70,11 @@ def package_imports(source: str) -> set[str]:
 
 
 def test_the_gadget_imports_no_search():
-    # reduction.py builds and maps the lifted graph; the exact searches on
-    # both of its sides run in certificates.reduction_certificate
+    # reduction.py builds and maps the lifted graph from the graph type
+    # alone; the exact searches on both of its sides run in
+    # certificates.reduction_certificate
     source = (SRC / "reduction.py").read_text(encoding="utf-8")
-    assert not package_imports(source) & {"solver", "certificates"}
+    assert package_imports(source) == {"graph"}
     assert package_imports("from . import solver\nfrom .graph import Graph\n"
                            ) == {"solver", "graph"}
 
@@ -127,6 +128,12 @@ def c5(tmp_path):
 def test_import_loads_no_numpy():
     assert fresh_python("import sys, edgeforce\n"
                         "print('numpy' in sys.modules)") == "False"
+
+
+def test_import_loads_no_logging():
+    # the package logs nothing, so importing it sets up no logger
+    assert fresh_python("import sys, edgeforce\n"
+                        "print('logging' in sys.modules)") == "False"
 
 
 @pytest.mark.parametrize("argv", [

@@ -509,11 +509,18 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == "error: graph document has unknown keys ['x']\n"
 
+    TOOL_REFUSAL = ('certificate field "tool" must be '
+                    '{"name": "edgeforce", "version": <string>}')
+
     @pytest.mark.parametrize("extra, error", [
         ({"zzz": [[[1]]]}, "certificate has unknown keys ['zzz']"),
         ({"search": {"x": 1}}, "search has unknown keys ['x']"),
         ({"obstructions": [[[1]]]},
-         'certificate field "obstructions" must be null')])
+         'certificate field "obstructions" must be null'),
+        ({"tool": [[[1]]]}, TOOL_REFUSAL),
+        ({"tool": {"name": "other", "version": "0.1.0"}}, TOOL_REFUSAL),
+        ({"tool": {"name": "edgeforce", "version": "0.1.0", "x": 1}},
+         TOOL_REFUSAL)])
     def test_verify_refuses_unread_keys(self, tmp_path, capsys, extra, error):
         # the C5 closure certificate verifies as emitted; each of these
         # keys would pass unchecked, so verify refuses it instead
@@ -524,6 +531,16 @@ class TestCli:
         assert main(["verify", "--cert", str(cert)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: {error}\n"
+
+    def test_verify_accepts_a_certificate_without_tool(self, tmp_path,
+                                                       capsys):
+        code, doc = run_json(capsys, ["closure", "--graph", write_graph(
+            tmp_path, cycle_graph(5)), "--black", "0,1"])
+        assert doc.pop("tool")["name"] == "edgeforce"
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(doc))
+        code, out = run_json(capsys, ["verify", "--cert", cert])
+        assert code == 0 and out["verified"] is True
 
     @pytest.mark.parametrize("argv, omitted", [
         (["solve", "zf"], "max_n"), (["solve", "ef"], "explored"),

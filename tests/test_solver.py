@@ -2,6 +2,7 @@ import itertools
 import random
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -288,13 +289,32 @@ class TestListedForts:
     @pytest.mark.parametrize("forts, why", [
         ([[v] for v in range(5)],
          "a vertex outside it has exactly one neighbor in it"),
-        ([[7]], "it leaves [0, 5)")])
+        ([[7]], "it leaves [0, 5)"),
+        # booleans once passed as vertices 0 and 1
+        ([[False, True, 2, 3, 4]], "entry False is not a vertex")])
     def test_edge_search_refuses_non_forts(self, forts, why):
         # seeded with these, the search once ruled out every matching of
         # C5 and answered nonexistence, although one edge forces C5
         with pytest.raises(NotAFort) as exc:
             min_edge_forcing(cycle_graph(5), forts=forts)
         assert str(exc.value) == f"forts[0] is not a fort: {why}"
+
+    @pytest.mark.parametrize("fort, entry", [(["0"], "'0'"),
+                                             ([0, 1, 2, 3, 4.0], "4.0")])
+    def test_vertex_search_refuses_entries_that_are_no_vertices(self, fort,
+                                                                entry):
+        # the engine's rule: a vertex is an integer that is not a bool
+        with pytest.raises(NotAFort) as exc:
+            min_zero_forcing(cycle_graph(5), forts=[fort])
+        assert str(exc.value) == (
+            f"forts[0] is not a fort: entry {entry} is not a vertex")
+
+    def test_numpy_integers_are_vertices(self):
+        # a numpy vertex past 63 once overflowed the fort's bit mask
+        p70 = path_graph(70)
+        fort = [np.int64(v) for v in range(70)]
+        assert min_zero_forcing(p70, max_vertices=70, forts=[fort]) == (
+            1, frozenset({0}))
 
     def test_vertex_search_refuses_non_forts(self):
         with pytest.raises(NotAFort) as exc:
@@ -312,7 +332,7 @@ class TestListedForts:
         g = from_edges(n, data.draw(st.lists(st.sampled_from(pool),
                                              unique=True)))
         forts = data.draw(st.lists(st.one_of(
-            st.lists(st.integers(-1, n), max_size=n + 1),
+            st.lists(st.integers(-1, n) | st.booleans(), max_size=n + 1),
             st.sets(st.integers(0, n - 1)).map(sorted)), max_size=4))
         search = _Exhaustion(g, data.draw(st.sampled_from(
             [g.edges, vertex_items(g)])))
