@@ -79,8 +79,8 @@ class _Exhaustion:
     prefix is closed only when a leaf below it is tested: most subtrees
     are pruned whole, so their prefixes need no closure.  A node carries
     the closed state of its nearest closed ancestor and the vertices
-    chosen since that are white there; the first tested leaf closes its
-    prefix from that state in one kernel call, since cl(S | T) =
+    chosen since; the first tested leaf closes its prefix from that state
+    in one kernel call when one of them is white there, since cl(S | T) =
     cl(cl(S) | T), and its sibling leaves reuse the result.  A leaf
     extends a copy of its prefix's state by its item; an item whose
     vertices are all black adds nothing, so such a leaf is tested without
@@ -99,22 +99,36 @@ class _Exhaustion:
     the only kernel calls are the prefixes' and the leaves' closures.  A
     search seeded with every fort an earlier search of g harvested tests
     no leaf that stalled there, so it runs no `_minimal_fort` and closes
-    only the witness and its prefix.  Call a fort unhit when no chosen
-    item touches it.  The search skips
-    - the rest of a loop once an unhit fort meets no later item;
-    - the kernel call of a leaf whose item misses an unhit fort;
+    only the witness and its prefix.
+
+    The traversal runs on bitmasks over item positions: `holds` gives
+    each vertex's items, `clash` each item's overlapping items, and
+    `covers` each fort's touching items.  Call a fort unhit when no
+    chosen item touches it.  The search skips
     - a node where more unhit forts than items still to choose meet
-      pairwise disjoint sets of the node's items.
+      pairwise disjoint sets of the node's items;
+    - the rest of a node's loop once some unhit fort, one harvested below
+      the node included, meets no later item;
+    - every leaf outside the AND of the free items (later ones that share
+      no vertex with a chosen item) and the cover of each unhit fort, the
+      fort each stall harvests included: only those leaves are closed, in
+      ascending order, and the leaves tested are counted by popcount.
     """
 
     def __init__(self, g: Graph, items: Sequence[tuple[int, ...]]):
         self.g, self.items = g, items
         self.masks = [sum(1 << v for v in item) for item in items]
         self.nbr = [sum(1 << w for w in a) for a in g.adjacency]
+        holds = [0] * g.vertex_count  # vertex -> positions of items on it
+        for i, item in enumerate(items):
+            for v in item:
+                holds[v] |= 1 << i
+        self.holds = holds
+        # item position -> positions of the items sharing a vertex with it
+        self.clash = [holds[item[0]] | holds[item[-1]] for item in items]
         self.forts: list[int] = []
         self.touch = [0] * len(items)  # item position -> forts it touches
         self.covers: list[int] = []  # fort -> positions of items touching it
-        self.below = [0] * len(items)  # position -> forts no later item touches
         self.listed: list[list[int]] = []  # receives the harvest
         self.count = _completion_counter(self.nbr, items)
 
@@ -123,13 +137,15 @@ class _Exhaustion:
         bit = 1 << len(self.forts)
         self.forts.append(fort)
         cover = 0
-        for i, mask in enumerate(self.masks):
-            if mask & fort:
-                self.touch[i] |= bit
-                cover |= 1 << i
+        while fort:
+            low = fort & -fort
+            fort ^= low
+            cover |= self.holds[low.bit_length() - 1]
         self.covers.append(cover)
-        for i in range(cover.bit_length(), len(self.items)):
-            self.below[i] |= bit
+        while cover:
+            low = cover & -cover
+            cover ^= low
+            self.touch[low.bit_length() - 1] |= bit
 
     def first(self, k: int
               ) -> tuple[Optional[tuple[tuple[int, ...], ...]], int]:
@@ -140,80 +156,107 @@ class _Exhaustion:
         fort ruled it out, so it is that of closing each one in turn.
         """
         g, items = self.g, self.items
-        masks, touch, covers, below, forts, count, nbr = (
-            self.masks, self.touch, self.covers, self.below, self.forts,
+        masks, clash, touch, covers, forts, count, nbr = (
+            self.masks, self.clash, self.touch, self.covers, self.forts,
             self.count, self.nbr)
         adj = g.adjacency
         m = len(items)
-        chosen: list[tuple[int, ...]] = []
+        chosen: list[tuple[int, ...]] = []  # the witness, last item first
         tested = 0
 
-        def packs(start: int, need: int, unhit: int) -> bool:
-            # more than `need` unhit forts met by pairwise disjoint item sets
+        def packs(start: int, need: int, unhit: int) -> int:
+            # -1 when more than `need` unhit forts are met by pairwise
+            # disjoint item sets from `start` on, else the first position
+            # from which some unhit fort meets no item
             later = -1 << start
             taken = packed = 0
+            least = (1 << m) - 1  # the cover of lowest bit_length
             while unhit:
                 low = unhit & -unhit
                 unhit ^= low
-                cover = covers[low.bit_length() - 1] & later
+                cover = covers[low.bit_length() - 1]
+                if cover < least:
+                    least = cover
+                cover &= later
                 if not cover & taken:
                     taken |= cover
                     packed += 1
                     if packed > need:
-                        return True
-            return False
+                        return -1
+            return least.bit_length()
 
-        def search(start: int, need: int, hit: int, used: int,
+        def search(start: int, need: int, hit: int, used: int, blocked: int,
                    black: bytearray, counts: list[int],
                    pending: tuple[int, ...]) -> bool:
             # (black, counts) is the closed state of the nearest closed
-            # ancestor; `pending` holds the prefix's vertices white there
+            # ancestor and `pending` the vertices chosen since; `used` and
+            # `blocked` hold the chosen items' vertices and the positions
+            # of the items that share one
             nonlocal tested
-            if packs(start, need, ~hit & ((1 << len(forts)) - 1)):
+            unhit = ~hit & ((1 << len(forts)) - 1)
+            free = ~blocked & ((1 << m) - (1 << start))
+            if need == 1:
+                # the leaves that meet every unhit fort, in ascending order
+                live = free
+                while unhit and live:
+                    low = unhit & -unhit
+                    unhit ^= low
+                    live &= covers[low.bit_length() - 1]
+                while live:
+                    low = live & -live
+                    live ^= low
+                    item = items[low.bit_length() - 1]
+                    if pending:
+                        # close the prefix once, for this leaf and its
+                        # siblings
+                        if any(not black[v] for v in pending):
+                            black, counts = bytearray(black), counts[:]
+                            extend_closure(adj, black, counts, pending)
+                        pending = ()
+                    state = black
+                    if not (black[item[0]] and black[item[-1]]):
+                        state = bytearray(black)
+                        extend_closure(adj, state, counts[:], item)
+                    if 0 not in state:
+                        tested += (free & (2 * low - 1)).bit_count()
+                        chosen.append(item)
+                        return True
+                    fort = _minimal_fort(
+                        nbr, sum(1 << v for v, b in enumerate(state) if not b))
+                    self.add(fort)
+                    self.listed.append(
+                        [v for v in range(fort.bit_length()) if fort >> v & 1])
+                    live &= covers[-1]
+                tested += free.bit_count()
+                return False
+            stop = packs(start, need, unhit)
+            if stop < 0:
                 tested += count(start, need, used)
                 return False
             # stop where too few items are left to complete the combination
-            for i in range(start, m - need + 1):
-                if below[i] & ~hit:
+            free &= (1 << max(m - need + 1, 0)) - 1
+            while free:
+                low = free & -free
+                free ^= low
+                i = low.bit_length() - 1
+                if i >= stop:
                     tested += count(i, need, used)
                     return False
-                mask = masks[i]
-                if mask & used:
-                    continue
                 item = items[i]
-                if need > 1:
-                    chosen.append(item)
-                    if search(i + 1, need - 1, hit | touch[i], used | mask,
-                              black, counts,
-                              pending + tuple(v for v in item if not black[v])):
-                        return True
-                    chosen.pop()
-                    continue
-                tested += 1
-                if ~(hit | touch[i]) & ((1 << len(forts)) - 1):
-                    continue
-                if pending:
-                    # close the prefix once, for this leaf and its siblings
-                    black, counts = bytearray(black), counts[:]
-                    extend_closure(adj, black, counts, pending)
-                    pending = ()
-                state = black
-                if not (black[item[0]] and black[item[-1]]):
-                    state = bytearray(black)
-                    extend_closure(adj, state, counts[:], item)
-                if 0 not in state:
+                harvested = len(forts)
+                if search(i + 1, need - 1, hit | touch[i], used | masks[i],
+                          blocked | clash[i], black, counts,
+                          pending + item):
                     chosen.append(item)
                     return True
-                fort = _minimal_fort(
-                    nbr, sum(1 << v for v, b in enumerate(state) if not b))
-                self.add(fort)
-                self.listed.append(
-                    [v for v in range(fort.bit_length()) if fort >> v & 1])
+                if len(forts) > harvested:
+                    # a fort harvested below meets no chosen item
+                    stop = min(stop, min(covers[harvested:]).bit_length())
             return False
 
-        if search(0, k, 0, 0, bytearray(g.vertex_count),
+        if search(0, k, 0, 0, 0, bytearray(g.vertex_count),
                   [len(a) for a in adj], ()):
-            return tuple(chosen), tested
+            return tuple(reversed(chosen)), tested
         return None, tested
 
     def first_over(self, sizes: Iterable[int],
@@ -223,11 +266,13 @@ class _Exhaustion:
         """`first` for each of `sizes` in turn, until a size has a forcing
         combination or has no combination at all: that combination (None
         if none forces) and the number tested at each size that had any.
-        `forts` (vertex lists) join the pool and become `listed`; NotAFort
-        names the first that is not a fort of g."""
+        `forts` (vertex lists) join the pool and become `listed`, each
+        entry replaced by a list of plain ints; NotAFort names the first
+        that is not a fort of g."""
         self.listed = self.listed if forts is None else forts
         for i, fort in enumerate(forts or ()):
             self.add(self._fort_mask(i, fort))
+            forts[i] = list(map(index, fort))
         counts: dict[int, int] = {}
         for k in sizes:
             found, tested = self.first(k)

@@ -5,6 +5,7 @@ from typing import Optional
 
 from edgeforce.graph import Graph, from_edges
 from edgeforce.kernels import extend_closure
+from edgeforce.solver import _minimal_fort
 
 
 def path_graph(n: int) -> Graph:
@@ -88,6 +89,114 @@ def minimal_fort_reference(adj, black: bytearray, counts: list[int]) -> int:
             if 0 in trial:
                 black, counts = trial, trial_counts
     return sum(1 << v for v, b in enumerate(black) if not b)
+
+
+def reference_add(search, fort: int) -> None:
+    """Put the vertex bitmask `fort` in the pool of the exhaustion
+    `search`, scanning every item for the cover: the oracle of
+    `_Exhaustion.add`."""
+    bit = 1 << len(search.forts)
+    search.forts.append(fort)
+    cover = 0
+    for i, mask in enumerate(search.masks):
+        if mask & fort:
+            search.touch[i] |= bit
+            cover |= 1 << i
+    search.covers.append(cover)
+
+
+def exhaustion_reference(search, k: int):
+    """`search.first(k)` as a loop over item positions: (the first forcing
+    k-combination or None, the number tested).  The oracle of
+    `_Exhaustion.first`, which decides the last item from bitmasks.
+
+    It reads and grows the pool of `search` (`forts`, `covers`, `touch`,
+    `listed`) through `reference_add`.  A table `below` holds, for each
+    position, the forts that no item from there on touches; a node's loop
+    stops at the first position where one of them is unhit.  Each leaf is
+    visited in turn: counted, skipped when it misses an unhit fort, else
+    closed, and a stall harvests a minimal fort.
+    """
+    g, items = search.g, search.items
+    masks, touch, covers, forts, count, nbr = (
+        search.masks, search.touch, search.covers, search.forts,
+        search.count, search.nbr)
+    adj = g.adjacency
+    m = len(items)
+    below = [0] * m
+
+    def note(j):
+        for i in range(covers[j].bit_length(), m):
+            below[i] |= 1 << j
+
+    for j in range(len(forts)):
+        note(j)
+    chosen = []
+    tested = 0
+
+    def packs(start, need, unhit):
+        # more than `need` unhit forts met by pairwise disjoint item sets
+        later = -1 << start
+        taken = packed = 0
+        while unhit:
+            low = unhit & -unhit
+            unhit ^= low
+            cover = covers[low.bit_length() - 1] & later
+            if not cover & taken:
+                taken |= cover
+                packed += 1
+                if packed > need:
+                    return True
+        return False
+
+    def search_from(start, need, hit, used, black, counts, pending):
+        nonlocal tested
+        if packs(start, need, ~hit & ((1 << len(forts)) - 1)):
+            tested += count(start, need, used)
+            return False
+        for i in range(start, m - need + 1):
+            if below[i] & ~hit:
+                tested += count(i, need, used)
+                return False
+            mask = masks[i]
+            if mask & used:
+                continue
+            item = items[i]
+            if need > 1:
+                chosen.append(item)
+                if search_from(i + 1, need - 1, hit | touch[i], used | mask,
+                               black, counts,
+                               pending + tuple(v for v in item
+                                               if not black[v])):
+                    return True
+                chosen.pop()
+                continue
+            tested += 1
+            if ~(hit | touch[i]) & ((1 << len(forts)) - 1):
+                continue
+            if pending:
+                black, counts = bytearray(black), counts[:]
+                extend_closure(adj, black, counts, pending)
+                pending = ()
+            state = black
+            if not (black[item[0]] and black[item[-1]]):
+                state = bytearray(black)
+                extend_closure(adj, state, counts[:], item)
+            if 0 not in state:
+                chosen.append(item)
+                return True
+            fort = _minimal_fort(
+                nbr, sum(1 << v for v, b in enumerate(state) if not b))
+            reference_add(search, fort)
+            note(len(forts) - 1)
+            search.listed.append(
+                [v for v in range(fort.bit_length()) if fort >> v & 1])
+        return False
+
+    if search_from(0, k, 0, 0, bytearray(g.vertex_count),
+                   [len(a) for a in adj], ()):
+        return tuple(chosen), tested
+    return None, tested
 
 
 def listed_fort_fault(g: Graph, fort: list[int]) -> Optional[str]:

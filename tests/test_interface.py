@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -163,6 +164,19 @@ class TestCertificates:
     def test_bf2_nonexistence_verifies(self):
         ok, details = verify_certificate(certificates.ef_number_certificate(
             build_butterfly(2), DEFAULT_MAX_EDGES, "butterfly:2"))
+        assert ok, details
+
+    @pytest.mark.parametrize("build, bound", [
+        (certificates.zf_number_certificate, 24),
+        (certificates.ef_number_certificate, DEFAULT_MAX_EDGES)])
+    def test_numpy_forts_emit(self, build, bound):
+        # the solver stores a listed fort as plain ints, which the builder
+        # writes back; numpy integers once failed json.dumps
+        cert = build(cycle_graph(5), bound,
+                     forts=[[np.int64(v) for v in range(5)]])
+        text = emit_certificate(cert)
+        assert json.loads(text)["search"]["forts"][0] == [0, 1, 2, 3, 4]
+        ok, details = verify_certificate(text)
         assert ok, details
 
     def test_schema_mismatch(self):

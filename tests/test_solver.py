@@ -15,13 +15,14 @@ from edgeforce.graph import (GraphError, from_edges, matching_diagnostic,
                              matchings_of_size)
 from edgeforce.constructions import structural_lower_bound
 from edgeforce.kernels import extend_closure, run_closure
-from edgeforce.reduction import build_gbar
+from edgeforce.reduction import MAX_LIFTED_EDGES, build_gbar
 from edgeforce.solver import (InstanceTooLarge, NotAFort, _Exhaustion,
                               _minimal_fort, min_edge_forcing,
                               min_zero_forcing)
 
-from conftest import (complete_graph, cycle_graph, listed_fort_fault,
-                      minimal_fort_reference, path_graph, random_graph)
+from conftest import (complete_graph, cycle_graph, exhaustion_reference,
+                      listed_fort_fault, minimal_fort_reference, path_graph,
+                      random_graph, reference_add)
 
 
 def oracle_min_zero_forcing(g):
@@ -168,6 +169,52 @@ def stalled_states(draw):
     return g, black, counts
 
 
+@st.composite
+def exhaustion_graphs(draw):
+    """A graph of at most 12 vertices: a relabelled random graph with up to
+    three isolated vertices, a disjoint union, or the lifted gadget of a
+    random graph."""
+    kind = draw(st.sampled_from(["random", "union", "lifted"]))
+    if kind == "union":
+        return draw(disjoint_unions())
+    n = draw(st.integers(2, 9 if kind == "random" else 6))
+    pool = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pool), unique=True))
+    if kind == "lifted":
+        return build_gbar(from_edges(n, edges)).lifted
+    size = n + draw(st.integers(0, 3))
+    perm = draw(st.permutations(range(size)))
+    return from_edges(size, [(perm[u], perm[v]) for u, v in edges])
+
+
+class TestExhaustionOracle:
+    """The exhaustion, which picks the last item of a combination from
+    bitmasks, against the loop over positions that it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(exhaustion_graphs(), st.data())
+    def test_matches_the_position_loop(self, g, data):
+        # sizes 1..k in turn through one pool, empty or seeded with the
+        # white sets of stalled closures (forts, not always minimal): the
+        # same combination and count at each size, the same harvest in the
+        # same order, and the same pool
+        n = g.vertex_count
+        items = data.draw(st.sampled_from([g.edges, vertex_items(g)]))
+        search, reference = _Exhaustion(g, items), _Exhaustion(g, items)
+        for start in data.draw(st.lists(
+                st.sets(st.integers(0, n - 1), max_size=n - 1), max_size=4)):
+            black = run_closure(g, sorted(start))[0]
+            white = sum(1 << v for v in range(n) if not black[v])
+            if white:
+                search.add(white)
+                reference_add(reference, white)
+        for k in range(1, data.draw(st.integers(1, 4)) + 1):
+            assert search.first(k) == exhaustion_reference(reference, k)
+            assert search.listed == reference.listed
+            assert (search.forts, search.covers, search.touch) == (
+                reference.forts, reference.covers, reference.touch)
+
+
 class TestForts:
     """The fort pool prunes the exhaustion without changing a count."""
 
@@ -270,6 +317,22 @@ class TestForts:
                             lambda *a: calls.append(a) or extend(*a))
         assert not min_edge_forcing(build_butterfly(2)).exists
         assert len(calls) == 24
+
+    def test_lifted_k6(self, monkeypatch):
+        # a dense case: the pool, not the kernel, decides most nodes; seeded
+        # with its own harvest the rerun stalls on no leaf
+        g = build_gbar(complete_graph(6)).lifted
+        forts = []
+        verdict = min_edge_forcing(g, MAX_LIFTED_EDGES, forts)
+        assert (verdict.value, verdict.explored, len(forts)) == (5, 22595, 15)
+        calls = []
+        minimal = solver._minimal_fort
+        monkeypatch.setattr(solver, "_minimal_fort",
+                            lambda *a: calls.append(a) or minimal(*a))
+        again = forts[:]
+        assert min_edge_forcing(g, MAX_LIFTED_EDGES, again) == verdict
+        assert again == forts
+        assert calls == []
 
     def test_disjoint_edges(self):
         # k disjoint edges: each is a 2-vertex fort, so every size below k
