@@ -45,19 +45,19 @@ class ButterflyLabels(Mapping):
     """
 
     def __init__(self, r: int) -> None:
-        self._r = r
+        self.r = r
 
     def __getitem__(self, v: int) -> str:
         try:
-            level, row = divmod(operator.index(v), 1 << self._r)
+            level, row = divmod(operator.index(v), 1 << self.r)
         except TypeError:
             raise KeyError(v) from None
-        if not 0 <= level <= self._r:
+        if not 0 <= level <= self.r:
             raise KeyError(v)
         return coord_label(row, level)
 
     def __len__(self) -> int:
-        return (self._r + 1) << self._r
+        return (self.r + 1) << self.r
 
     def __iter__(self) -> Iterator[int]:
         return iter(range(len(self)))

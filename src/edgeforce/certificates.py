@@ -1,11 +1,12 @@
 """Self-contained, re-verifiable certificates and their JSON serialization.
 
 A certificate carries everything needed to re-check its claim: the graph
-(inline or as a "butterfly:r" descriptor), the claimed value(s), the
-witness by canonical edge identity and by display label, and search
-metadata, including the guard an exact search ran under.  Each claim kind
-has one builder here, which the CLI emits; ef-number and nonexistence
-share `ef_number_certificate`, the one exact edge-forcing search, and
+(`describe` writes "butterfly:r" for BF(r), else the inline document, and
+`resolve_graph` reads it back), the claimed value(s), the witness by
+canonical edge identity and by display label, and search metadata,
+including the guard an exact search ran under.  Each claim kind has one
+builder here, which the CLI emits; ef-number and nonexistence share
+`ef_number_certificate`, the one exact edge-forcing search, and
 `reduction_certificate` runs both exact searches around the gadget.
 
 The exact builders (zf-number, ef-number, nonexistence and
@@ -22,16 +23,18 @@ Each input is checked where it is consumed: here a document's keys and
 the JSON type of each field its kind reads, in the engine vertex sets,
 in the solvers their guard and each listed fort.  ``verify_certificate``
 rebuilds a certificate of any kind with its builder, seeded with the
-listed forts, and compares kind, claim, graph, trace and witness, with
-JSON's types kept apart (true and 1.0 are not 1); where a solver refuses
-the rebuild (a graph above the recorded guard, a listed set that is not
-a fort) it answers false.  A valid fort never rules out a forcing set
-and the per-size counts are computed in closed form, so the seeds change
-none of these.  A zf-number or ef-number witness must be the solver's
-lex-first one, and it must also force under the plain closure engine,
-which does not share the search's fort pruning.  The rest of `search`
-(`explored`, `seed`, ...) is provenance, not compared, but a key the
-rebuild does not write is refused.
+listed forts, and compares kind, claim, graph field (`describe` of the
+resolved graph, so an inline graph out of canonical edge order or
+orientation fails), trace and witness, with JSON's types kept apart
+(true and 1.0 are not 1); where a solver refuses the rebuild (a graph
+above the recorded guard, a listed set that is not a fort) it answers
+false.  A valid fort never rules out a forcing set and the per-size
+counts are computed in closed form, so the seeds change none of these.
+A zf-number or ef-number witness must be the solver's lex-first one,
+and it must also force under the plain closure engine, which does not
+share the search's fort pruning.  The rest of `search` (`explored`,
+`seed`, ...) is provenance, not compared, but a key the rebuild does not
+write is refused, as is a guard or seed that is not an int.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Iterable, Optional, Union
 
 from . import __version__
-from .butterfly import MAX_DIMENSION, build_butterfly
+from .butterfly import MAX_DIMENSION, ButterflyLabels, build_butterfly
 from .constructions import known_bounds
 from .engine import closure, is_edge_forcing_set, is_zero_forcing_set
 from .graph import Edge, Graph, GraphError, from_edges, normalize_edge
@@ -54,6 +57,7 @@ from .solver import (DEFAULT_MAX_EDGES, DEFAULT_MAX_VERTICES,
                      min_zero_forcing)
 
 SCHEMA_VERSION = "efc-1"
+BUTTERFLY = "butterfly:{}"  # the graph field of BF(r), with r in decimal
 # vertex count of BF(MAX_DIMENSION), the largest graph the tool builds
 MAX_GRAPH_VERTICES = (MAX_DIMENSION + 1) << MAX_DIMENSION
 
@@ -123,10 +127,9 @@ def parse_graph(text: Union[str, dict]) -> Graph:
 
 
 def resolve_graph(descriptor: Union[str, dict]) -> Graph:
-    """The graph of a certificate's `graph` field: a graph document with
-    the keys "n" and "edges" and no other, or the canonical descriptor
-    "butterfly:r" with r in plain decimal.  The builders write the graph
-    field back as given, so an unknown key would pass unchecked."""
+    """The graph of a `graph` field, the inverse of `describe`: a graph
+    document with the keys "n" and "edges" and no other, or the canonical
+    descriptor "butterfly:r" with r in plain decimal."""
     if isinstance(descriptor, str):
         found = re.fullmatch(r"butterfly:(0|[1-9][0-9]*)", descriptor)
         if found:
@@ -138,6 +141,14 @@ def resolve_graph(descriptor: Union[str, dict]) -> Graph:
             raise CertificateError(
                 f"graph document has unknown keys {unknown}")
     return parse_graph(descriptor)
+
+
+def describe(g: Graph) -> Union[str, dict]:
+    """The `graph` field of g: "butterfly:r" for BF(r) as `build_butterfly`
+    made it, else g's canonical graph document."""
+    if isinstance(g.labels, ButterflyLabels):
+        return BUTTERFLY.format(g.labels.r)
+    return g.to_json_dict()
 
 
 def edge_witness(g: Graph, edges: Iterable[Edge]) -> dict:
@@ -242,8 +253,8 @@ def _same(a: Any, b: Any) -> bool:
     return a is b or a == b and marshal.dumps(a, 2) == marshal.dumps(b, 2)
 
 
-def _guard(search: dict, key: str, default: int) -> int:
-    """The search guard recorded as search[key], else the solver default."""
+def _search_int(search: dict, key: str, default=None) -> Optional[int]:
+    """search[key], which must be an int, when present; else `default`."""
     return require_field(search, key, int, "search") if key in search else default
 
 
@@ -283,7 +294,7 @@ def verify_certificate(doc: Union[str, dict, Certificate]
             witness_forces = is_zero_forcing_set(
                 g, require_field(c.witness, "vertices", list, "witness"))
             rebuilt = zf_number_certificate(
-                g, _guard(search, "max_n", DEFAULT_MAX_VERTICES), c.graph,
+                g, _search_int(search, "max_n", DEFAULT_MAX_VERTICES),
                 _listed_forts(search, "forts"))
         elif kind in ("ef-number", "nonexistence"):
             if kind == "ef-number":
@@ -294,29 +305,28 @@ def verify_certificate(doc: Union[str, dict, Certificate]
                 require_field(c.claim, "matchings_tested_per_size", dict,
                               "claim")
             rebuilt = ef_number_certificate(
-                g, _guard(search, "max_edges", DEFAULT_MAX_EDGES), c.graph,
+                g, _search_int(search, "max_edges", DEFAULT_MAX_EDGES),
                 _listed_forts(search, "forts"))
         elif kind == "closure":
             rebuilt = closure_certificate(
-                g, require_field(c.claim, "initial", list, "claim"), c.graph)
+                g, require_field(c.claim, "initial", list, "claim"))
         elif kind == "zfs-check":
             rebuilt = zfs_check_certificate(
-                g, require_field(c.claim, "set", list, "claim"), c.graph)
+                g, require_field(c.claim, "set", list, "claim"))
         elif kind == "efs-check":
             edges = _witness_edges(c.witness)
-            rebuilt = efs_check_certificate(g, edges, c.graph)
+            rebuilt = efs_check_certificate(g, edges)
             if search.get("mode") == "construction":
-                # construction_certificate's witness record and search
-                # keys, from g; the seed is provenance and is not re-run
-                rebuilt = replace(rebuilt, witness=edge_witness(g, edges),
-                                  search={"mode": "construction",
-                                          "seed": search.get("seed")})
+                # the seed is provenance: an int, but not re-run
+                rebuilt = replace(construction_certificate(
+                    g, edges, _search_int(search, "seed")),
+                    claim=rebuilt.claim)
         elif kind == "bounds":
             rebuilt = bounds_certificate(
                 require_field(c.claim, "r", int, "claim"))
         elif kind == "reduction-equivalence":
             rebuilt = reduction_certificate(
-                g, c.graph, _listed_forts(search, "forts"),
+                g, _listed_forts(search, "forts"),
                 _listed_forts(search, "lifted_forts"))
         else:
             return False, f"unknown claim kind {kind!r}"
@@ -360,62 +370,54 @@ def bf2_nonexistence_counts(g: Graph) -> dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# certificate builders, one per claim kind; verify passes the `graph` field
+# certificate builders, one per claim kind; each writes describe(g)
 # ---------------------------------------------------------------------------
 
-def closure_certificate(g: Graph, initial: list[int],
-                        graph: Union[str, dict, None] = None) -> Certificate:
+def closure_certificate(g: Graph, initial: list[int]) -> Certificate:
     result = closure(g, initial)
     return Certificate(
-        kind="closure", graph=g.to_json_dict() if graph is None else graph,
+        kind="closure", graph=describe(g),
         claim={"initial": sorted(initial), "final": sorted(result.final),
                "covers_all": len(result.final) == g.vertex_count},
         trace=[list(ev) for ev in zip(*(a.tolist() for a in result.events))])
 
 
-def zfs_check_certificate(g: Graph, vertices: list[int],
-                          graph: Union[str, dict, None] = None) -> Certificate:
+def zfs_check_certificate(g: Graph, vertices: list[int]) -> Certificate:
     ok = is_zero_forcing_set(g, vertices)
-    return Certificate(kind="zfs-check",
-                       graph=g.to_json_dict() if graph is None else graph,
+    return Certificate(kind="zfs-check", graph=describe(g),
                        claim={"set": sorted(vertices), "result": ok})
 
 
-def efs_check_certificate(g: Graph, edges: list[Edge],
-                          graph: Union[str, dict, None] = None) -> Certificate:
+def efs_check_certificate(g: Graph, edges: list[Edge]) -> Certificate:
     diagnostics: list[str] = []
     ok = is_edge_forcing_set(g, edges, diagnostics=diagnostics)
     claim = {"size": len(edges), "result": ok}
     if diagnostics:
         claim["diagnostic"] = diagnostics[0]
-    return Certificate(kind="efs-check",
-                       graph=g.to_json_dict() if graph is None else graph,
-                       claim=claim, witness={"edges": [list(e) for e in edges]})
+    return Certificate(kind="efs-check", graph=describe(g), claim=claim,
+                       witness={"edges": [list(e) for e in edges]})
 
 
 def zf_number_certificate(g: Graph, max_n: int,
-                          graph: Union[str, dict, None] = None,
                           forts: Iterable[list[int]] = ()) -> Certificate:
     """The zf-number certificate; `forts` (forts of g, which the solver
     checks) seed the search, and `search.forts` lists them and the
     search's harvest."""
     forts = list(forts)
     value, witness = min_zero_forcing(g, max_vertices=max_n, forts=forts)
-    return Certificate(kind="zf-number",
-                       graph=g.to_json_dict() if graph is None else graph,
+    return Certificate(kind="zf-number", graph=describe(g),
                        claim={"value": value},
                        search={"forts": forts, "max_n": max_n},
                        witness=vertex_witness(g, witness))
 
 
 def ef_number_certificate(g: Graph, max_edges: int,
-                          graph: Union[str, dict, None] = None,
                           forts: Iterable[list[int]] = ()) -> Certificate:
     """The ef-number certificate, or nonexistence when no matching forces;
     `forts` as in `zf_number_certificate`."""
     forts = list(forts)
     verdict = min_edge_forcing(g, max_edges=max_edges, forts=forts)
-    graph = g.to_json_dict() if graph is None else graph
+    graph = describe(g)
     search = {"explored": verdict.explored, "forts": forts,
               "max_edges": max_edges,
               "max_matching_size_searched": verdict.max_matching_size_searched}
@@ -431,8 +433,7 @@ def ef_number_certificate(g: Graph, max_edges: int,
                        search=search)
 
 
-def reduction_certificate(g: Graph, graph: Union[str, dict, None] = None,
-                          forts: Iterable[list[int]] = (),
+def reduction_certificate(g: Graph, forts: Iterable[list[int]] = (),
                           lifted_forts: Iterable[list[int]] = ()
                           ) -> Certificate:
     """The reduction-equivalence certificate; `forts` and `lifted_forts`
@@ -447,8 +448,7 @@ def reduction_certificate(g: Graph, graph: Union[str, dict, None] = None,
     except NotAFort as exc:
         raise NotAFort(f"lifted_{exc}") from None
     return Certificate(
-        kind="reduction-equivalence",
-        graph=g.to_json_dict() if graph is None else graph,
+        kind="reduction-equivalence", graph=describe(g),
         search={"forts": forts, "lifted_forts": lifted_forts},
         claim={"zero_forcing_number": zf,
                "lifted_edge_forcing_number": verdict.value,
@@ -458,17 +458,16 @@ def reduction_certificate(g: Graph, graph: Union[str, dict, None] = None,
                  if verdict.witness else None})
 
 
-def construction_certificate(g: Graph, r: int, witness: list[Edge],
+def construction_certificate(g: Graph, witness: list[Edge],
                              seed: int) -> Certificate:
     """The efs-check record of a constructed witness on g = BF(r)."""
     return Certificate(
-        kind="efs-check",
-        graph=f"butterfly:{r}",
+        kind="efs-check", graph=describe(g),
         claim={"size": len(witness), "result": True},
         witness=edge_witness(g, witness),
         search={"mode": "construction", "seed": seed})
 
 
 def bounds_certificate(r: int) -> Certificate:
-    return Certificate(kind="bounds", graph=f"butterfly:{r}",
+    return Certificate(kind="bounds", graph=BUTTERFLY.format(r),
                        claim=asdict(known_bounds(r)))

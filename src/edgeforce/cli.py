@@ -91,14 +91,14 @@ def cmd_construct(args) -> int:
     if args.r == 2:
         # BF(2) has no edge-forcing set: exit 1, with nothing to highlight
         sys.stdout.write(to_dot(g) if args.dot else emit_certificate(
-            ef_number_certificate(g, DEFAULT_MAX_EDGES, "butterfly:2")))
+            ef_number_certificate(g, DEFAULT_MAX_EDGES)))
         return 1
     witness = butterfly_witness(g, args.r, seed=args.seed)
     if args.dot:
         sys.stdout.write(to_dot(g, highlight=witness))
     else:
         sys.stdout.write(emit_certificate(
-            construction_certificate(g, args.r, witness, args.seed)))
+            construction_certificate(g, witness, args.seed)))
     return 0
 
 

@@ -15,11 +15,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from edgeforce import certificates, cli, constructions, solver
-from edgeforce.butterfly import build_butterfly
+from edgeforce.butterfly import ButterflyLabels, build_butterfly
 from edgeforce.certificates import (MAX_GRAPH_VERTICES, CertificateError,
                                     bounds_certificate,
-                                    construction_certificate, edge_witness,
-                                    emit_certificate, parse_certificate,
+                                    construction_certificate, describe,
+                                    edge_witness, emit_certificate,
+                                    parse_certificate,
                                     parse_graph, resolve_graph,
                                     verify_certificate, vertex_witness)
 from edgeforce.cli import main, to_dot
@@ -127,7 +128,7 @@ class TestParseGraph:
 class TestCertificates:
     def test_round_trip_and_byte_determinism(self):
         cert = construction_certificate(
-            build_butterfly(3), 3, construct_edge_forcing(3), DEFAULT_SEED)
+            build_butterfly(3), construct_edge_forcing(3), DEFAULT_SEED)
         text = emit_certificate(cert)
         again = emit_certificate(parse_certificate(text))
         assert text == again
@@ -135,13 +136,13 @@ class TestCertificates:
 
     def test_construction_verifies(self):
         cert = construction_certificate(
-            build_butterfly(3), 3, construct_edge_forcing(3), DEFAULT_SEED)
+            build_butterfly(3), construct_edge_forcing(3), DEFAULT_SEED)
         ok, details = verify_certificate(cert)
         assert ok, details
 
     def test_tampered_witness_detected(self):
         cert = construction_certificate(
-            build_butterfly(3), 3, construct_edge_forcing(3), DEFAULT_SEED)
+            build_butterfly(3), construct_edge_forcing(3), DEFAULT_SEED)
         doc = json.loads(emit_certificate(cert))
         doc["witness"]["edges"] = doc["witness"]["edges"][:-1]
         ok, details = verify_certificate(doc)
@@ -163,7 +164,7 @@ class TestCertificates:
 
     def test_bf2_nonexistence_verifies(self):
         ok, details = verify_certificate(certificates.ef_number_certificate(
-            build_butterfly(2), DEFAULT_MAX_EDGES, "butterfly:2"))
+            build_butterfly(2), DEFAULT_MAX_EDGES))
         assert ok, details
 
     @pytest.mark.parametrize("build, bound", [
@@ -205,6 +206,109 @@ class TestCertificates:
         ok, details = verify_certificate(emit_certificate(cert))
         assert ok, details
         assert len(built) == 1
+
+
+@st.composite
+def described_graphs(draw):
+    """BF(1..6) as `build_butterfly` makes it, or a relabelled copy of BF(r)
+    or of a random graph of at most 12 vertices, built by `from_edges`."""
+    r = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        return build_butterfly(r)
+    if draw(st.booleans()):
+        g = build_butterfly(r)
+        n, edges = g.vertex_count, g.edges
+    else:
+        n = draw(st.integers(0, 12))
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True)
+                     if pairs else st.just([]))
+    perm = draw(st.permutations(range(n)))
+    return from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def reversed_and_flipped(doc):
+    """A copy of a certificate whose inline graph lists its edges last to
+    first, each as [v, u]: the same graph, out of canonical order."""
+    doc = copy.deepcopy(doc)
+    edges = doc["graph"]["edges"]
+    doc["graph"]["edges"] = [[v, u] for u, v in reversed(edges)]
+    return doc
+
+
+class TestGraphField:
+    """Each builder writes its own `graph` field with `describe`, and
+    `verify` compares it with the certificate's."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=described_graphs())
+    def test_describe_inverts_resolve_graph(self, g):
+        d = describe(g)
+        if isinstance(g.labels, ButterflyLabels):
+            assert d == f"butterfly:{g.labels.r}"
+        else:
+            assert d == g.to_json_dict()
+        assert resolve_graph(d) == g
+        # every canonical document and descriptor comes back as given
+        for given_d in (d, g.to_json_dict()):
+            assert json.dumps(describe(resolve_graph(given_d))) == json.dumps(
+                given_d)
+
+    BUILDERS = {
+        "closure": lambda g: certificates.closure_certificate(g, [0]),
+        "zfs-check": lambda g: certificates.zfs_check_certificate(g, [0]),
+        "efs-check": lambda g: certificates.efs_check_certificate(
+            g, [g.edges[0]]),
+        "zf-number": lambda g: certificates.zf_number_certificate(
+            g, g.vertex_count),
+        "ef-number": lambda g: certificates.ef_number_certificate(
+            g, g.edge_count),
+        "reduction": lambda g: certificates.reduction_certificate(g),
+        "construction": lambda g: construction_certificate(
+            g, [g.edges[0]], DEFAULT_SEED),
+    }
+
+    @pytest.mark.parametrize("name", BUILDERS)
+    def test_builder_writes_butterfly_descriptor(self, monkeypatch, name):
+        # BF(3)'s exact zf search takes seconds and its lifted graph is
+        # above the reduction guard; the graph field does not depend on
+        # the searches, so those two are stubbed
+        if name in ("zf-number", "reduction"):
+            monkeypatch.setattr(certificates, "min_zero_forcing",
+                                lambda g, max_vertices=24, forts=():
+                                (1, frozenset({0})))
+            monkeypatch.setattr(
+                certificates, "min_edge_forcing",
+                lambda g, max_edges, forts: EdgeForcingVerdict(
+                    frozenset({(0, 1)}), {1: 1}))
+        cert = self.BUILDERS[name](build_butterfly(3))
+        assert cert.graph == "butterfly:3"
+
+    @pytest.mark.parametrize("name", BUILDERS)
+    def test_builder_writes_inline_document(self, name):
+        g = from_edges(5, [(3, 4), (1, 0), (2, 1), (4, 0), (3, 2)])
+        cert = self.BUILDERS[name](g)
+        assert cert.graph == C5 == g.to_json_dict()
+        assert json.loads(emit_certificate(cert))["graph"] == C5
+
+    @pytest.mark.parametrize("argv", [
+        ["closure", "--black", "0,1"], ["solve", "ef"]],
+        ids=["closure", "ef-number"])
+    def test_non_canonical_inline_graph_is_refused(self, tmp_path, capsys,
+                                                   argv):
+        code, doc = run_json(capsys, argv + [
+            "--graph", write_graph(tmp_path, cycle_graph(5))])
+        assert code == 0 and doc["graph"] == C5
+        assert verify_certificate(doc) == (
+            True, f"{doc['kind']} certificate recomputed from its inputs")
+        edited = reversed_and_flipped(doc)
+        assert edited["graph"]["edges"][0] == [4, 3]
+        assert resolve_graph(edited["graph"]) == cycle_graph(5)
+        cert = tmp_path / "edited.json"
+        cert.write_text(json.dumps(edited))
+        code, out = run_json(capsys, ["verify", "--cert", cert])
+        assert code == 1 and out == {
+            "verified": False, "details": f"graph recomputed as {C5}"}
 
 
 class TestDot:
@@ -578,6 +682,29 @@ class TestCli:
         assert capsys.readouterr().err == (
             "error: search has unknown keys ['x']\n")
 
+    @pytest.mark.parametrize("seed, code", [
+        ("7", 2), (True, 2), ([[["x"]]], 2), (8, 0), (None, 0)],
+        ids=["string", "boolean", "nested", "edited-int", "absent"])
+    def test_verify_reads_a_construction_seed_as_an_int(
+            self, tmp_path, capsys, seed, code):
+        # the seed is provenance: its type is checked, but the construction
+        # is not re-run, so an edited int seed still verifies
+        _, doc = run_json(capsys, ["construct", "--r", "3"])
+        assert doc["search"]["seed"] == DEFAULT_SEED
+        if seed is None:
+            del doc["search"]["seed"]
+        else:
+            doc["search"]["seed"] = seed
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(doc))
+        assert main(["verify", "--cert", str(cert)]) == code
+        captured = capsys.readouterr()
+        if code == 2:
+            assert captured.out == "" and captured.err == (
+                'error: search needs a field "seed" of type int\n')
+        else:
+            assert json.loads(captured.out)["verified"] is True
+
     def test_verify_nonexistence_at_the_solve_guard(self, tmp_path, capsys):
         from edgeforce.graph import from_edges
         star = from_edges(31, [(0, v) for v in range(1, 31)])
@@ -608,7 +735,7 @@ class TestCli:
         # stands between it and a verified claim.  The builder refuses
         # such forts, so the forgery edits an emitted certificate.
         doc = json.loads(emit_certificate(certificates.ef_number_certificate(
-            cycle_graph(5), DEFAULT_MAX_EDGES, C5)))
+            cycle_graph(5), DEFAULT_MAX_EDGES)))
         doc.update(kind="nonexistence", witness=None, claim={
             "matchings_tested_per_size": {"1": 5, "2": 5},
             "verdict": "not-exists"})
