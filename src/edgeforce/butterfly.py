@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Mapping
+from itertools import chain
 from typing import Iterator
 
 from .graph import Graph
@@ -46,15 +47,16 @@ class ButterflyLabels(Mapping):
 
     def __init__(self, r: int) -> None:
         self.r = r
+        self.mask = (1 << r) - 1
 
     def __getitem__(self, v: int) -> str:
         try:
-            level, row = divmod(operator.index(v), 1 << self.r)
+            i = v if type(v) is int else operator.index(v)
         except TypeError:
             raise KeyError(v) from None
-        if not 0 <= level <= self.r:
+        if not 0 <= i < (self.r + 1) << self.r:
             raise KeyError(v)
-        return coord_label(row, level)
+        return f"[{i & self.mask},{i >> self.r}]"
 
     def __len__(self) -> int:
         return (self.r + 1) << self.r
@@ -68,21 +70,36 @@ def build_butterfly(r: int) -> Graph:
 
     Lower vertices a = i*2^r + w ascend, each with its two edges up, to rows
     w and w XOR 2^i of level i+1, smaller first: the sorted order whose
-    per-level slices `constructions._middle_candidates` reads."""
+    per-level slices `constructions._middle_candidates` reads.  The same
+    loop writes the adjacency, each vertex's rows below then rows above,
+    so no second pass over the edges builds it."""
     if r < 1:
         raise ButterflyError(f"butterfly dimension must be >= 1, got {r}")
     if r > MAX_DIMENSION:
         raise ButterflyError(f"butterfly dimension {r} exceeds guard {MAX_DIMENSION}")
     rows = 1 << r
-    edges = []
+    level, down = list(range(rows)), []
+    edges: list[tuple[int, int]] = []
+    adjacency: list[tuple[int, ...]] = []
     for i in range(r):
         bit = 1 << i
-        low, up = i * rows, (i + 1) * rows  # row 0 of levels i and i + 1
-        for w in range(rows):
-            a = low + w
-            # rows w and w ^ bit, smaller first: bit cleared, then bit set
-            edges += ((a, up + (w & ~bit)), (a, up + (w | bit)))
-    return Graph((r + 1) * rows, tuple(edges), ButterflyLabels(r))
+        above = list(range((i + 1) * rows, (i + 2) * rows))
+        up = _columns(above, bit)
+        edges += chain.from_iterable(zip(zip(level, up[0]), zip(level, up[1])))
+        adjacency += zip(*down, *up)  # level i: rows below, then rows above
+        down, level = _columns(level, bit), above
+    adjacency += zip(*down)
+    g = Graph((r + 1) * rows, tuple(edges), ButterflyLabels(r))
+    g.__dict__["adjacency"] = tuple(adjacency)  # fills the cached_property
+    return g
+
+
+def _columns(level: list[int], bit: int) -> list[list[int]]:
+    """For each row w, the vertices of rows w & ~bit and w | bit of `level`:
+    the ascending neighbours of row w on the adjacent level across `bit`.
+    Indexing `level` shares its int objects with every edge and column."""
+    rows = range(len(level))
+    return [[level[w & ~bit] for w in rows], [level[w | bit] for w in rows]]
 
 
 def subcopy_vertex(r: int, high_bits: int, v: int) -> int:
@@ -92,5 +109,4 @@ def subcopy_vertex(r: int, high_bits: int, v: int) -> int:
     value 0..3 of the two top row bits; a copy keeps the level and the low
     r-2 row bits.  The map is increasing, so it keeps edges normalized.
     """
-    row, level = vertex_coord(r - 2, v)
-    return vertex_index(r, high_bits << (r - 2) | row, level)
+    return v >> (r - 2) << r | high_bits << (r - 2) | v & ((1 << (r - 2)) - 1)

@@ -44,6 +44,7 @@ import json
 import marshal
 import re
 from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import chain
 from typing import Any, Iterable, Optional, Union
 
 from . import __version__
@@ -158,16 +159,17 @@ def edge_witness(g: Graph, edges: Iterable[Edge]) -> dict:
     bisection: no `edge_index` dict is built for a witness of a few edges.
     """
     es = sorted(normalize_edge(*e) for e in edges)
+    label = g.vertex_label
     return {
         "edge_ids": [bisect.bisect_left(g.edges, e) for e in es],
         "edges": [list(e) for e in es],
-        "labels": [[g.vertex_label(u), g.vertex_label(v)] for u, v in es],
+        "labels": [[label(u), label(v)] for u, v in es],
     }
 
 
 def vertex_witness(g: Graph, vertices: Iterable[int]) -> dict:
     vs = sorted(vertices)
-    return {"vertices": vs, "labels": [g.vertex_label(v) for v in vs]}
+    return {"vertices": vs, "labels": list(map(g.vertex_label, vs))}
 
 
 def parse_edges(edges: list) -> list[Edge]:
@@ -191,10 +193,50 @@ def _witness_edges(witness: Any) -> list[Edge]:
 # ---------------------------------------------------------------------------
 
 def emit_certificate(c: Certificate) -> str:
-    """Deterministic JSON: sorted keys, stable indentation."""
+    """Deterministic JSON, byte-identical to
+    ``json.dumps(vars(c), sort_keys=True, indent=2) + "\\n"``: `_render`
+    writes the bulk shapes itself and hands every other value to json."""
     if c.kind not in CLAIM_KINDS:
         raise CertificateError(f"unknown claim kind {c.kind!r}")
-    return json.dumps(vars(c), sort_keys=True, indent=2) + "\n"
+    return _render(vars(c), "") + "\n"
+
+
+_LEAF = {int: int.__repr__, str: json.encoder.encode_basestring_ascii,
+         bool: lambda b: "true" if b else "false", type(None): lambda _: "null"}
+
+
+def _render(value: Any, pad: str) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` with every line after
+    the first indented by `pad`.  With `indent` json runs its pure-Python
+    encoder, so the hot shapes are written in bulk: a list of ints, of
+    strings or of one other scalar type, and a list of equal-width rows of
+    such leaves.  Other non-empty lists, and dicts with string keys in key
+    order, recurse; json writes the rest (empty containers, floats, other
+    keys and types), which is exact since JSON text never holds a raw
+    newline."""
+    leaf = _LEAF.get(type(value))
+    if leaf:
+        return leaf(value)
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if type(value) is dict and value and set(map(type, value)) == {str}:
+        return "{\n" + inner + sep.join(
+            f"{_LEAF[str](k)}: {_render(value[k], inner)}"
+            for k in sorted(value)) + "\n" + pad + "}"
+    if type(value) is list and value:
+        kinds = set(map(type, value))
+        if kinds == {list} and len(widths := set(map(len, value))) == 1:
+            leaves = list(chain.from_iterable(value))
+            leaf_kinds = set(map(type, leaves))
+            if len(leaf_kinds) == 1 and leaf_kinds <= _LEAF.keys():
+                row = "[\n" + inner + "  " + (sep + "  ").join(
+                    ["{}"] * widths.pop()) + "\n" + inner + "]"
+                return "[\n" + inner + sep.join([row] * len(value)).format(
+                    *map(_LEAF[leaf_kinds.pop()], leaves)) + "\n" + pad + "]"
+        leaf = _LEAF.get(kinds.pop()) if len(kinds) == 1 else None
+        items = map(leaf, value) if leaf else (_render(v, inner) for v in value)
+        return "[\n" + inner + sep.join(items) + "\n" + pad + "]"
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + pad)
 
 
 def parse_certificate(doc: Union[str, dict]) -> Certificate:

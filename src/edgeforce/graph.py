@@ -45,7 +45,7 @@ class Graph:
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Each vertex's neighbors, ascending.
+        """Each vertex's neighbors, ascending; `build_butterfly` fills it in.
 
         The sorted edge list appends a vertex's smaller neighbors first
         (edges (u, x), u < x, precede every edge (x, v)), each run in

@@ -6,7 +6,7 @@ from edgeforce.butterfly import (ButterflyError, build_butterfly,
                                  coord_label, subcopy_vertex, vertex_coord,
                                  vertex_index)
 from edgeforce.constructions import find_obstructions
-from edgeforce.graph import from_edges, normalize_edge
+from edgeforce.graph import Graph, from_edges, normalize_edge
 
 
 class TestBuild:
@@ -50,6 +50,24 @@ class TestBuild:
         assert g.vertex_count == want.vertex_count
         assert dict(g.labels) == {v: coord_label(*vertex_coord(r, v))
                                   for v in range(g.vertex_count)}
+
+    @pytest.mark.parametrize("r", range(1, 13))
+    def test_prefilled_adjacency_is_the_generic_one(self, r):
+        # build_butterfly writes the adjacency with its edges; the generic
+        # property, run on a graph without it, must give the same tuples
+        g = build_butterfly(r)
+        assert "adjacency" in vars(g)
+        generic = Graph(g.vertex_count, g.edges)
+        assert "adjacency" not in vars(generic)
+        assert g.adjacency == generic.adjacency
+
+    def test_subcopy_vertex_is_the_coordinate_map(self):
+        for r in range(3, 9):
+            for v in range(build_butterfly(r - 2).vertex_count):
+                row, level = vertex_coord(r - 2, v)
+                assert [subcopy_vertex(r, hb, v) for hb in range(4)] == [
+                    vertex_index(r, hb << (r - 2) | row, level)
+                    for hb in range(4)]
 
     def test_labels(self):
         g = build_butterfly(2)

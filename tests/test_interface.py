@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import time
@@ -28,7 +29,7 @@ from edgeforce.constructions import DEFAULT_SEED, construct_edge_forcing
 from edgeforce.graph import from_edges
 from edgeforce.solver import DEFAULT_MAX_EDGES, EdgeForcingVerdict
 
-from conftest import cycle_graph, path_graph
+from conftest import cycle_graph, path_graph, random_graph
 
 FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
 SRC = pathlib.Path(__file__).parent.parent / "src"
@@ -107,8 +108,9 @@ class TestParseGraph:
             resolve_graph("hypercube:3")
 
     def test_resolve_refuses_unknown_keys(self):
-        # a certificate's inline graph is written back as given, so a key
-        # other than n and edges would pass unchecked
+        # a key other than n and edges is malformed input: the builders
+        # write describe(g), which has no other key, so verify would only
+        # answer false on a graph field it could not name
         with pytest.raises(CertificateError,
                            match=r"unknown keys \['x'\]"):
             resolve_graph({**C5, "x": [[[1]]]})
@@ -119,8 +121,8 @@ class TestParseGraph:
         "butterfly: 3", "butterfly:3 ", "butterfly:\u0663", "butterfly:"])
     def test_resolve_only_canonical_butterfly(self, descriptor):
         # int() reads "03", "+3", " 3", "3 " and the Arabic-Indic digit
-        # three as 3, so a certificate naming its graph so verified
-        # against BF(3), with its own graph field rebuilt unchanged
+        # three as 3; such a field is not one describe(g) writes, so it is
+        # refused as malformed input rather than read as BF(3)
         with pytest.raises(CertificateError, match="unknown graph descriptor"):
             resolve_graph(descriptor)
 
@@ -206,6 +208,114 @@ class TestCertificates:
         ok, details = verify_certificate(emit_certificate(cert))
         assert ok, details
         assert len(built) == 1
+
+
+def dumped(value, pad=""):
+    """json.dumps(value, sort_keys=True, indent=2) indented by pad, or the
+    type of the exception it raises."""
+    try:
+        return json.dumps(value, sort_keys=True, indent=2).replace(
+            "\n", "\n" + pad)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+def rendered(value, pad=""):
+    try:
+        return certificates._render(value, pad)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+TEXT = st.text(st.sampled_from(
+    ["a", "Z", "0", " ", '"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f",
+     "\u00e9", "\u0663", "\u2028", "\U0001f600", "{", "}"]), max_size=6)
+SCALARS = (st.none() | st.booleans() | st.integers() | TEXT
+           | st.integers(2 ** 64, 2 ** 200) | st.integers(-2 ** 200, -2 ** 64)
+           | st.floats(allow_nan=False))
+
+
+@st.composite
+def rows(draw, leaves):
+    """A list of rows, equal-width unless `ragged` is drawn."""
+    width = draw(st.integers(0, 4))
+    ragged = draw(st.booleans())
+    return draw(st.lists(st.lists(leaves, min_size=0 if ragged else width,
+                                  max_size=width + 2 * ragged), max_size=5))
+
+
+JSON_VALUES = st.recursive(
+    SCALARS | st.lists(st.integers()) | st.lists(TEXT)
+    | rows(st.integers()) | rows(TEXT) | rows(st.integers() | TEXT)
+    | rows(st.integers() | st.booleans()),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(TEXT, inner, max_size=4)
+    | st.dictionaries(st.integers() | TEXT, inner, max_size=3),
+    max_leaves=30)
+
+
+class TestEmit:
+    """`emit_certificate` writes each certificate byte for byte as
+    json.dumps(vars(c), sort_keys=True, indent=2) + "\\n" does."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(value=JSON_VALUES, pad=st.sampled_from(["", "  ", "      "]))
+    def test_render_is_json_dumps(self, value, pad):
+        assert rendered(value, pad) == dumped(value, pad)
+
+    @pytest.mark.parametrize("value", [
+        [], {}, [[]], [[], []], [[1], [2, 3]], [[1, "a"], [2, "b"]],
+        [[1, True]], [True, 1], [1, "a"], [1.5, 2], ["\u00e9\"\\\x01"],
+        [2 ** 70, -2 ** 70], [[2 ** 70]], {"a": [[1, 2]], "b": {"c": []}},
+        {1: [1]}, {"a": 1, 2: "b"}, [{"a": [1]}], [[[1]], [[2]]], (1, 2),
+        {"k": None}, [None, None], ["{}", "{0}"], [["{", "}"]]],
+        ids=repr)
+    def test_render_edge_cases(self, value):
+        assert rendered(value) == dumped(value)
+        assert rendered(value, "    ") == dumped(value, "    ")
+
+    def certificates_of(self, g):
+        yield certificates.closure_certificate(g, [0, 1])
+        yield certificates.zfs_check_certificate(g, [0])
+        yield certificates.efs_check_certificate(g, [g.edges[0]])
+        yield certificates.efs_check_certificate(g, list(g.edges[:2]))
+        if g.vertex_count <= 8:
+            yield certificates.zf_number_certificate(g, g.vertex_count)
+            yield certificates.ef_number_certificate(g, g.edge_count)
+            yield certificates.reduction_certificate(g)
+
+    @pytest.mark.parametrize("name", ["c5", "random", "bf2", "bf3", "bf4",
+                                      "bf5", "bf6"])
+    def test_every_kind_emits_json_dumps(self, name):
+        if name == "c5":
+            g, extra = cycle_graph(5), []
+        elif name == "random":
+            g = random_graph(random.Random(11), 7, 0.5)
+            # the star K1,3 has no edge-forcing set: a nonexistence
+            extra = [certificates.ef_number_certificate(
+                from_edges(4, [(0, 1), (0, 2), (0, 3)]), 3)]
+            assert extra[0].kind == "nonexistence"
+        else:
+            r = int(name[2:])
+            g = build_butterfly(r)
+            extra = [bounds_certificate(r), certificates.ef_number_certificate(
+                g, DEFAULT_MAX_EDGES) if r == 2 else construction_certificate(
+                g, construct_edge_forcing(r), DEFAULT_SEED)]
+        kinds = set()
+        for cert in [*self.certificates_of(g), *extra]:
+            kinds.add(cert.kind)
+            assert emit_certificate(cert) == json.dumps(
+                vars(cert), sort_keys=True, indent=2) + "\n"
+        assert len(kinds) >= 4
+
+    @pytest.mark.parametrize("claim", [
+        {"value": np.int64(3)}, {"set": [np.int64(1), 2]},
+        {"rows": [[np.int64(1), 2], [3, 4]]}])
+    def test_numpy_scalar_still_raises(self, claim):
+        cert = certificates.Certificate(kind="zfs-check", graph=C5,
+                                        claim=claim)
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            emit_certificate(cert)
 
 
 @st.composite
