@@ -1,18 +1,17 @@
-"""Butterfly network BF(r): construction, coordinates, labels, sub-copies.
+"""Butterfly network BF(r): construction and sub-copies.
 
 BF(r) has vertices (row, level) with row in [0, 2^r) and level in [0, r].
 Between levels i and i+1 every row w carries a straight edge (same row) and
 a cross edge to row w XOR 2^i.  The dense index of (row, level) is
-level * 2^r + row; the display label is "[row,level]".  BF(r)'s binding
-diamonds are its obstruction 4-cycles (`constructions.find_obstructions`).
+level * 2^r + row.  The graph records its r in `Graph.butterfly`, from
+which `Graph.vertex_label` writes the display label "[row,level]".  BF(r)'s
+binding diamonds are its obstruction 4-cycles
+(`constructions.find_obstructions`).
 """
 
 from __future__ import annotations
 
-import operator
-from collections.abc import Mapping
 from itertools import chain
-from typing import Iterator
 
 from .graph import Graph
 
@@ -21,48 +20,6 @@ MAX_DIMENSION = 16  # memory guard: BF(16) already has >1M vertices
 
 class ButterflyError(ValueError):
     pass
-
-
-def vertex_index(r: int, row: int, level: int) -> int:
-    return level * (1 << r) + row
-
-
-def vertex_coord(r: int, index: int) -> tuple[int, int]:
-    """Inverse of vertex_index: dense index -> (row, level)."""
-    rows = 1 << r
-    return index % rows, index // rows
-
-
-def coord_label(row: int, level: int) -> str:
-    return f"[{row},{level}]"
-
-
-class ButterflyLabels(Mapping):
-    """The "[row,level]" display labels of BF(r), computed on lookup.
-
-    Holds no per-vertex data: a stored dict of labels would cost more
-    memory than BF(r)'s adjacency for the one lookup per witness vertex
-    that certificates and DOT output make.
-    """
-
-    def __init__(self, r: int) -> None:
-        self.r = r
-        self.mask = (1 << r) - 1
-
-    def __getitem__(self, v: int) -> str:
-        try:
-            i = v if type(v) is int else operator.index(v)
-        except TypeError:
-            raise KeyError(v) from None
-        if not 0 <= i < (self.r + 1) << self.r:
-            raise KeyError(v)
-        return f"[{i & self.mask},{i >> self.r}]"
-
-    def __len__(self) -> int:
-        return (self.r + 1) << self.r
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(range(len(self)))
 
 
 def build_butterfly(r: int) -> Graph:
@@ -89,7 +46,7 @@ def build_butterfly(r: int) -> Graph:
         adjacency += zip(*down, *up)  # level i: rows below, then rows above
         down, level = _columns(level, bit), above
     adjacency += zip(*down)
-    g = Graph((r + 1) * rows, tuple(edges), ButterflyLabels(r))
+    g = Graph((r + 1) * rows, tuple(edges), butterfly=r)
     g.__dict__["adjacency"] = tuple(adjacency)  # fills the cached_property
     return g
 

@@ -48,7 +48,7 @@ from itertools import chain
 from typing import Any, Iterable, Optional, Union
 
 from . import __version__
-from .butterfly import MAX_DIMENSION, ButterflyLabels, build_butterfly
+from .butterfly import MAX_DIMENSION, build_butterfly
 from .constructions import known_bounds
 from .engine import closure, is_edge_forcing_set, is_zero_forcing_set
 from .graph import Edge, Graph, GraphError, from_edges, normalize_edge
@@ -147,8 +147,8 @@ def resolve_graph(descriptor: Union[str, dict]) -> Graph:
 def describe(g: Graph) -> Union[str, dict]:
     """The `graph` field of g: "butterfly:r" for BF(r) as `build_butterfly`
     made it, else g's canonical graph document."""
-    if isinstance(g.labels, ButterflyLabels):
-        return BUTTERFLY.format(g.labels.r)
+    if g.butterfly is not None:
+        return BUTTERFLY.format(g.butterfly)
     return g.to_json_dict()
 
 

@@ -93,7 +93,7 @@ def cmd_construct(args) -> int:
         sys.stdout.write(to_dot(g) if args.dot else emit_certificate(
             ef_number_certificate(g, DEFAULT_MAX_EDGES)))
         return 1
-    witness = butterfly_witness(g, args.r, seed=args.seed)
+    witness = butterfly_witness(g, seed=args.seed)
     if args.dot:
         sys.stdout.write(to_dot(g, highlight=witness))
     else:

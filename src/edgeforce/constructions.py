@@ -229,7 +229,7 @@ def construct_edge_forcing(r: int, seed: int = DEFAULT_SEED) -> list[Edge]:
     butterfly guard fails at once; each level verifies its own witness.
     """
     _require_dimension(r)
-    return butterfly_witness(build_butterfly(r), r, seed)
+    return butterfly_witness(build_butterfly(r), seed)
 
 
 def _require_dimension(r: int) -> None:
@@ -239,9 +239,13 @@ def _require_dimension(r: int) -> None:
         raise ButterflyError(f"construction needs r >= 3, got {r}")
 
 
-def butterfly_witness(g: Graph, r: int, seed: int = DEFAULT_SEED) -> list[Edge]:
-    """`construct_edge_forcing(r)` on g = BF(r), already built, so that a
-    caller that also needs the graph builds it once."""
+def butterfly_witness(g: Graph, seed: int = DEFAULT_SEED) -> list[Edge]:
+    """`construct_edge_forcing(r)` on g = BF(r) as `build_butterfly(r)`
+    made it, so that a caller that also needs the graph builds it once."""
+    r = g.butterfly
+    if r is None:
+        raise ButterflyError(
+            "butterfly_witness needs a graph made by build_butterfly")
     _require_dimension(r)
     diamonds = find_obstructions(g)
     if r in SEEDED_SEARCHES:

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain
 from numbers import Integral
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Optional
 
 Edge = tuple[int, int]
 
@@ -35,13 +35,14 @@ class Graph:
     input or by a generator that emits them so (`build_butterfly`,
     `build_gbar`); the constructor does not check.  An edge's position in
     the list is its canonical identity (used by certificates and
-    enumeration order).  Display labels, when present, are a separate
-    layer on top of the dense indices.
+    enumeration order).  `butterfly` is r when `build_butterfly(r)` made
+    the graph: it names the graph BF(r) in certificates and gives its
+    vertices their "[row,level]" labels.  It takes no part in equality.
     """
 
     vertex_count: int
     edges: tuple[Edge, ...]
-    labels: Optional[Mapping[int, str]] = field(default=None, compare=False)
+    butterfly: Optional[int] = field(default=None, compare=False)
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -92,11 +93,11 @@ class Graph:
         return min(len(a) for a in self.adjacency)
 
     def vertex_label(self, v: int) -> str:
-        if self.labels is not None:
-            try:
-                return self.labels[v]
-            except KeyError:
-                pass
+        """The label "[row,level]" of a vertex of BF(r), else str(v).
+        Vertex level * 2^r + row keeps its row in the low r bits."""
+        r = self.butterfly
+        if r is not None and is_vertex(v) and 0 <= v < self.vertex_count:
+            return f"[{v & ((1 << r) - 1)},{v >> r}]"
         return str(v)
 
     def to_json_dict(self) -> dict:

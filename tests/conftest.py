@@ -26,6 +26,22 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     return from_edges(n, edges)
 
 
+def vertex_index(r: int, row: int, level: int) -> int:
+    """The dense index of BF(r)'s vertex (row, level)."""
+    return level * (1 << r) + row
+
+
+def vertex_coord(r: int, index: int) -> tuple[int, int]:
+    """Inverse of vertex_index: dense index -> (row, level)."""
+    rows = 1 << r
+    return index % rows, index // rows
+
+
+def coord_label(row: int, level: int) -> str:
+    """The display label of BF(r)'s vertex (row, level)."""
+    return f"[{row},{level}]"
+
+
 def reference_closure(g: Graph, initial) -> tuple[set[int], list[tuple]]:
     """The reference schedule as a plain loop: (final set, events).
 

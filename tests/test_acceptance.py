@@ -8,7 +8,7 @@ import itertools
 import random
 import time
 
-from edgeforce.butterfly import build_butterfly, vertex_coord, vertex_index
+from edgeforce.butterfly import build_butterfly
 from edgeforce.certificates import reduction_certificate
 from edgeforce.constructions import (construct_edge_forcing, find_obstructions,
                                      known_bounds, structural_lower_bound)
@@ -19,7 +19,7 @@ from edgeforce.reduction import (build_gbar, lift_zero_forcing,
 from edgeforce.solver import min_edge_forcing, min_zero_forcing
 
 from conftest import (closure_sequential, complete_graph, cycle_graph,
-                      path_graph, random_graph)
+                      path_graph, random_graph, vertex_coord, vertex_index)
 
 
 def report(number, label, elapsed, limit, ok):

@@ -1,12 +1,13 @@
 import itertools
 
+import numpy as np
 import pytest
 
-from edgeforce.butterfly import (ButterflyError, build_butterfly,
-                                 coord_label, subcopy_vertex, vertex_coord,
-                                 vertex_index)
+from edgeforce.butterfly import ButterflyError, build_butterfly, subcopy_vertex
 from edgeforce.constructions import find_obstructions
 from edgeforce.graph import Graph, from_edges, normalize_edge
+
+from conftest import coord_label, vertex_coord, vertex_index
 
 
 class TestBuild:
@@ -48,8 +49,8 @@ class TestBuild:
         want = from_edges((r + 1) * rows, straight + cross)
         assert g.edges == want.edges
         assert g.vertex_count == want.vertex_count
-        assert dict(g.labels) == {v: coord_label(*vertex_coord(r, v))
-                                  for v in range(g.vertex_count)}
+        assert {v: g.vertex_label(v) for v in range(g.vertex_count)} == {
+            v: coord_label(*vertex_coord(r, v)) for v in range(g.vertex_count)}
 
     @pytest.mark.parametrize("r", range(1, 13))
     def test_prefilled_adjacency_is_the_generic_one(self, r):
@@ -76,13 +77,22 @@ class TestBuild:
 
     @pytest.mark.parametrize("r", range(1, 7))
     def test_labels_computed_on_lookup(self, r):
-        labels = build_butterfly(r).labels
-        assert dict(labels) == {
+        g = build_butterfly(r)
+        assert {v: g.vertex_label(v) for v in range(g.vertex_count)} == {
             vertex_index(r, w, i): coord_label(w, i)
             for i in range(r + 1) for w in range(2 ** r)}
-        for v in (-1, (r + 1) * 2 ** r, "0", 1.5):
-            with pytest.raises(KeyError):
-                labels[v]
+        for v in (-1, (r + 1) * 2 ** r):
+            assert g.vertex_label(v) == str(v)
+
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_vertex_label_is_the_coordinate_oracle(self, r):
+        g = build_butterfly(r)
+        assert g.butterfly == r
+        for v in range(g.vertex_count):
+            want = coord_label(*vertex_coord(r, v))
+            assert g.vertex_label(v) == g.vertex_label(np.int64(v)) == want
+        for v in (-1, g.vertex_count):
+            assert g.vertex_label(v) == g.vertex_label(np.int64(v)) == str(v)
 
     def test_coordinate_round_trip(self):
         r = 4

@@ -8,9 +8,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from edgeforce import constructions
-from edgeforce.butterfly import build_butterfly, vertex_index
+from edgeforce.butterfly import ButterflyError, build_butterfly
 from edgeforce.certificates import CertificateError, bf2_nonexistence_counts
 from edgeforce.constructions import (DEFAULT_SEED, ConstructionError,
+                                     butterfly_witness,
                                      construct_edge_forcing, find_obstructions,
                                      known_bounds, recursive_upper,
                                      structural_lower_bound,
@@ -18,7 +19,7 @@ from edgeforce.constructions import (DEFAULT_SEED, ConstructionError,
 from edgeforce.engine import closure, is_edge_forcing_set, matching_endpoints
 from edgeforce.graph import from_edges, matching_diagnostic, normalize_edge
 
-from conftest import cycle_graph, max_edge_disjoint
+from conftest import cycle_graph, max_edge_disjoint, vertex_index
 
 # The witnesses of construct_edge_forcing for r = 3..9 at GOLDEN_SEEDS,
 # pinned as the sha256 of their sorted JSON: a refactor of the
@@ -166,6 +167,14 @@ class TestConstructions:
     def test_bf2_raises(self):
         with pytest.raises(ConstructionError, match="BF\\(2\\)"):
             construct_edge_forcing(2)
+
+    def test_witness_needs_a_built_butterfly(self):
+        # the same edges from outside input carry no r: one-line refusal
+        g = build_butterfly(3)
+        with pytest.raises(ButterflyError, match="build_butterfly") as info:
+            butterfly_witness(from_edges(g.vertex_count, g.edges))
+        assert "\n" not in str(info.value)
+        assert butterfly_witness(g) == construct_edge_forcing(3)
 
     def test_each_level_builds_its_butterfly_once(self, monkeypatch):
         built = []

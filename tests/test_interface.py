@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from edgeforce import certificates, cli, constructions, solver
-from edgeforce.butterfly import ButterflyLabels, build_butterfly
+from edgeforce.butterfly import build_butterfly
 from edgeforce.certificates import (MAX_GRAPH_VERTICES, CertificateError,
                                     bounds_certificate,
                                     construction_certificate, describe,
@@ -354,8 +354,8 @@ class TestGraphField:
     @given(g=described_graphs())
     def test_describe_inverts_resolve_graph(self, g):
         d = describe(g)
-        if isinstance(g.labels, ButterflyLabels):
-            assert d == f"butterfly:{g.labels.r}"
+        if g.butterfly is not None:
+            assert d == f"butterfly:{g.butterfly}"
         else:
             assert d == g.to_json_dict()
         assert resolve_graph(d) == g
@@ -363,6 +363,13 @@ class TestGraphField:
         for given_d in (d, g.to_json_dict()):
             assert json.dumps(describe(resolve_graph(given_d))) == json.dumps(
                 given_d)
+
+    def test_describe_from_edges_of_bf3_is_inline(self):
+        # an equal graph from outside input is not BF(3) as built
+        g = build_butterfly(3)
+        plain = from_edges(g.vertex_count, g.edges)
+        assert plain == g and plain.vertex_label(9) == "9"
+        assert describe(plain) == g.to_json_dict() != "butterfly:3"
 
     BUILDERS = {
         "closure": lambda g: certificates.closure_certificate(g, [0]),
