@@ -415,19 +415,25 @@ def bf2_nonexistence_counts(g: Graph) -> dict[int, int]:
 # certificate builders, one per claim kind; each writes describe(g)
 # ---------------------------------------------------------------------------
 
-def closure_certificate(g: Graph, initial: list[int]) -> Certificate:
+def closure_certificate(g: Graph, initial: Iterable[int]) -> Certificate:
+    """The closure certificate; its claim lists the sorted distinct vertex
+    ints the engine accepted, so a repeated vertex does not verify."""
     result = closure(g, initial)
     return Certificate(
         kind="closure", graph=describe(g),
-        claim={"initial": sorted(initial), "final": sorted(result.final),
+        claim={"initial": sorted(result.initial),
+               "final": sorted(result.final),
                "covers_all": len(result.final) == g.vertex_count},
         trace=[list(ev) for ev in zip(*(a.tolist() for a in result.events))])
 
 
-def zfs_check_certificate(g: Graph, vertices: list[int]) -> Certificate:
-    ok = is_zero_forcing_set(g, vertices)
+def zfs_check_certificate(g: Graph, vertices: Iterable[int]) -> Certificate:
+    """The zfs-check certificate; its "set" lists the accepted vertex ints
+    as a closure certificate's "initial" does."""
+    result = closure(g, vertices)
     return Certificate(kind="zfs-check", graph=describe(g),
-                       claim={"set": sorted(vertices), "result": ok})
+                       claim={"set": sorted(result.initial),
+                              "result": len(result.final) == g.vertex_count})
 
 
 def efs_check_certificate(g: Graph, edges: list[Edge]) -> Certificate:

@@ -32,16 +32,19 @@ class ForcingTrace:
     def replay(self, g: Graph) -> frozenset[int]:
         """Re-apply the events one by one, checking each precondition.
 
-        Raises AssertionError if any event fires against an invalid state;
-        returns the resulting black set.
+        Raises AssertionError if any event fires against an invalid state,
+        also under ``python -O``; returns the resulting black set.
         """
         black = set(self.initial)
         for ev in self.events:
-            assert ev.forcer in black, f"forcer {ev.forcer} not black"
-            assert ev.forced not in black, f"{ev.forced} forced twice"
+            if ev.forcer not in black:
+                raise AssertionError(f"forcer {ev.forcer} not black")
+            if ev.forced in black:
+                raise AssertionError(f"{ev.forced} forced twice")
             whites = [u for u in g.adjacency[ev.forcer] if u not in black]
-            assert whites == [ev.forced], (
-                f"forcer {ev.forcer} whites {whites}, expected [{ev.forced}]")
+            if whites != [ev.forced]:
+                raise AssertionError(f"forcer {ev.forcer} whites {whites}, "
+                                     f"expected [{ev.forced}]")
             black.add(ev.forced)
         return frozenset(black)
 

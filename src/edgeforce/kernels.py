@@ -4,7 +4,17 @@ The kernel replays the round-synchronous reference schedule: each round
 scans the active black vertices (those with exactly one white neighbor)
 in ascending index, each claims its white neighbor unless a smaller
 forcer already did this round, and the round's forces apply together.
-An active vertex's count drops to zero in its round, so no vertex is
+
+A force is claimed in place: the forced vertex turns black as soon as
+its forcer claims it, so a later forcer of the same round that shared it
+finds no white neighbor and forces nothing.  The counts of the claimed
+vertices' neighbors fall at the start of the next round, which gives the
+same schedule as applying the round's forces together at its end.  The
+next frontier is collected as the counts fall: a vertex joins it when it
+is claimed with count one, or when a decrement brings a black vertex's
+count to exactly one.  Counts only fall, so no vertex is listed twice;
+an entry whose count has fallen to zero by its round is skipped.  An
+active vertex's count drops to zero by the next round, so no vertex is
 active twice and a closure costs O((n + m) log n), the log for sorting
 each frontier.
 
@@ -36,6 +46,8 @@ events, never loads numpy, which is most of a process's start-up.
 
 from __future__ import annotations
 
+from itertools import chain, repeat
+
 
 def backend_name() -> str:
     """Name of the closure kernel, for environment stamps."""
@@ -51,32 +63,43 @@ def extend_closure(adj, black, counts, vertices):
     the events (rounds, forcers, forced) as lists, sorted by round then
     forcer, rounds counted from 1.
     """
-    rounds: list[int] = []
     forcers: list[int] = []
     forced: list[int] = []
-    new = [v for v in vertices if not black[v]]
-    rnd = 0
-    while True:
-        touched = list(new)
-        for w in new:
+    sizes: list[int] = []  # forces per round
+    new: list[int] = []  # blackened, their neighbors' counts not yet cut
+    frontier: list[int] = []
+    for w in vertices:
+        if not black[w]:
             black[w] = 1
+            new.append(w)
+            if counts[w] == 1:
+                frontier.append(w)
+    while True:
+        for w in new:
             for u in adj[w]:
                 counts[u] -= 1
-                touched.append(u)
-        frontier = sorted({u for u in touched if counts[u] == 1 and black[u]})
+                if counts[u] == 1 and black[u]:
+                    frontier.append(u)
         if not frontier:
+            rounds = list(chain.from_iterable(
+                map(repeat, range(1, len(sizes) + 1), sizes)))
             return rounds, forcers, forced
-        rnd += 1
-        new = {}  # forced -> forcer, in forcer order
+        frontier.sort()
+        new = []
+        claimed_at_one = []
         for v in frontier:
-            for w in adj[v]:
-                if not black[w]:
-                    break
-            if w not in new:
-                new[w] = v
-        rounds += [rnd] * len(new)
-        forcers += new.values()
+            if counts[v]:
+                for w in adj[v]:
+                    if not black[w]:
+                        black[w] = 1
+                        forcers.append(v)
+                        new.append(w)
+                        if counts[w] == 1:
+                            claimed_at_one.append(w)
+                        break
         forced += new
+        sizes.append(len(new))
+        frontier = claimed_at_one
 
 
 def run_closure(graph, vertices):

@@ -1,6 +1,10 @@
 import functools
 import itertools
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +20,8 @@ from edgeforce.kernels import extend_closure, run_closure
 
 from conftest import (closure_sequential, complete_graph, cycle_graph,
                       path_graph, random_graph, reference_closure)
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 class TestClosure:
@@ -151,6 +157,25 @@ class TestScheduleProperties:
             result = closure(g, s)
             assert result.trace.replay(g) == result.final
 
+    def test_replay_checks_under_optimize(self):
+        # `python -O` strips assert statements, not a raised AssertionError
+        code = """if True:
+            from edgeforce.engine import ForceEvent, ForcingTrace
+            from edgeforce.graph import from_edges
+            p4 = from_edges(4, [(0, 1), (1, 2), (2, 3)])
+            bogus = ForcingTrace(frozenset({0}),
+                                 (ForceEvent(1, 3, 0), ForceEvent(1, 0, 0)))
+            try:
+                print(sorted(bogus.replay(p4)))
+            except AssertionError as exc:
+                print("AssertionError:", exc)
+        """
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout == "AssertionError: forcer 3 not black\n"
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_extending_a_closed_state(self, data):
@@ -171,6 +196,29 @@ class TestScheduleProperties:
         extend_closure(adj, black, counts, sorted(t))
         final = closure(g, s | t).final
         assert set(itertools.compress(range(size), black)) == final
+        assert counts == [sum(not black[u] for u in a) for a in adj]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_events_of_an_extension(self, data):
+        # extending cl(S) by T schedules as closing cl(S) | T afresh: the
+        # path of the searches' prefix and leaf closures and the greedy
+        # completion
+        n = data.draw(st.integers(2, 14))
+        size = n + data.draw(st.integers(0, 3))
+        pool = list(itertools.combinations(range(n), 2))
+        g = from_edges(size, data.draw(st.lists(st.sampled_from(pool),
+                                                unique=True)))
+        s = data.draw(st.sets(st.integers(0, size - 1)))
+        t = data.draw(st.sets(st.integers(0, size - 1)))
+        adj = g.adjacency
+        black, counts = bytearray(size), [len(a) for a in adj]
+        extend_closure(adj, black, counts, sorted(s))
+        closed = set(itertools.compress(range(size), black))
+        events = extend_closure(adj, black, counts, sorted(t))
+        want_final, want_events = reference_closure(g, closed | t)
+        assert list(zip(*events)) == want_events
+        assert set(itertools.compress(range(size), black)) == want_final
         assert counts == [sum(not black[u] for u in a) for a in adj]
 
 
@@ -228,3 +276,18 @@ class TestKernel:
         assert again[0] == final and again[0] is not final
         for got, want in zip(again[1:], (ev_round, ev_forcer, ev_forced)):
             assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("r", [6, 7, 8])
+    def test_butterfly_witness_less_endpoints(self, r):
+        # hundreds of forces in a few rounds, most closures stalling
+        # a few vertices short of all of BF(r)
+        g = build_butterfly(r)
+        witness = sorted(butterfly_witness_endpoints(r))
+        rng = random.Random(r)
+        for _ in range(3):
+            initial = set(witness) - set(rng.sample(witness, 3))
+            final, *arrays = run_closure(g, initial)
+            want_final, want_events = reference_closure(g, initial)
+            assert set(itertools.compress(range(g.vertex_count), final)) \
+                == want_final
+            assert list(zip(*(a.tolist() for a in arrays))) == want_events

@@ -199,6 +199,14 @@ class TestCertificates:
         with pytest.raises(ValueError, match=r"^vertex False is not an"):
             certificates.closure_certificate(path_graph(3), [0, False])
 
+    def test_closure_certificate_of_numpy_vertices_emits(self):
+        # the claim lists the ints the engine accepted, not what was given
+        cert = certificates.closure_certificate(path_graph(3), [np.int64(0)])
+        doc = json.loads(emit_certificate(cert))
+        assert doc["claim"]["initial"] == [0]
+        ok, details = verify_certificate(doc)
+        assert ok, details
+
     def test_verify_builds_the_lifted_graph_once(self, monkeypatch):
         cert = certificates.reduction_certificate(cycle_graph(5))
         built = []
@@ -493,6 +501,30 @@ class TestCli:
         assert main(["check", "zfs", "--graph", path, "--set", str(good)]) == 0
         capsys.readouterr()
         assert main(["check", "zfs", "--graph", path, "--set", str(bad)]) == 1
+
+    def test_closure_claims_distinct_vertices(self, tmp_path, capsys):
+        path = write_graph(tmp_path, path_graph(4))
+        code, doc = run_json(capsys, ["closure", "--graph", path,
+                                      "--black", "1,1"])
+        assert (code, doc["claim"]["initial"]) == (0, [1])
+        assert verify_certificate(doc)[0]
+        # a repeated vertex is not what the rebuild writes
+        doc["claim"]["initial"] = [1, 1]
+        assert verify_certificate(doc) == (
+            False, "claim recomputed as {'initial': [1], 'final': [1], "
+            "'covers_all': False}")
+
+    def test_check_zfs_claims_distinct_vertices(self, tmp_path, capsys):
+        path = write_graph(tmp_path, path_graph(4))
+        s = tmp_path / "s.json"
+        s.write_text('{"vertices": [0, 0]}')
+        code, doc = run_json(capsys, ["check", "zfs", "--graph", path,
+                                      "--set", s])
+        assert (code, doc["claim"]) == (0, {"set": [0], "result": True})
+        assert verify_certificate(doc)[0]
+        doc["claim"]["set"] = [0, 0]
+        assert verify_certificate(doc) == (
+            False, "claim recomputed as {'set': [0], 'result': True}")
 
     def test_check_efs_diagnostic(self, tmp_path, capsys):
         path = write_graph(tmp_path, path_graph(4))
