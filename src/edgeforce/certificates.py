@@ -176,8 +176,10 @@ def parse_edges(edges: list) -> list[Edge]:
     """[[u, v], ...] as (u, v) pairs; CertificateError on a malformed entry."""
     pairs = []
     for i, e in enumerate(edges):
-        if (not isinstance(e, list) or len(e) != 2
-                or not all(map(_is_int, e))):
+        # plain ints skip the call, which would triple this loop's time
+        if not (isinstance(e, list) and len(e) == 2
+                and (type(e[0]) is int or _is_int(e[0]))
+                and (type(e[1]) is int or _is_int(e[1]))):
             raise CertificateError(
                 f'edges[{i}] must be a 2-element integer array, got {e!r}')
         pairs.append((e[0], e[1]))

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice
 from numbers import Integral
+from operator import index, lt
 from typing import Iterable, Iterator, Optional
 
 Edge = tuple[int, int]
@@ -46,7 +47,9 @@ class Graph:
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Each vertex's neighbors, ascending; `build_butterfly` fills it in.
+        """Each vertex's neighbors, ascending.  `from_edges` and
+        `build_butterfly` fill it in as they build; it is computed here
+        only for a graph made directly from canonical edges (`build_gbar`).
 
         The sorted edge list appends a vertex's smaller neighbors first
         (edges (u, x), u < x, precede every edge (x, v)), each run in
@@ -106,21 +109,85 @@ class Graph:
 
 def from_edges(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a canonical Graph from outside input (JSON, tests), rejecting
-    loops, duplicates and bad indices.  Input edge order and orientation do
-    not affect the result."""
+    endpoints that are not vertices (`is_vertex`), loops, bad indices and
+    duplicates; the GraphError names the first faulty edge in input order.
+    Numpy integers are stored as plain ints.  Input edge order and
+    orientation do not affect the result.
+
+    One pass appends each edge to its endpoints' neighbor lists.  Sorted,
+    they are the adjacency, and reading each vertex's larger neighbors in
+    vertex order gives the canonical edges already sorted, so no edge is
+    normalized, hashed or sorted.  A duplicate lands next to its copy
+    there.  Only when the pass meets a fault is the input scanned again,
+    in order, to name it."""
     if vertex_count < 0:
         raise GraphError(f"vertex_count must be non-negative, got {vertex_count}")
+    if not isinstance(edges, (list, tuple)):
+        edges = list(edges)  # a fault is named by reading it again
+    adj = _neighbor_lists(vertex_count, edges)
+    if adj is None:
+        raise _first_fault(vertex_count, edges)
+    for a in adj:
+        a.sort()
+    adjacency = tuple(map(tuple, adj))
+    del adj  # freed before the edges are made, which lowers the peak
+    # Each vertex is named by the int object a lower neighbor lists for
+    # it (`zip` reads `names` after that neighbor's loop has run), so the
+    # edges share the input's ints instead of holding a new one per
+    # vertex; a vertex with no lower neighbor keeps its `range` int.
+    names = list(range(vertex_count))
+    canonical = []
+    for a, u in zip(adjacency, names):
+        for v in a:
+            if v > u:
+                canonical.append((u, v))
+                names[v] = v
+    canonical = tuple(canonical)
+    if not all(map(lt, canonical, islice(canonical, 1, None))):
+        raise _first_fault(vertex_count, edges)
+    g = Graph(vertex_count, canonical)
+    g.__dict__["adjacency"] = adjacency  # fills the cached_property
+    return g
+
+
+def _neighbor_lists(n: int, edges: Iterable) -> Optional[list[list[int]]]:
+    """Each vertex's neighbors in input order, or None at the first entry
+    that is not a pair of distinct vertices in [0, n)."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    try:
+        for u, v in edges:
+            # plain ints skip the calls, as in `engine._vertex_set`
+            if not (type(u) is int and type(v) is int):
+                if not (is_vertex(u) and is_vertex(v)):
+                    return None
+                u, v = index(u), index(v)
+            if u == v or not (0 <= u < n and 0 <= v < n):
+                return None
+            adj[u].append(v)
+            adj[v].append(u)
+    except (TypeError, ValueError):  # an entry that is not a pair
+        return None
+    return adj
+
+
+def _first_fault(n: int, edges: Iterable) -> GraphError:
+    """The error naming the first faulty edge of `edges`, which holds one.
+    An entry that is not a pair raises here as it does in the pass."""
     seen: set[Edge] = set()
     for u, v in edges:
+        if not (is_vertex(u) and is_vertex(v)):
+            return GraphError(
+                f"edge ({u!r},{v!r}) has an endpoint that is not an integer")
+        u, v = index(u), index(v)
         if u == v:
-            raise GraphError(f"self-loop at vertex {u}")
-        if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-            raise GraphError(f"edge ({u},{v}) has endpoint out of range [0,{vertex_count})")
+            return GraphError(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            return GraphError(f"edge ({u},{v}) has endpoint out of range [0,{n})")
         e = normalize_edge(u, v)
         if e in seen:
-            raise GraphError(f"duplicate edge {e}")
+            return GraphError(f"duplicate edge {e}")
         seen.add(e)
-    return Graph(vertex_count, tuple(sorted(seen)))
+    raise AssertionError("the pass met a fault that the scan did not")
 
 
 def matching_diagnostic(g: Graph, edges: Iterable[tuple[int, int]]) -> Optional[str]:

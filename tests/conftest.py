@@ -1,9 +1,11 @@
 import itertools
+import operator
 import random
 from numbers import Integral
 from typing import Optional
 
-from edgeforce.graph import Graph, from_edges
+from edgeforce.graph import (Graph, GraphError, from_edges, is_vertex,
+                             normalize_edge)
 from edgeforce.kernels import extend_closure
 from edgeforce.solver import _minimal_fort
 
@@ -24,6 +26,31 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     edges = [e for e in itertools.combinations(range(n), 2)
              if rng.random() < p]
     return from_edges(n, edges)
+
+
+def from_edges_reference(vertex_count: int, edges) -> Graph:
+    """`from_edges` as a set-and-sort loop over the input, raising at the
+    first faulty edge; its graph's adjacency is left to the cached
+    property.  The oracle of the one-pass build."""
+    if vertex_count < 0:
+        raise GraphError(
+            f"vertex_count must be non-negative, got {vertex_count}")
+    seen = set()
+    for u, v in edges:
+        if not (is_vertex(u) and is_vertex(v)):
+            raise GraphError(
+                f"edge ({u!r},{v!r}) has an endpoint that is not an integer")
+        u, v = operator.index(u), operator.index(v)
+        if u == v:
+            raise GraphError(f"self-loop at vertex {u}")
+        if not (0 <= u < vertex_count and 0 <= v < vertex_count):
+            raise GraphError(f"edge ({u},{v}) has endpoint out of range "
+                             f"[0,{vertex_count})")
+        e = normalize_edge(u, v)
+        if e in seen:
+            raise GraphError(f"duplicate edge {e}")
+        seen.add(e)
+    return Graph(vertex_count, tuple(sorted(seen)))
 
 
 def vertex_index(r: int, row: int, level: int) -> int:

@@ -1,18 +1,22 @@
 import itertools
+import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgeforce.butterfly import build_butterfly
+from edgeforce.certificates import closure_certificate, emit_certificate
 from edgeforce.constructions import construct_edge_forcing
 from edgeforce.engine import is_edge_forcing_set
 from edgeforce.graph import (GraphError, from_edges, matching_diagnostic,
                              matchings_of_size,
                              normalize_edge)
 
-from conftest import complete_graph, cycle_graph, path_graph, random_graph
+from conftest import (complete_graph, cycle_graph, from_edges_reference,
+                      path_graph, random_graph)
 
 
 def naive_matching_count(g, k):
@@ -56,6 +60,86 @@ class TestFromEdges:
     def test_out_of_range_rejected(self):
         with pytest.raises(GraphError, match="out of range"):
             from_edges(2, [(0, 2)])
+
+    @pytest.mark.parametrize("edges, message", [
+        ([(0, 1), (2, 2), (1, 0)], "self-loop at vertex 2"),
+        ([(0, 1), (1, 0), (2, 2)], "duplicate edge (0, 1)"),
+        # an entry that is not a pair comes after the fault it hides
+        ([(0, 1), (1, 0), (0, 1, 2)], "duplicate edge (0, 1)"),
+        ([(0, 1), (np.int64(1), np.int64(0))], "duplicate edge (0, 1)"),
+        ([(True, 0)], "edge (True,0) has an endpoint that is not an integer"),
+        ([(0, 1.0), (1.0, 2)],
+         "edge (0,1.0) has an endpoint that is not an integer"),
+        ([(0, 1), (0, 3)], "edge (0,3) has endpoint out of range [0,3)")])
+    def test_names_the_first_faulty_edge(self, edges, message):
+        # a generator is read once by the build and again to name the fault
+        for given_edges in (edges, iter(edges)):
+            with pytest.raises(GraphError) as exc:
+                from_edges(3, given_edges)
+            assert str(exc.value) == message
+
+    def test_numpy_endpoints_are_stored_as_ints(self):
+        g = from_edges(3, [(np.int64(1), np.int64(0)), (np.int32(2), 1)])
+        assert g.edges == ((0, 1), (1, 2))
+        assert {type(v) for e in g.edges for v in e} == {int}
+        assert {type(v) for a in g.adjacency for v in a} == {int}
+        doc = json.loads(emit_certificate(closure_certificate(g, [0])))
+        assert doc["graph"] == {"n": 3, "edges": [[0, 1], [1, 2]]}
+
+    def test_generator_input(self):
+        g = from_edges(4, ((i, i + 1) for i in range(3)))
+        assert g == path_graph(4)
+        assert "adjacency" in vars(g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_the_reference(self, data):
+        # a random edge list, each edge either way round, with faults mixed
+        # in: a self-loop, an endpoint out of range, a duplicate listed
+        # either way, a bool, a float; numpy integers are vertices
+        n = data.draw(st.integers(0, 7))
+        pool = list(itertools.combinations(range(n), 2))
+        edges = data.draw(st.lists(st.sampled_from(pool), unique=True)
+                          if pool else st.just([]))
+        edges = [(v, u) if data.draw(st.booleans()) else (u, v)
+                 for u, v in edges]
+        vertex = st.integers(0, max(n - 1, 0))
+        faults = ["loop", "range", "duplicate", "bool", "float", "numpy"]
+        for fault in data.draw(st.lists(st.sampled_from(faults),
+                                        max_size=3)):
+            u, v = data.draw(vertex), data.draw(vertex)
+            if fault == "loop":
+                e = (u, u)
+            elif fault == "range":
+                e = (u, data.draw(st.sampled_from([-1, n, n + 3])))
+            elif fault == "duplicate" and edges:
+                e = data.draw(st.sampled_from(edges))
+            elif fault == "bool":
+                e = (data.draw(st.booleans()), v)
+            elif fault == "float":
+                e = (u, float(v))
+            elif fault == "numpy" and edges:
+                e = tuple(map(np.int64, edges.pop()))
+            else:
+                continue
+            if data.draw(st.booleans()):
+                e = e[::-1]
+            edges.insert(data.draw(st.integers(0, len(edges))), e)
+
+        def build(constructor):
+            try:
+                return constructor(n, edges), None
+            except (TypeError, ValueError) as exc:  # GraphError included
+                return None, (type(exc), str(exc))
+
+        got, got_error = build(from_edges)
+        want, want_error = build(from_edges_reference)
+        assert got_error == want_error
+        if want is not None:
+            assert got.edges == want.edges
+            assert "adjacency" in vars(got)
+            assert got.adjacency == want.adjacency
+            assert {type(v) for e in got.edges for v in e} <= {int}
 
     def test_adjacency_sorted_and_symmetric(self):
         g = from_edges(5, [(3, 1), (1, 0), (4, 1), (2, 4)])

@@ -87,6 +87,15 @@ class TestParseGraph:
         with pytest.raises(CertificateError, match=r"edges\[0\]"):
             parse_graph('{"n": 3, "edges": [[0, true]]}')
 
+    @pytest.mark.parametrize("entry, shown", [
+        ("[0, 1, 2]", "[0, 1, 2]"), ("7", "7"), ("[0, 1.0]", "[0, 1.0]"),
+        ('["0", 1]', "['0', 1]"), ("[false, 1]", "[False, 1]")])
+    def test_bad_edge_entry_message(self, entry, shown):
+        with pytest.raises(CertificateError) as exc:
+            parse_graph(f'{{"n": 3, "edges": [[0, 1], {entry}]}}')
+        assert str(exc.value) == (
+            f"edges[1] must be a 2-element integer array, got {shown}")
+
     def test_self_loop_rejected(self):
         with pytest.raises(CertificateError):
             parse_graph('{"n": 3, "edges": [[1, 1]]}')
