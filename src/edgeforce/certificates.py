@@ -10,10 +10,11 @@ builder here, which the CLI emits; ef-number and nonexistence share
 `reduction_certificate` runs both exact searches around the gadget.
 
 The exact builders (zf-number, ef-number, nonexistence and
-reduction-equivalence) also write the forts their searches harvested, as
-ascending vertex lists in harvest order: `search.forts`, and for a
-reduction `search.lifted_forts` of the lifted graph; a builder's list
-seeds the solver's fort pool and receives its harvest.  Every forcing set
+reduction-equivalence) also write the forts their searches knew, as
+ascending vertex lists: `search.forts`, and for a reduction
+`search.lifted_forts` of the lifted graph.  A builder's forts seed the
+solver's fort pool, and it writes the verdict's `forts`: those seeds,
+then the harvest in harvest order.  Every forcing set
 meets every fort (Fast & Hicks 2018), so a fort list is the lower side of
 a forcing number (the fort cover of Brimkov, Fast & Hicks 2019); seeded
 with it, a search rules out every combination the first search closed in
@@ -113,18 +114,29 @@ def decode_json(text: str) -> Any:
         raise CertificateError(f"malformed JSON: {exc}") from None
 
 
-def parse_graph(text: Union[str, dict]) -> Graph:
-    """Parse {"n": int, "edges": [[u,v], ...]} (JSON text or dict)."""
+def graph_document(text: Union[str, dict]) -> tuple[int, list[Edge]]:
+    """n and the edge pairs of {"n": int, "edges": [[u,v], ...]} (JSON text
+    or dict), type-checked and with n inside MAX_GRAPH_VERTICES, but not
+    yet built: a caller can refuse the size before it pays for a build."""
     doc = decode_json(text) if isinstance(text, str) else text
     n = require_field(doc, "n", int, "graph document")
     if n > MAX_GRAPH_VERTICES:
         raise CertificateError(
             f"graph has {n} vertices, above the limit {MAX_GRAPH_VERTICES}")
-    edges = parse_edges(require_field(doc, "edges", list, "graph document"))
+    return n, parse_edges(require_field(doc, "edges", list, "graph document"))
+
+
+def build_graph(n: int, edges: list[Edge]) -> Graph:
+    """from_edges(n, edges), naming a fault as a CertificateError."""
     try:
         return from_edges(n, edges)
     except GraphError as exc:
         raise CertificateError(str(exc)) from None
+
+
+def parse_graph(text: Union[str, dict]) -> Graph:
+    """The graph of a `graph_document`."""
+    return build_graph(*graph_document(text))
 
 
 def resolve_graph(descriptor: Union[str, dict]) -> Graph:
@@ -410,7 +422,7 @@ def bf2_nonexistence_counts(g: Graph) -> dict[int, int]:
     if verdict.exists:
         raise CertificateError(
             f"graph admits an edge-forcing set {sorted(verdict.witness)}")
-    return verdict.matchings_tested_per_size
+    return verdict.tested_per_size
 
 
 # ---------------------------------------------------------------------------
@@ -451,29 +463,27 @@ def efs_check_certificate(g: Graph, edges: list[Edge]) -> Certificate:
 def zf_number_certificate(g: Graph, max_n: int,
                           forts: Iterable[list[int]] = ()) -> Certificate:
     """The zf-number certificate; `forts` (forts of g, which the solver
-    checks) seed the search, and `search.forts` lists them and the
-    search's harvest."""
-    forts = list(forts)
-    value, witness = min_zero_forcing(g, max_vertices=max_n, forts=forts)
+    checks) seed the search, and `search.forts` is the verdict's: them,
+    then the search's harvest."""
+    verdict = min_zero_forcing(g, max_vertices=max_n, forts=forts)
     return Certificate(kind="zf-number", graph=describe(g),
-                       claim={"value": value},
-                       search={"forts": forts, "max_n": max_n},
-                       witness=vertex_witness(g, witness))
+                       claim={"value": verdict.value},
+                       search={"forts": verdict.forts, "max_n": max_n},
+                       witness=vertex_witness(g, verdict.witness))
 
 
 def ef_number_certificate(g: Graph, max_edges: int,
                           forts: Iterable[list[int]] = ()) -> Certificate:
     """The ef-number certificate, or nonexistence when no matching forces;
     `forts` as in `zf_number_certificate`."""
-    forts = list(forts)
     verdict = min_edge_forcing(g, max_edges=max_edges, forts=forts)
     graph = describe(g)
-    search = {"explored": verdict.explored, "forts": forts,
+    search = {"explored": verdict.explored, "forts": verdict.forts,
               "max_edges": max_edges,
-              "max_matching_size_searched": verdict.max_matching_size_searched}
+              "max_matching_size_searched": verdict.max_size_searched}
     if not verdict.exists:
         tested = {str(k): v for k, v in
-                  sorted(verdict.matchings_tested_per_size.items())}
+                  sorted(verdict.tested_per_size.items())}
         return Certificate(kind="nonexistence", graph=graph, search=search,
                            claim={"matchings_tested_per_size": tested,
                                   "verdict": "not-exists"})
@@ -490,22 +500,20 @@ def reduction_certificate(g: Graph, forts: Iterable[list[int]] = (),
     (forts of g and of its lifted graph) seed the two searches, as in
     `zf_number_certificate`, and a refusal of a lifted fort names it as
     `lifted_forts`."""
-    forts, lifted_forts = list(forts), list(lifted_forts)
-    zf, zf_witness = min_zero_forcing(g, forts=forts)
+    zf = min_zero_forcing(g, forts=forts)
     try:
-        verdict = min_edge_forcing(build_gbar(g).lifted, MAX_LIFTED_EDGES,
-                                   lifted_forts)
+        ef = min_edge_forcing(build_gbar(g), MAX_LIFTED_EDGES, lifted_forts)
     except NotAFort as exc:
         raise NotAFort(f"lifted_{exc}") from None
     return Certificate(
         kind="reduction-equivalence", graph=describe(g),
-        search={"forts": forts, "lifted_forts": lifted_forts},
-        claim={"zero_forcing_number": zf,
-               "lifted_edge_forcing_number": verdict.value,
-               "equal": verdict.exists and verdict.value == zf},
-        witness={"base_vertices": sorted(zf_witness),
-                 "lifted_edges": [list(e) for e in sorted(verdict.witness)]
-                 if verdict.witness else None})
+        search={"forts": zf.forts, "lifted_forts": ef.forts},
+        claim={"zero_forcing_number": zf.value,
+               "lifted_edge_forcing_number": ef.value,
+               "equal": ef.exists and ef.value == zf.value},
+        witness={"base_vertices": sorted(zf.witness),
+                 "lifted_edges": [list(e) for e in sorted(ef.witness)]
+                 if ef.witness else None})
 
 
 def construction_certificate(g: Graph, witness: list[Edge],

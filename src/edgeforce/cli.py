@@ -14,17 +14,19 @@ import sys
 from typing import Iterable, Optional
 
 from .butterfly import build_butterfly
-from .certificates import (bounds_certificate, closure_certificate,
-                           construction_certificate, decode_json,
-                           efs_check_certificate, emit_certificate,
-                           ef_number_certificate, parse_edges, parse_graph,
+from .certificates import (bounds_certificate, build_graph,
+                           closure_certificate, construction_certificate,
+                           decode_json, efs_check_certificate,
+                           emit_certificate, ef_number_certificate,
+                           graph_document, parse_edges, parse_graph,
                            reduction_certificate, require_field,
                            verify_certificate, zf_number_certificate,
                            zfs_check_certificate)
 from .constructions import DEFAULT_SEED, ConstructionError, butterfly_witness
 from .graph import Edge, Graph
 from .reduction import build_gbar
-from .solver import DEFAULT_MAX_EDGES, DEFAULT_MAX_VERTICES, InstanceTooLarge
+from .solver import (DEFAULT_MAX_EDGES, DEFAULT_MAX_VERTICES,
+                     InstanceTooLarge, check_guard)
 
 
 def to_dot(g: Graph, highlight: Optional[Iterable[Edge]] = None) -> str:
@@ -79,9 +81,15 @@ def cmd_check(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    g = _load_graph(args.graph)
-    cert = (zf_number_certificate(g, args.max_n) if args.what == "zf"
-            else ef_number_certificate(g, args.max_edges))
+    with open(args.graph, encoding="utf-8") as fh:
+        n, edges = graph_document(fh.read())
+    # the solver's guard, read off the document before the graph is built
+    if args.what == "zf":
+        check_guard(n, args.max_n, "vertices")
+        cert = zf_number_certificate(build_graph(n, edges), args.max_n)
+    else:
+        check_guard(len(edges), args.max_edges, "edges")
+        cert = ef_number_certificate(build_graph(n, edges), args.max_edges)
     sys.stdout.write(emit_certificate(cert))
     return 1 if cert.kind == "nonexistence" else 0
 
@@ -110,7 +118,7 @@ def cmd_bounds(args) -> int:
 def cmd_reduce(args) -> int:
     g = _load_graph(args.graph)
     if not args.verify:
-        sys.stdout.write(json.dumps(build_gbar(g).lifted.to_json_dict()) + "\n")
+        sys.stdout.write(json.dumps(build_gbar(g).to_json_dict()) + "\n")
         return 0
     cert = reduction_certificate(g)
     sys.stdout.write(emit_certificate(cert))

@@ -1,17 +1,18 @@
 """Exact zero-forcing and edge-forcing numbers at desk scale, both from one
-exhaustion routine, `_Exhaustion`, which gets the caller's fort list and
-checks it: a listed set that is not a fort could rule out a forcing set."""
+exhaustion routine, `_Exhaustion`, which copies the caller's forts into
+its own list and checks them: a listed set that is not a fort could rule
+out a forcing set.  Both searches return a `Verdict`."""
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 from operator import index
 from typing import Iterable, Optional, Sequence
 
 from .constructions import structural_lower_bound
-from .graph import Edge, Graph, GraphError, is_vertex
+from .graph import Graph, GraphError, is_vertex
 from .kernels import extend_closure
 
 DEFAULT_MAX_VERTICES = 24
@@ -26,22 +27,36 @@ class NotAFort(GraphError):
     """A listed fort that is not one: "forts[1] is not a fort: it is empty"."""
 
 
-@dataclass(frozen=True)
-class EdgeForcingVerdict:
-    """Outcome of the exact edge-forcing search: what it found, and nothing
-    derived.
+def check_guard(count: int, limit: int, what: str) -> None:
+    """InstanceTooLarge when `count` `what` ("vertices" or "edges") exceed
+    the guard `limit` of the search that takes max_<what>."""
+    if count > limit:
+        raise InstanceTooLarge(
+            f"{count} {what} exceed the exhaustive-search guard {limit}; "
+            f"raise max_{what} explicitly to proceed")
 
-    `witness` is the lex-first forcing matching of least size, or None when
-    no matching of any size forces.  `matchings_tested_per_size` maps each
-    size searched, from 1 up, to its count of matchings tested: up to the
-    witness's size when one forces, every size that has a matching when
-    none does.  A matching counts as tested whether its closure ran or a
-    fort ruled it out unclosed, so the counts are those of a search that
-    closes every matching in turn.  Everything else is read off these two.
+
+@dataclass(frozen=True)
+class Verdict:
+    """Outcome of an exact search: what it found, and the forts it knew.
+
+    `witness` is the lex-first forcing set of least size (vertices for
+    zero forcing, edges for edge forcing), or None when no combination of
+    any size forces.  `tested_per_size` maps each size searched, from the
+    first size tried up, to its count of combinations tested: up to the
+    witness's size when one forces, every size that has a combination
+    when none does.  A combination counts as tested whether its closure
+    ran or a fort ruled it out unclosed, so the counts are those of a
+    search that closes every combination in turn.  `forts` lists the
+    forts the caller seeded, then those the search harvested, as
+    ascending vertex lists; it is the verdict's own list and takes no
+    part in equality.  Everything else is read off `witness` and
+    `tested_per_size`.
     """
 
-    witness: Optional[frozenset[Edge]]
-    matchings_tested_per_size: dict[int, int]
+    witness: Optional[frozenset]
+    tested_per_size: dict[int, int]
+    forts: list[list[int]] = field(compare=False)
 
     @property
     def exists(self) -> bool:
@@ -53,11 +68,11 @@ class EdgeForcingVerdict:
 
     @property
     def explored(self) -> int:
-        return sum(self.matchings_tested_per_size.values())
+        return sum(self.tested_per_size.values())
 
     @property
-    def max_matching_size_searched(self) -> int:
-        return max(self.matchings_tested_per_size, default=0)
+    def max_size_searched(self) -> int:
+        return max(self.tested_per_size, default=0)
 
 
 def require_vertex(g: Graph) -> None:
@@ -90,11 +105,13 @@ class _Exhaustion:
     no vertex outside F has exactly one neighbor in F; a fort disjoint
     from S stays disjoint from cl(S), so every forcing set meets every
     fort (Fast & Hicks 2018).  `forts` holds forts of g as vertex
-    bitmasks: the caller may seed it through `add`, then `first_over`,
-    which refuses a listed set that is not a fort, and each leaf whose
-    closure leaves a vertex white adds a minimal one, for this size and
-    the later ones, and appends it to `listed` as an ascending vertex
-    list.  `_minimal_fort` shrinks the stall's white set
+    bitmasks: the caller may seed it through `add` with forts it does not
+    list, then through `first_over` with the forts it lists, which are
+    checked, and each leaf whose closure leaves a vertex white adds a
+    minimal one, for this size and the later ones.  `listed` holds the
+    listed forts and then the harvest, each as an ascending list of plain
+    ints; the caller's own containers are only read.  `_minimal_fort`
+    shrinks the stall's white set
     to that fort on the neighbour bitmasks `nbr`, with no kernel call, so
     the only kernel calls are the prefixes' and the leaves' closures.  A
     search seeded with every fort an earlier search of g harvested tests
@@ -129,7 +146,7 @@ class _Exhaustion:
         self.forts: list[int] = []
         self.touch = [0] * len(items)  # item position -> forts it touches
         self.covers: list[int] = []  # fort -> positions of items touching it
-        self.listed: list[list[int]] = []  # receives the harvest
+        self.listed: list[list[int]] = []  # listed forts, then the harvest
         self.count = _completion_counter(self.nbr, items)
 
     def add(self, fort: int) -> None:
@@ -260,19 +277,18 @@ class _Exhaustion:
         return None, tested
 
     def first_over(self, sizes: Iterable[int],
-                   forts: Optional[list[list[int]]] = None
+                   forts: Iterable[Sequence[int]] = ()
                    ) -> tuple[Optional[tuple[tuple[int, ...], ...]],
                               dict[int, int]]:
         """`first` for each of `sizes` in turn, until a size has a forcing
         combination or has no combination at all: that combination (None
         if none forces) and the number tested at each size that had any.
-        `forts` (vertex lists) join the pool and become `listed`, each
-        entry replaced by a list of plain ints; NotAFort names the first
-        that is not a fort of g."""
-        self.listed = self.listed if forts is None else forts
-        for i, fort in enumerate(forts or ()):
+        Each of `forts` (vertex sequences) joins the pool, and a copy of
+        plain ints joins `listed`; NotAFort names the first that is not a
+        fort of g."""
+        for i, fort in enumerate(forts):
             self.add(self._fort_mask(i, fort))
-            forts[i] = list(map(index, fort))
+            self.listed.append(list(map(index, fort)))
         counts: dict[int, int] = {}
         for k in sizes:
             found, tested = self.first(k)
@@ -283,8 +299,8 @@ class _Exhaustion:
                 return found, counts
         return None, counts
 
-    def _fort_mask(self, i: int, fort: list[int]) -> int:
-        """The bitmask of `fort`, entry i of the caller's list, which must
+    def _fort_mask(self, i: int, fort: Sequence[int]) -> int:
+        """The bitmask of `fort`, entry i of the caller's forts, which must
         be non-empty vertices (`is_vertex`), strictly ascending, inside
         [0, n) and a fort."""
         nbr, n = self.nbr, len(self.nbr)
@@ -409,52 +425,47 @@ def _completion_counter(nbr: list[int], items: Sequence[tuple[int, ...]]):
 
 def min_zero_forcing(g: Graph,
                      max_vertices: int = DEFAULT_MAX_VERTICES,
-                     forts: Optional[list[list[int]]] = None
-                     ) -> tuple[int, frozenset[int]]:
-    """Smallest zero-forcing set size with its lex-first witness.
+                     forts: Iterable[Sequence[int]] = ()) -> Verdict:
+    """Smallest zero-forcing set with its lex-first witness, as a Verdict
+    whose sizes start at max(1, min degree).
 
-    Searches k ascending from max(1, min degree); min degree is a valid
-    lower bound because the first vertex of each forcing chain needs all
-    its other neighbors black.  `forts`, when given, lists forts of g as
-    vertex lists: they seed the search's pool, and the search appends the
-    forts it harvests.  A fort rules out no forcing set, so the result is
-    the same with any forts; a listed set that is not a fort raises
-    NotAFort before the search starts.
+    Min degree is a valid lower bound because the first vertex of each
+    forcing chain needs all its other neighbors black.  `forts`, when
+    given, lists forts of g as vertex sequences: they seed the search's
+    pool, and the verdict's `forts` lists them, then the forts the search
+    harvested.  A fort rules out no forcing set, so the witness and the
+    counts are the same with any forts; a listed set that is not a fort
+    raises NotAFort before the search starts.
     """
     require_vertex(g)
     n = g.vertex_count
-    if n > max_vertices:
-        raise InstanceTooLarge(
-            f"{n} vertices exceed the exhaustive-search guard {max_vertices}; "
-            f"raise max_vertices explicitly to proceed")
-    found, _ = _Exhaustion(g, [(v,) for v in range(n)]).first_over(
+    check_guard(n, max_vertices, "vertices")
+    search = _Exhaustion(g, [(v,) for v in range(n)])
+    found, counts = search.first_over(
         itertools.count(max(1, g.min_degree())), forts)
-    return len(found), frozenset(v for v, in found)
+    return Verdict(frozenset(v for v, in found), counts, search.listed)
 
 
 def min_edge_forcing(g: Graph,
                      max_edges: int = DEFAULT_MAX_EDGES,
-                     forts: Optional[list[list[int]]] = None
-                     ) -> EdgeForcingVerdict:
-    """Exact edge-forcing number, or NotExists after full exhaustion.
+                     forts: Iterable[Sequence[int]] = ()) -> Verdict:
+    """The exact edge-forcing number as a Verdict, which does not exist
+    when full exhaustion finds no forcing matching.
 
     One search from size 1 up.  The blocked pair of each obstruction in
     `structural_lower_bound`'s family is a fort, and the family's cycles
     are edge-disjoint, so those forts seed the pool with disjoint covers:
     every size below the bound is ruled out at the root and counted in
-    closed form.  `forts` seeds the pool after them and receives the
-    harvest, as in `min_zero_forcing`; the obstruction forts, derived
-    again on every run, are not appended.
+    closed form.  `forts` seeds the pool after them, as in
+    `min_zero_forcing`; the obstruction forts, derived again on every
+    run, are not listed in the verdict.
     """
     require_vertex(g)
-    if g.edge_count > max_edges:
-        raise InstanceTooLarge(
-            f"{g.edge_count} edges exceed the exhaustive-search guard "
-            f"{max_edges}; raise max_edges explicitly to proceed")
+    check_guard(g.edge_count, max_edges, "edges")
     search = _Exhaustion(g, g.edges)
     for o in structural_lower_bound(g)[1]:
         x, y = o.blocked_pair
         search.add(1 << x | 1 << y)
     found, counts = search.first_over(itertools.count(1), forts)
-    return EdgeForcingVerdict(
-        None if found is None else frozenset(found), counts)
+    return Verdict(None if found is None else frozenset(found), counts,
+                   search.listed)

@@ -36,7 +36,7 @@ def test_criterion_1_bf2_nonexistence():
     verdict = min_edge_forcing(build_butterfly(2))
     elapsed = time.perf_counter() - start
     report(1, "BF(2) has no edge-forcing set", elapsed, 1.0,
-           not verdict.exists and verdict.max_matching_size_searched == 4)
+           not verdict.exists and verdict.max_size_searched == 4)
 
 
 def test_criterion_2_bf3_exact_eight():
@@ -96,10 +96,11 @@ def test_criterion_5_reduction_equivalence():
     ok = True
     for g in graphs:
         m = build_gbar(g)
-        zf, s = min_zero_forcing(g, max_vertices=16)
+        s = min_zero_forcing(g, max_vertices=16).witness
+        zf = len(s)
         lifted = lift_zero_forcing(m, s)
-        verdict = min_edge_forcing(m.lifted, max_edges=120)
-        if not (len(lifted) == zf and is_edge_forcing_set(m.lifted, lifted)
+        verdict = min_edge_forcing(m, max_edges=120)
+        if not (len(lifted) == zf and is_edge_forcing_set(m, lifted)
                 and verdict.exists and verdict.value <= zf
                 and normalize_and_project(m, lifted) == s
                 and reduction_certificate(g).claim["equal"]

@@ -27,7 +27,7 @@ from edgeforce.certificates import (MAX_GRAPH_VERTICES, CertificateError,
 from edgeforce.cli import main, to_dot
 from edgeforce.constructions import DEFAULT_SEED, construct_edge_forcing
 from edgeforce.graph import from_edges
-from edgeforce.solver import DEFAULT_MAX_EDGES, EdgeForcingVerdict
+from edgeforce.solver import DEFAULT_MAX_EDGES, Verdict
 
 from conftest import cycle_graph, path_graph, random_graph
 
@@ -410,11 +410,11 @@ class TestGraphField:
         if name in ("zf-number", "reduction"):
             monkeypatch.setattr(certificates, "min_zero_forcing",
                                 lambda g, max_vertices=24, forts=():
-                                (1, frozenset({0})))
+                                Verdict(frozenset({0}), {1: 1}, []))
             monkeypatch.setattr(
                 certificates, "min_edge_forcing",
-                lambda g, max_edges, forts: EdgeForcingVerdict(
-                    frozenset({(0, 1)}), {1: 1}))
+                lambda g, max_edges, forts: Verdict(
+                    frozenset({(0, 1)}), {1: 1}, []))
         cert = self.BUILDERS[name](build_butterfly(3))
         assert cert.graph == "butterfly:3"
 
@@ -560,6 +560,26 @@ class TestCli:
     def test_solve_zf_guard(self, tmp_path, capsys):
         path = write_graph(tmp_path, path_graph(30))
         assert main(["solve", "zf", "--graph", path]) == 2
+
+    @pytest.mark.parametrize("what, edges, line", [
+        ("zf", [], "1114112 vertices exceed the exhaustive-search guard 24; "
+                   "raise max_vertices explicitly to proceed"),
+        ("ef", [[2 * i, 2 * i + 1] for i in range(41)],
+         "41 edges exceed the exhaustive-search guard 40; "
+         "raise max_edges explicitly to proceed")], ids=["zf", "ef"])
+    def test_solve_guard_before_the_build(self, tmp_path, capsys,
+                                          monkeypatch, what, edges, line):
+        # the largest inline graph, above the solver's guard, is refused
+        # from its document: no graph is built for it
+        built = []
+        for module in ("graph", "certificates"):
+            monkeypatch.setattr(f"edgeforce.{module}.from_edges",
+                                lambda *a: built.append(a))
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"n": MAX_GRAPH_VERTICES, "edges": edges}))
+        assert main(["solve", what, "--graph", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {line}\n"
+        assert built == []
 
     def test_construct_r2_nonexistence(self, capsys):
         assert main(["construct", "--r", "2"]) == 1
@@ -1020,13 +1040,13 @@ class TestCli:
         if kind == "zf-number":
             monkeypatch.setattr(certificates, "min_zero_forcing",
                                 lambda g, max_vertices, forts:
-                                (1, frozenset({1})))
+                                Verdict(frozenset({1}), {1: 1}, []))
             built = certificates.zf_number_certificate(cycle_graph(4), 24)
         else:
             monkeypatch.setattr(
                 certificates, "min_edge_forcing",
-                lambda g, max_edges, forts: EdgeForcingVerdict(
-                    frozenset({(0, 1)}), {1: 1}))
+                lambda g, max_edges, forts: Verdict(
+                    frozenset({(0, 1)}), {1: 1}, []))
             built = certificates.ef_number_certificate(parse_graph(K13), 40)
         assert built.witness is not None
         cert = tmp_path / "cert.json"

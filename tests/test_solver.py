@@ -160,7 +160,7 @@ def stalled_states(draw):
         edges = draw(st.lists(st.sampled_from(pool), unique=True))
         g = from_edges(n + draw(st.integers(0, 3)), edges)
         if kind == "lifted":
-            g = build_gbar(g).lifted
+            g = build_gbar(g)
     n = g.vertex_count
     start = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
     black, counts = bytearray(n), [len(a) for a in g.adjacency]
@@ -181,7 +181,7 @@ def exhaustion_graphs(draw):
     pool = list(itertools.combinations(range(n), 2))
     edges = draw(st.lists(st.sampled_from(pool), unique=True))
     if kind == "lifted":
-        return build_gbar(from_edges(n, edges)).lifted
+        return build_gbar(from_edges(n, edges))
     size = n + draw(st.integers(0, 3))
     perm = draw(st.permutations(range(size)))
     return from_edges(size, [(perm[u], perm[v]) for u, v in edges])
@@ -251,8 +251,8 @@ class TestForts:
         assert first_matching(g, itertools.count(1))[1] == per_size["ef"]
         verdict = min_edge_forcing(g)
         if not verdict.exists:
-            assert verdict.matchings_tested_per_size == per_size["ef"]
-        assert min_zero_forcing(g)[0] == max(per_size["zf"])
+            assert verdict.tested_per_size == per_size["ef"]
+        assert min_zero_forcing(g).value == max(per_size["zf"])
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -288,7 +288,7 @@ class TestForts:
     def test_seeded_forts_change_no_result(self, g, data):
         # the white set of a closure that stalls is a fort, minimal or not;
         # seeded with such forts, both searches find the same witness after
-        # the same counts and append minimal forts after the seeds, and a
+        # the same counts and list minimal forts after the seeds, and a
         # search seeded with that whole list harvests nothing more
         n = g.vertex_count
         seeds = []
@@ -299,13 +299,14 @@ class TestForts:
         seeds = [fort for fort in seeds if fort]
         for solve in (min_zero_forcing, min_edge_forcing):
             unseeded = solve(g)
-            forts = [fort[:] for fort in seeds]
-            assert solve(g, forts=forts) == unseeded
+            seeded = solve(g, forts=seeds)
+            assert seeded == unseeded
+            forts = seeded.forts
             assert forts[:len(seeds)] == seeds
             assert all(is_minimal_fort(g, set(f)) for f in forts[len(seeds):])
-            again = forts[:]
-            assert solve(g, forts=again) == unseeded
-            assert again == forts
+            again = solve(g, forts=forts)
+            assert again == unseeded
+            assert again.forts == forts
 
     def test_bf2_closures(self, monkeypatch):
         # a prefix is closed only for a leaf below it that is tested, and
@@ -321,17 +322,17 @@ class TestForts:
     def test_lifted_k6(self, monkeypatch):
         # a dense case: the pool, not the kernel, decides most nodes; seeded
         # with its own harvest the rerun stalls on no leaf
-        g = build_gbar(complete_graph(6)).lifted
-        forts = []
-        verdict = min_edge_forcing(g, MAX_LIFTED_EDGES, forts)
+        g = build_gbar(complete_graph(6))
+        verdict = min_edge_forcing(g, MAX_LIFTED_EDGES)
+        forts = verdict.forts
         assert (verdict.value, verdict.explored, len(forts)) == (5, 22595, 15)
         calls = []
         minimal = solver._minimal_fort
         monkeypatch.setattr(solver, "_minimal_fort",
                             lambda *a: calls.append(a) or minimal(*a))
-        again = forts[:]
-        assert min_edge_forcing(g, MAX_LIFTED_EDGES, again) == verdict
-        assert again == forts
+        again = min_edge_forcing(g, MAX_LIFTED_EDGES, forts)
+        assert again == verdict
+        assert again.forts == forts
         assert calls == []
 
     def test_disjoint_edges(self):
@@ -341,7 +342,7 @@ class TestForts:
         g = from_edges(2 * k, [(2 * i, 2 * i + 1) for i in range(k)])
         verdict = min_edge_forcing(g)
         assert (verdict.value, verdict.explored) == (k, 2 ** k - 1)
-        assert verdict.matchings_tested_per_size == {
+        assert verdict.tested_per_size == {
             s: comb(k, s) for s in range(1, k + 1)}
 
 
@@ -376,8 +377,39 @@ class TestListedForts:
         # a numpy vertex past 63 once overflowed the fort's bit mask
         p70 = path_graph(70)
         fort = [np.int64(v) for v in range(70)]
-        assert min_zero_forcing(p70, max_vertices=70, forts=[fort]) == (
-            1, frozenset({0}))
+        assert min_zero_forcing(p70, max_vertices=70,
+                                forts=[fort]).witness == frozenset({0})
+
+    @pytest.mark.parametrize("solve, g", [
+        (min_zero_forcing, from_edges(
+            10, [(i, (i + 1) % 5) for i in range(5)]
+            + [(i, i + 5) for i in range(5)]
+            + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])),
+        (min_edge_forcing, build_butterfly(2))], ids=["petersen", "bf2"])
+    @pytest.mark.parametrize("shape", ["empty", "tuple", "generator",
+                                       "list-of-tuples"])
+    def test_forts_are_read_not_written(self, solve, g, shape):
+        # any iterable of vertex sequences seeds the search, which copies
+        # each into its own list: the verdict is the unseeded one, its
+        # forts start with the seeds as lists, and the caller's container
+        # is left as it was
+        unseeded = solve(g)
+        seeds = [tuple(fort) for fort in unseeded.forts[:3]]
+        forts = {"empty": (), "tuple": tuple(seeds),
+                 "generator": (fort for fort in seeds),
+                 "list-of-tuples": list(seeds)}[shape]
+        verdict = solve(g, forts=forts)
+        assert verdict == unseeded
+        assert (unseeded.value, unseeded.exists) == (
+            (5, True) if solve is min_zero_forcing else (None, False))
+        if shape == "empty":
+            assert verdict.forts == unseeded.forts
+        else:
+            assert verdict.forts[:3] == [list(fort) for fort in seeds]
+        if shape == "tuple":
+            assert forts == tuple(seeds)
+        elif shape == "list-of-tuples":
+            assert forts == seeds and all(type(f) is tuple for f in forts)
 
     def test_vertex_search_refuses_non_forts(self):
         with pytest.raises(NotAFort) as exc:
@@ -413,30 +445,30 @@ class TestListedForts:
 
 class TestMinZeroForcing:
     def test_path(self):
-        assert min_zero_forcing(path_graph(5)) == (1, frozenset({0}))
+        assert min_zero_forcing(path_graph(5)).witness == frozenset({0})
 
     def test_cycle(self):
-        assert min_zero_forcing(cycle_graph(6)) == (2, frozenset({0, 1}))
+        assert min_zero_forcing(cycle_graph(6)).witness == frozenset({0, 1})
 
     def test_k4_matches_oracle(self):
         k4 = complete_graph(4)
-        value, witness = min_zero_forcing(k4)
-        assert value == oracle_min_zero_forcing(k4) == 3
-        assert witness == frozenset({0, 1, 2})
+        verdict = min_zero_forcing(k4)
+        assert verdict.value == oracle_min_zero_forcing(k4) == 3
+        assert verdict.witness == frozenset({0, 1, 2})
 
     def test_witness_reverifies(self):
         rng = random.Random(5)
         for _ in range(20):
             g = random_graph(rng, rng.randint(1, 8), 0.4)
-            value, witness = min_zero_forcing(g)
-            assert len(witness) == value
-            assert is_zero_forcing_set(g, witness)
+            verdict = min_zero_forcing(g)
+            assert verdict.exists
+            assert is_zero_forcing_set(g, verdict.witness)
 
     def test_guard(self):
         with pytest.raises(InstanceTooLarge):
             min_zero_forcing(path_graph(30))
         # explicit override works
-        assert min_zero_forcing(path_graph(30), max_vertices=30)[0] == 1
+        assert min_zero_forcing(path_graph(30), max_vertices=30).value == 1
 
 
 class TestMinEdgeForcing:
@@ -453,12 +485,12 @@ class TestMinEdgeForcing:
     def test_star_not_exists(self):
         verdict = min_edge_forcing(from_edges(4, [(0, 1), (0, 2), (0, 3)]))
         assert not verdict.exists
-        assert verdict.max_matching_size_searched == 1
+        assert verdict.max_size_searched == 1
 
     def test_bf2_not_exists(self):
         verdict = min_edge_forcing(build_butterfly(2))
         assert not verdict.exists
-        assert verdict.max_matching_size_searched == 4
+        assert verdict.max_size_searched == 4
 
     def test_witness_reverifies(self):
         rng = random.Random(17)
@@ -496,17 +528,17 @@ class TestMinEdgeForcing:
             verdict = min_edge_forcing(g)
             witness, counts = first_matching(g, itertools.count(1))
             assert verdict.witness == witness
-            assert verdict.matchings_tested_per_size == counts
+            assert verdict.tested_per_size == counts
 
     def test_not_exists_counts_are_the_whole_exhaustion(self):
         star = from_edges(4, [(0, 1), (0, 2), (0, 3)])
         # the star's three edges pairwise share the centre
-        assert min_edge_forcing(star).matchings_tested_per_size == {1: 3}
+        assert min_edge_forcing(star).tested_per_size == {1: 3}
         for g in (star, build_butterfly(2)):
             verdict = min_edge_forcing(g)
             assert not verdict.exists
             # the seeded obstruction forts change no count
-            assert verdict.matchings_tested_per_size == \
+            assert verdict.tested_per_size == \
                 first_matching(g, itertools.count(1))[1]
         # every size of BF(2), the three below its lower bound 4 included
         assert verdict.explored == 16 + 88 + 192 + 136 == 432
@@ -525,9 +557,9 @@ class TestMinEdgeForcing:
         g = from_edges(1 + max(map(max, edges)), edges)
         verdict = min_edge_forcing(g)
         assert verdict.exists == exists
-        assert verdict.matchings_tested_per_size == counts
+        assert verdict.tested_per_size == counts
         assert verdict.explored == sum(counts.values())
-        assert verdict.max_matching_size_searched == max(counts)
+        assert verdict.max_size_searched == max(counts)
 
     def test_guard(self):
         with pytest.raises(InstanceTooLarge):
@@ -546,8 +578,7 @@ class TestMinEdgeForcing:
         assert forts[:4] == [1 << x | 1 << y for x, y in (
             o.blocked_pair for o in structural_lower_bound(g)[1])]
         assert all(is_minimal_fort(g, vertex_set(f)) for f in forts)
-        assert verdict.matchings_tested_per_size == {1: 16, 2: 88, 3: 192,
-                                                     4: 136}
+        assert verdict.tested_per_size == {1: 16, 2: 88, 3: 192, 4: 136}
 
 
 class TestNoSmaller:
