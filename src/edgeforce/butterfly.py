@@ -22,6 +22,16 @@ class ButterflyError(ValueError):
     pass
 
 
+def butterfly_size(r: int) -> tuple[int, int]:
+    """BF(r)'s vertex and edge counts, (r+1)*2^r and r*2^(r+1), without
+    building it; ButterflyError for an r outside [1, MAX_DIMENSION]."""
+    if r < 1:
+        raise ButterflyError(f"butterfly dimension must be >= 1, got {r}")
+    if r > MAX_DIMENSION:
+        raise ButterflyError(f"butterfly dimension {r} exceeds guard {MAX_DIMENSION}")
+    return (r + 1) << r, r << (r + 1)
+
+
 def build_butterfly(r: int) -> Graph:
     """BF(r) with (r+1)*2^r vertices and r*2^(r+1) edges, emitted canonical.
 
@@ -30,10 +40,7 @@ def build_butterfly(r: int) -> Graph:
     per-level slices `constructions._middle_candidates` reads.  The same
     loop writes the adjacency, each vertex's rows below then rows above,
     so no second pass over the edges builds it."""
-    if r < 1:
-        raise ButterflyError(f"butterfly dimension must be >= 1, got {r}")
-    if r > MAX_DIMENSION:
-        raise ButterflyError(f"butterfly dimension {r} exceeds guard {MAX_DIMENSION}")
+    vertex_count, _ = butterfly_size(r)
     rows = 1 << r
     level, down = list(range(rows)), []
     edges: list[tuple[int, int]] = []
@@ -46,7 +53,7 @@ def build_butterfly(r: int) -> Graph:
         adjacency += zip(*down, *up)  # level i: rows below, then rows above
         down, level = _columns(level, bit), above
     adjacency += zip(*down)
-    g = Graph((r + 1) * rows, tuple(edges), butterfly=r)
+    g = Graph(vertex_count, tuple(edges), butterfly=r)
     g.__dict__["adjacency"] = tuple(adjacency)  # fills the cached_property
     return g
 

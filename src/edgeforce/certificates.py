@@ -28,9 +28,10 @@ listed forts, and compares kind, claim, graph field (`describe` of the
 resolved graph, so an inline graph out of canonical edge order or
 orientation fails), trace and witness, with JSON's types kept apart
 (true and 1.0 are not 1); where a solver refuses the rebuild (a graph
-above the recorded guard, a listed set that is not a fort) it answers
-false.  A valid fort never rules out a forcing set and the per-size
-counts are computed in closed form, so the seeds change none of these.
+above the recorded guard, refused from the graph field's counts before
+it is built; a listed set that is not a fort) it answers false.  A valid
+fort never rules out a forcing set and the per-size counts are computed
+in closed form, so the seeds change none of these.
 A zf-number or ef-number witness must be the solver's lex-first one,
 and it must also force under the plain closure engine, which does not
 share the search's fort pruning.  The rest of `search` (`explored`,
@@ -49,14 +50,14 @@ from itertools import chain
 from typing import Any, Iterable, Optional, Union
 
 from . import __version__
-from .butterfly import MAX_DIMENSION, build_butterfly
+from .butterfly import MAX_DIMENSION, build_butterfly, butterfly_size
 from .constructions import known_bounds
 from .engine import closure, is_edge_forcing_set, is_zero_forcing_set
 from .graph import Edge, Graph, GraphError, from_edges, normalize_edge
 from .reduction import MAX_LIFTED_EDGES, build_gbar
 from .solver import (DEFAULT_MAX_EDGES, DEFAULT_MAX_VERTICES,
-                     InstanceTooLarge, NotAFort, min_edge_forcing,
-                     min_zero_forcing)
+                     InstanceTooLarge, NotAFort, check_guard,
+                     min_edge_forcing, min_zero_forcing)
 
 SCHEMA_VERSION = "efc-1"
 BUTTERFLY = "butterfly:{}"  # the graph field of BF(r), with r in decimal
@@ -139,21 +140,38 @@ def parse_graph(text: Union[str, dict]) -> Graph:
     return build_graph(*graph_document(text))
 
 
-def resolve_graph(descriptor: Union[str, dict]) -> Graph:
-    """The graph of a `graph` field, the inverse of `describe`: a graph
-    document with the keys "n" and "edges" and no other, or the canonical
-    descriptor "butterfly:r" with r in plain decimal."""
+def _butterfly_dimension(descriptor: Union[str, dict]) -> Optional[int]:
+    """r of the canonical descriptor "butterfly:r" (r in plain decimal), or
+    None for anything else a `graph` field may be: a graph document with
+    the keys "n" and "edges" and no other."""
     if isinstance(descriptor, str):
         found = re.fullmatch(r"butterfly:(0|[1-9][0-9]*)", descriptor)
         if found:
-            return build_butterfly(int(found[1]))
+            return int(found[1])
         raise CertificateError(f"unknown graph descriptor {descriptor!r}")
     if isinstance(descriptor, dict):
         unknown = [key for key in descriptor if key not in ("n", "edges")]
         if unknown:
             raise CertificateError(
                 f"graph document has unknown keys {unknown}")
-    return parse_graph(descriptor)
+    return None
+
+
+def resolve_graph(descriptor: Union[str, dict]) -> Graph:
+    """The graph of a `graph` field, the inverse of `describe`."""
+    r = _butterfly_dimension(descriptor)
+    return parse_graph(descriptor) if r is None else build_butterfly(r)
+
+
+def graph_size(descriptor: Union[str, dict]) -> tuple[int, int]:
+    """The vertex and edge counts of a `graph` field, checked as
+    `resolve_graph` checks it but not built, so that an exact search's
+    guard can refuse the graph first."""
+    r = _butterfly_dimension(descriptor)
+    if r is not None:
+        return butterfly_size(r)
+    n, edges = graph_document(descriptor)
+    return n, len(edges)
 
 
 def describe(g: Graph) -> Union[str, dict]:
@@ -338,38 +356,48 @@ def verify_certificate(doc: Union[str, dict, Certificate]
     """
     c = doc if isinstance(doc, Certificate) else parse_certificate(doc)
     kind, search = c.kind, c.search or {}
-    # a bounds certificate is rebuilt from claim.r alone, graph field included
-    g = None if kind == "bounds" else resolve_graph(c.graph)
-
-    # an exact claim's witness is also closed by the reference engine,
-    # which refuses a vertex outside [0, n) and prunes nothing
+    # an exact kind's graph is built only after its fields' type checks
+    # and its search's guard on the field's counts; a bounds certificate
+    # is rebuilt from claim.r alone, graph field included.  An exact
+    # claim's witness is also closed by the reference engine, which
+    # refuses a vertex outside [0, n) and prunes nothing
     witness_forces = True
     try:
         if kind == "zf-number":
+            n, _ = graph_size(c.graph)
             require_field(c.claim, "value", int, "claim")
-            witness_forces = is_zero_forcing_set(
-                g, require_field(c.witness, "vertices", list, "witness"))
-            rebuilt = zf_number_certificate(
-                g, _search_int(search, "max_n", DEFAULT_MAX_VERTICES),
-                _listed_forts(search, "forts"))
+            vertices = require_field(c.witness, "vertices", list, "witness")
+            max_n = _search_int(search, "max_n", DEFAULT_MAX_VERTICES)
+            forts = _listed_forts(search, "forts")
+            check_guard(n, n, max_n, "vertices")
+            g = resolve_graph(c.graph)
+            witness_forces = is_zero_forcing_set(g, vertices)
+            rebuilt = zf_number_certificate(g, max_n, forts)
         elif kind in ("ef-number", "nonexistence"):
+            n, m = graph_size(c.graph)
             if kind == "ef-number":
                 require_field(c.claim, "value", int, "claim")
-                witness_forces = is_edge_forcing_set(
-                    g, _witness_edges(c.witness))
+                witness = _witness_edges(c.witness)
             else:
                 require_field(c.claim, "matchings_tested_per_size", dict,
                               "claim")
-            rebuilt = ef_number_certificate(
-                g, _search_int(search, "max_edges", DEFAULT_MAX_EDGES),
-                _listed_forts(search, "forts"))
+            max_edges = _search_int(search, "max_edges", DEFAULT_MAX_EDGES)
+            forts = _listed_forts(search, "forts")
+            check_guard(n, m, max_edges, "edges")
+            g = resolve_graph(c.graph)
+            if kind == "ef-number":
+                witness_forces = is_edge_forcing_set(g, witness)
+            rebuilt = ef_number_certificate(g, max_edges, forts)
         elif kind == "closure":
             rebuilt = closure_certificate(
-                g, require_field(c.claim, "initial", list, "claim"))
+                resolve_graph(c.graph),
+                require_field(c.claim, "initial", list, "claim"))
         elif kind == "zfs-check":
             rebuilt = zfs_check_certificate(
-                g, require_field(c.claim, "set", list, "claim"))
+                resolve_graph(c.graph),
+                require_field(c.claim, "set", list, "claim"))
         elif kind == "efs-check":
+            g = resolve_graph(c.graph)
             edges = _witness_edges(c.witness)
             rebuilt = efs_check_certificate(g, edges)
             if search.get("mode") == "construction":
@@ -381,9 +409,13 @@ def verify_certificate(doc: Union[str, dict, Certificate]
             rebuilt = bounds_certificate(
                 require_field(c.claim, "r", int, "claim"))
         elif kind == "reduction-equivalence":
+            n, _ = graph_size(c.graph)
+            forts = _listed_forts(search, "forts")
+            lifted_forts = _listed_forts(search, "lifted_forts")
+            # the guard of the base graph's zf search, at its default
+            check_guard(n, n, DEFAULT_MAX_VERTICES, "vertices")
             rebuilt = reduction_certificate(
-                g, _listed_forts(search, "forts"),
-                _listed_forts(search, "lifted_forts"))
+                resolve_graph(c.graph), forts, lifted_forts)
         else:
             return False, f"unknown claim kind {kind!r}"
     except NotAFort as exc:

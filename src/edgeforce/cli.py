@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import sys
 from typing import Iterable, Optional
@@ -18,7 +19,7 @@ from .certificates import (bounds_certificate, build_graph,
                            closure_certificate, construction_certificate,
                            decode_json, efs_check_certificate,
                            emit_certificate, ef_number_certificate,
-                           graph_document, parse_edges, parse_graph,
+                           graph_document, parse_edges,
                            reduction_certificate, require_field,
                            verify_certificate, zf_number_certificate,
                            zfs_check_certificate)
@@ -42,9 +43,14 @@ def to_dot(g: Graph, highlight: Optional[Iterable[Edge]] = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load_graph(path: str) -> Graph:
+def _load_document(path: str) -> tuple[int, list[Edge]]:
+    """n and the edge pairs of a graph file, not yet built."""
     with open(path, encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+        return graph_document(fh.read())
+
+
+def _load_graph(path: str) -> Graph:
+    return build_graph(*_load_document(path))
 
 
 def _load_set(path: str, key: str) -> list:
@@ -81,14 +87,13 @@ def cmd_check(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    with open(args.graph, encoding="utf-8") as fh:
-        n, edges = graph_document(fh.read())
+    n, edges = _load_document(args.graph)
     # the solver's guard, read off the document before the graph is built
     if args.what == "zf":
-        check_guard(n, args.max_n, "vertices")
+        check_guard(n, n, args.max_n, "vertices")
         cert = zf_number_certificate(build_graph(n, edges), args.max_n)
     else:
-        check_guard(len(edges), args.max_edges, "edges")
+        check_guard(n, len(edges), args.max_edges, "edges")
         cert = ef_number_certificate(build_graph(n, edges), args.max_edges)
     sys.stdout.write(emit_certificate(cert))
     return 1 if cert.kind == "nonexistence" else 0
@@ -116,11 +121,14 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    g = _load_graph(args.graph)
+    n, edges = _load_document(args.graph)
     if not args.verify:
-        sys.stdout.write(json.dumps(build_gbar(g).to_json_dict()) + "\n")
+        lifted = build_gbar(build_graph(n, edges))
+        sys.stdout.write(json.dumps(lifted.to_json_dict()) + "\n")
         return 0
-    cert = reduction_certificate(g)
+    # the guard of reduction_certificate's zf search, before the build
+    check_guard(n, n, DEFAULT_MAX_VERTICES, "vertices")
+    cert = reduction_certificate(build_graph(n, edges))
     sys.stdout.write(emit_certificate(cert))
     return 0 if cert.claim["equal"] else 1
 
@@ -197,11 +205,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # A command builds only acyclic data (int tuples, lists, dicts,
+    # bytearrays), which reference counting frees, so the cyclic collector
+    # would only rescan it: its passes were a fifth of a BF(3..11) certify
+    # run.  Paused here and not in the library, so that no library call
+    # changes process-wide state; the state found is put back on any exit.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (ConstructionError, InstanceTooLarge, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

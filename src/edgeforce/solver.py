@@ -27,9 +27,15 @@ class NotAFort(GraphError):
     """A listed fort that is not one: "forts[1] is not a fort: it is empty"."""
 
 
-def check_guard(count: int, limit: int, what: str) -> None:
-    """InstanceTooLarge when `count` `what` ("vertices" or "edges") exceed
-    the guard `limit` of the search that takes max_<what>."""
+def check_guard(n: int, count: int, limit: int, what: str) -> None:
+    """The refusals of an exact search, in its order, from the counts of a
+    graph with n vertices, built or not: ValueError when n is 0 (the empty
+    set forces that graph, while the searches and their certificates start
+    at size 1), then InstanceTooLarge when `count` `what` ("vertices" or
+    "edges") exceed the guard `limit` of the search that takes
+    max_<what>."""
+    if n < 1:
+        raise ValueError("graph must have at least one vertex")
     if count > limit:
         raise InstanceTooLarge(
             f"{count} {what} exceed the exhaustive-search guard {limit}; "
@@ -73,13 +79,6 @@ class Verdict:
     @property
     def max_size_searched(self) -> int:
         return max(self.tested_per_size, default=0)
-
-
-def require_vertex(g: Graph) -> None:
-    """ValueError for a graph with no vertex: the empty set forces it, while
-    the exact searches and their certificates start at size 1."""
-    if g.vertex_count < 1:
-        raise ValueError("graph must have at least one vertex")
 
 
 class _Exhaustion:
@@ -437,9 +436,8 @@ def min_zero_forcing(g: Graph,
     counts are the same with any forts; a listed set that is not a fort
     raises NotAFort before the search starts.
     """
-    require_vertex(g)
     n = g.vertex_count
-    check_guard(n, max_vertices, "vertices")
+    check_guard(n, n, max_vertices, "vertices")
     search = _Exhaustion(g, [(v,) for v in range(n)])
     found, counts = search.first_over(
         itertools.count(max(1, g.min_degree())), forts)
@@ -460,8 +458,7 @@ def min_edge_forcing(g: Graph,
     `min_zero_forcing`; the obstruction forts, derived again on every
     run, are not listed in the verdict.
     """
-    require_vertex(g)
-    check_guard(g.edge_count, max_edges, "edges")
+    check_guard(g.vertex_count, g.edge_count, max_edges, "edges")
     search = _Exhaustion(g, g.edges)
     for o in structural_lower_bound(g)[1]:
         x, y = o.blocked_pair

@@ -59,6 +59,14 @@ def test_only_the_kernel_imports_numpy():
     assert users == ["kernels.py"]
 
 
+def test_only_the_cli_pauses_the_collector():
+    # main pauses the cyclic collector around one command; a library call
+    # never changes that process-wide state
+    users = [p.name for p in sorted(SRC.glob("*.py"))
+             if "gc" in imported_modules(p.read_text(encoding="utf-8"))]
+    assert users == ["cli.py"]
+
+
 def package_imports(source: str) -> set[str]:
     """The modules of this package a source file imports from."""
     names = set()

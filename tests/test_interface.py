@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import gc
 import io
 import itertools
 import json
@@ -40,6 +41,7 @@ DEEP = "[" * 1500 + "]" * 1500
 C5 = cycle_graph(5).to_json_dict()
 C6G = cycle_graph(6)
 C6 = C6G.to_json_dict()
+PATH42 = path_graph(42).to_json_dict()  # 41 edges, above the ef guard 40
 # two 12-vertex paths joined by rungs at 0, 3, 7, 11: 26 edges, 102 lifted
 LADDER = {"n": 24, "edges": [[i, i + 1] for i in range(11)]
           + [[i, i + 1] for i in range(12, 23)]
@@ -580,6 +582,55 @@ class TestCli:
         assert main(["solve", what, "--graph", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {line}\n"
         assert built == []
+
+    @pytest.fixture
+    def no_build(self, monkeypatch):
+        """Building any graph from a document or a descriptor fails."""
+        def refuse(*args):
+            raise AssertionError(f"graph built from {args!r:.60}")
+        for name in ("certificates.build_graph",
+                     "certificates.build_butterfly", "cli.build_graph"):
+            monkeypatch.setattr(f"edgeforce.{name}", refuse)
+
+    @pytest.mark.parametrize("kind, graph, fields, detail", [
+        ("zf-number", {"n": MAX_GRAPH_VERTICES, "edges": []},
+         {"claim": {"value": 1}, "witness": {"vertices": [0]},
+          "search": {"forts": [], "max_n": 24}}, "minimality"),
+        ("ef-number", PATH42, {"claim": {"value": 1},
+                               "witness": {"edges": [[0, 1]]},
+                               "search": {"forts": [], "max_edges": 40}},
+         "minimality"),
+        ("nonexistence", PATH42,
+         {"claim": {"matchings_tested_per_size": {},
+                    "verdict": "not-exists"}, "search": {"forts": []}},
+         "nonexistence"),
+        ("ef-number", "butterfly:16",
+         {"claim": {"value": 1}, "witness": {"edges": [[0, 65536]]}},
+         "minimality"),
+    ], ids=["zf-number", "ef-number", "nonexistence", "ef-number-bf16"])
+    def test_verify_guard_before_the_build(self, no_build, kind, graph,
+                                           fields, detail):
+        # the recorded guard (or its default) refuses the graph from the
+        # counts of its field, before anything is built
+        doc = {"schema_version": "efc-1", "kind": kind, "graph": graph,
+               **fields}
+        assert verify_certificate(doc) == (
+            False, f"{detail} re-verification limited to small graphs")
+
+    def test_reduction_guard_before_the_build(self, tmp_path, capsys,
+                                              no_build):
+        line = ("1114112 vertices exceed the exhaustive-search guard 24; "
+                "raise max_vertices explicitly to proceed")
+        big = {"n": MAX_GRAPH_VERTICES, "edges": []}
+        with pytest.raises(solver.InstanceTooLarge, match=line):
+            verify_certificate({
+                "schema_version": "efc-1", "kind": "reduction-equivalence",
+                "graph": big, "claim": {},
+                "search": {"forts": [], "lifted_forts": []}})
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(big))
+        assert main(["reduce", "--graph", str(path), "--verify"]) == 2
+        assert capsys.readouterr().err == f"error: {line}\n"
 
     def test_construct_r2_nonexistence(self, capsys):
         assert main(["construct", "--r", "2"]) == 1
@@ -1301,6 +1352,47 @@ class TestCli:
     def test_missing_file(self, capsys):
         assert main(["closure", "--graph", "/nonexistent.json",
                      "--black", "0"]) == 2
+
+
+class TestCollectorPause:
+    """`main` runs a command with the cyclic collector off and puts back
+    the state it found, on every exit."""
+
+    @pytest.fixture(params=[True, False], ids=["on", "off"])
+    def collector(self, request):
+        found = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if found else gc.disable)()
+
+    @pytest.mark.parametrize("argv, outcome, inner", [
+        (["bounds", "--r", "3"], 0, "bounds_certificate"),
+        (["construct", "--r", "2"], 1, "ef_number_certificate"),
+        (["closure", "--graph", "{dup}", "--black", "0"], 2, "build_graph"),
+        (["bounds", "--r", "3"], RuntimeError, "bounds_certificate"),
+    ], ids=["exit-0", "exit-1", "exit-2", "exception"])
+    def test_main_puts_back_the_collector(self, tmp_path, capsys,
+                                          monkeypatch, collector, argv,
+                                          outcome, inner):
+        dup = tmp_path / "dup.json"
+        dup.write_text('{"n": 2, "edges": [[0, 1], [1, 0]]}')
+        real, seen = getattr(cli, inner), []
+
+        def recording(*args):
+            seen.append(gc.isenabled())
+            if outcome is RuntimeError:
+                raise RuntimeError("a fault inside the command")
+            return real(*args)
+
+        monkeypatch.setattr(cli, inner, recording)
+        argv = [a.format(dup=dup) for a in argv]
+        if outcome is RuntimeError:
+            with pytest.raises(RuntimeError, match="a fault inside"):
+                main(argv)
+        else:
+            assert main(argv) == outcome
+        assert seen == [False]
+        assert gc.isenabled() is collector
 
 
 @st.composite
