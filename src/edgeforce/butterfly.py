@@ -61,9 +61,20 @@ def build_butterfly(r: int) -> Graph:
 def _columns(level: list[int], bit: int) -> list[list[int]]:
     """For each row w, the vertices of rows w & ~bit and w | bit of `level`:
     the ascending neighbours of row w on the adjacent level across `bit`.
-    Indexing `level` shares its int objects with every edge and column."""
-    rows = range(len(level))
-    return [[level[w & ~bit] for w in rows], [level[w | bit] for w in rows]]
+
+    Each block of 2*bit rows from j has the column w & ~bit equal to
+    `level[j:j + bit]` twice and w | bit equal to `level[j + bit:j + 2*bit]`
+    twice, so a column is joined from slices, one step per block.  Slicing
+    `level` shares its int objects with every edge and column."""
+    low: list[int] = []
+    high: list[int] = []
+    for j in range(0, len(level), 2 * bit):
+        below, above = level[j:j + bit], level[j + bit:j + 2 * bit]
+        low += below
+        low += below
+        high += above
+        high += above
+    return [low, high]
 
 
 def subcopy_vertex(r: int, high_bits: int, v: int) -> int:

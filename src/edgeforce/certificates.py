@@ -185,13 +185,27 @@ def describe(g: Graph) -> Union[str, dict]:
 def edge_witness(g: Graph, edges: Iterable[Edge]) -> dict:
     """Witness record with canonical ids, endpoint pairs and labels.
 
-    An id is the edge's position in the sorted `g.edges`, found by
-    bisection: no `edge_index` dict is built for a witness of a few edges.
+    An id is the edge's position in the sorted `g.edges`.  The sorted
+    witness edges find theirs in one forward scan, each `index` search
+    starting at the previous edge's id, so together they cost at most one
+    pass over `g.edges` and build no `edge_index` dict.  Only a pair of
+    plain ints that the adjacency shows is an edge of g is searched for;
+    any other (a non-edge, a loop, an endpoint outside [0, n) or not an
+    int) takes its `bisect_left` position, so non-edges cost no scan.
     """
     es = sorted(normalize_edge(*e) for e in edges)
+    canonical, adj, n = g.edges, g.adjacency, g.vertex_count
+    ids, at = [], 0
+    for e in es:
+        u, v = e
+        if type(u) is int and 0 <= u and v < n and v in adj[u]:
+            at = canonical.index(e, at)
+            ids.append(at)
+        else:
+            ids.append(bisect.bisect_left(canonical, e))
     label = g.vertex_label
     return {
-        "edge_ids": [bisect.bisect_left(g.edges, e) for e in es],
+        "edge_ids": ids,
         "edges": [list(e) for e in es],
         "labels": [[label(u), label(v)] for u, v in es],
     }

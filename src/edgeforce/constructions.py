@@ -164,7 +164,7 @@ def _greedy_complete(g: Graph, base: list[Edge], candidates: list[Edge],
     state and extended once per step by the edge taken; a candidate is
     scored by extending a copy of it by the candidate's endpoints."""
     adj = g.adjacency
-    black, counts = bytearray(g.vertex_count), [len(a) for a in adj]
+    black, counts = bytearray(g.vertex_count), list(map(len, adj))
     points = set(matching_endpoints(base))
     extend_closure(adj, black, counts, points)
     chosen: list[Edge] = []

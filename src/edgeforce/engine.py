@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress
 from operator import index
 from typing import Iterable, Optional
 
@@ -115,7 +115,8 @@ def is_edge_forcing_set(g: Graph, k: Iterable[Edge],
         if diagnostics is not None:
             diagnostics.append(diag)
         return False
-    return is_zero_forcing_set(g, matching_endpoints(edges))
+    # each endpoint once, in edge order: the first bad one is refused
+    return forces_all(g, chain.from_iterable(edges))
 
 
 def matching_endpoints(k: Iterable[Edge]) -> frozenset[int]:

@@ -63,8 +63,9 @@ class Graph:
     @cached_property
     def edge_index(self) -> dict[Edge, int]:
         """Each edge's position in `edges`.  The package finds positions
-        by bisection instead; the tests use this dict as an oracle, and
-        perfbench's tracer times it by name."""
+        with a forward scan of `edges` instead (`certificates.edge_witness`);
+        the tests use this dict as an oracle, and perfbench's tracer times
+        it by name."""
         return {e: i for i, e in enumerate(self.edges)}
 
     @cached_property
@@ -99,7 +100,9 @@ class Graph:
         """The label "[row,level]" of a vertex of BF(r), else str(v).
         Vertex level * 2^r + row keeps its row in the low r bits."""
         r = self.butterfly
-        if r is not None and is_vertex(v) and 0 <= v < self.vertex_count:
+        # plain ints skip the call, as in `engine._vertex_set`
+        if (r is not None and (type(v) is int or is_vertex(v))
+                and 0 <= v < self.vertex_count):
             return f"[{v & ((1 << r) - 1)},{v >> r}]"
         return str(v)
 

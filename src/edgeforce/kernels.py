@@ -114,5 +114,5 @@ def run_closure(graph, vertices):
 
     adj = graph.adjacency
     final = bytearray(len(adj))
-    events = extend_closure(adj, final, [len(a) for a in adj], vertices)
+    events = extend_closure(adj, final, list(map(len, adj)), vertices)
     return (final, *(np.array(e, dtype=np.int32) for e in events))

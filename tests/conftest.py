@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import operator
 import random
@@ -51,6 +52,25 @@ def from_edges_reference(vertex_count: int, edges) -> Graph:
             raise GraphError(f"duplicate edge {e}")
         seen.add(e)
     return Graph(vertex_count, tuple(sorted(seen)))
+
+
+def edge_witness_reference(g: Graph, edges) -> dict:
+    """`certificates.edge_witness` with each id found by bisection of the
+    sorted `g.edges` and each label by `Graph.vertex_label`'s rule written
+    out.  The oracle of the one-scan record."""
+    es = sorted(normalize_edge(*e) for e in edges)
+    r, n = g.butterfly, g.vertex_count
+
+    def label(v):
+        if r is not None and is_vertex(v) and 0 <= v < n:
+            return f"[{v & ((1 << r) - 1)},{v >> r}]"
+        return str(v)
+
+    return {
+        "edge_ids": [bisect.bisect_left(g.edges, e) for e in es],
+        "edges": [list(e) for e in es],
+        "labels": [[label(u), label(v)] for u, v in es],
+    }
 
 
 def vertex_index(r: int, row: int, level: int) -> int:

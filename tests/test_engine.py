@@ -91,6 +91,13 @@ class TestMembership:
                                        diagnostics=diag)
         assert "non-edge" in diag[0]
 
+    def test_efs_refuses_the_first_bad_endpoint_in_edge_order(self):
+        # the matching passes (True and False are 1 and 0 there); the
+        # engine then meets its endpoints in edge order, True first
+        with pytest.raises(ValueError,
+                           match=r"^vertex True is not an integer in \[0, 5\)$"):
+            is_edge_forcing_set(cycle_graph(5), [(True, 2), (False, 4)])
+
     def test_forces_all_matches_membership(self):
         rng = random.Random(11)
         for _ in range(30):
