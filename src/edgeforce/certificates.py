@@ -30,13 +30,15 @@ orientation fails), trace and witness, with JSON's types kept apart
 (true and 1.0 are not 1); where a solver refuses the rebuild (a graph
 above the recorded guard, refused from the graph field's counts before
 it is built; a listed set that is not a fort) it answers false.  A valid
-fort never rules out a forcing set and the per-size counts are computed
-in closed form, so the seeds change none of these.
+fort never rules out a forcing set, and a nonexistence claim's per-size
+counts are those of `graph.matching_counts`, read off the graph alone,
+so the seeds change none of these.
 A zf-number or ef-number witness must be the solver's lex-first one,
 and it must also force under the plain closure engine, which does not
-share the search's fort pruning.  The rest of `search` (`explored`,
-`seed`, ...) is provenance, not compared, but a key the rebuild does not
-write is refused, as is a guard or seed that is not an int.
+share the search's fort pruning.  The rest of `search` (`explored`, the
+leaves the search tested, which the seeds do change; `seed`, ...) is
+provenance, not compared, but a key the rebuild does not write is
+refused, as is a guard or seed that is not an int.
 """
 
 from __future__ import annotations
@@ -53,7 +55,8 @@ from . import __version__
 from .butterfly import MAX_DIMENSION, build_butterfly, butterfly_size
 from .constructions import known_bounds
 from .engine import closure, is_edge_forcing_set, is_zero_forcing_set
-from .graph import Edge, Graph, GraphError, from_edges, normalize_edge
+from .graph import (Edge, Graph, GraphError, from_edges, matching_counts,
+                    normalize_edge)
 from .reduction import MAX_LIFTED_EDGES, build_gbar
 from .solver import (DEFAULT_MAX_EDGES, DEFAULT_MAX_VERTICES,
                      InstanceTooLarge, NotAFort, check_guard,
@@ -462,13 +465,13 @@ def verify_certificate(doc: Union[str, dict, Certificate]
 
 
 def bf2_nonexistence_counts(g: Graph) -> dict[int, int]:
-    """Exhaustion counts for a small graph with no edge-forcing set
-    (CertificateError, naming the set, if it has one)."""
+    """The matchings of each size from 1 to ν(g) of a small graph with no
+    edge-forcing set (CertificateError, naming the set, if it has one)."""
     verdict = min_edge_forcing(g, max_edges=g.edge_count)
     if verdict.exists:
         raise CertificateError(
             f"graph admits an edge-forcing set {sorted(verdict.witness)}")
-    return verdict.tested_per_size
+    return dict(enumerate(matching_counts(g)[1:], 1))
 
 
 # ---------------------------------------------------------------------------
@@ -521,15 +524,18 @@ def zf_number_certificate(g: Graph, max_n: int,
 def ef_number_certificate(g: Graph, max_edges: int,
                           forts: Iterable[list[int]] = ()) -> Certificate:
     """The ef-number certificate, or nonexistence when no matching forces;
-    `forts` as in `zf_number_certificate`."""
+    `forts` as in `zf_number_certificate`.  Only a nonexistence claim
+    counts matchings: one per size up to the maximum matching size ν, which
+    is then the largest size searched (an ef-number's is its value)."""
     verdict = min_edge_forcing(g, max_edges=max_edges, forts=forts)
     graph = describe(g)
     search = {"explored": verdict.explored, "forts": verdict.forts,
               "max_edges": max_edges,
-              "max_matching_size_searched": verdict.max_size_searched}
+              "max_matching_size_searched": verdict.value}
     if not verdict.exists:
-        tested = {str(k): v for k, v in
-                  sorted(verdict.tested_per_size.items())}
+        counts = matching_counts(g)
+        search["max_matching_size_searched"] = len(counts) - 1
+        tested = {str(k): c for k, c in enumerate(counts) if k}
         return Certificate(kind="nonexistence", graph=graph, search=search,
                            claim={"matchings_tested_per_size": tested,
                                   "verdict": "not-exists"})

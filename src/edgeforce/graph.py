@@ -1,4 +1,4 @@
-"""Canonical immutable graph representation and matching enumeration."""
+"""Canonical immutable graph representation, matching enumeration and counts."""
 
 from __future__ import annotations
 
@@ -212,14 +212,52 @@ def matching_diagnostic(g: Graph, edges: Iterable[tuple[int, int]]) -> Optional[
     return None
 
 
+def matching_counts(g: Graph) -> tuple[int, ...]:
+    """The number of k-edge matchings of g for k = 0, 1, ..., up to the
+    maximum matching size ν(g), which is the length less one.
+
+    The matchings of a vertex set S that holds an edge are those without
+    its lowest such vertex v and, for each neighbour w of v in S, those of
+    S less v and w with vw added; the counts of each S are memoised by its
+    bitmask, and vertices with no neighbour in S are dropped first.  A
+    nonexistence certificate's claim is these counts.
+    """
+    nbr = [sum(1 << w for w in a) for a in g.adjacency]
+    memo: dict[int, tuple[int, ...]] = {0: (1,)}
+
+    def counts(mask: int) -> tuple[int, ...]:
+        while mask:
+            low = mask & -mask
+            if nbr[low.bit_length() - 1] & mask:
+                break
+            mask ^= low
+        got = memo.get(mask)
+        if got is None:
+            rest = mask ^ low
+            sizes = list(counts(rest))
+            partners = nbr[low.bit_length() - 1] & rest
+            while partners:
+                w = partners & -partners
+                partners ^= w
+                for s, c in enumerate(counts(rest ^ w), 1):
+                    if s < len(sizes):
+                        sizes[s] += c
+                    else:
+                        sizes.append(c)
+            got = memo[mask] = tuple(sizes)
+        return got
+
+    return counts(sum(1 << v for v, a in enumerate(g.adjacency) if a))
+
+
 def matchings_of_size(g: Graph, k: int) -> Iterator[frozenset[Edge]]:
     """Yield every k-edge matching exactly once, lexicographic in edge ids.
 
     The stream is empty when k exceeds the maximum matching size.  Two runs
     produce identical sequences.  The exhaustive searches in `solver` walk
     the same order themselves, closing a prefix only when a matching below
-    it is tested; this generator is the tests' oracle for them, and
-    perfbench's tracer wraps it by name.
+    it is tested; this generator is the tests' oracle for them and for
+    `matching_counts`, and perfbench's tracer wraps it by name.
     """
     if k < 0:
         raise GraphError(f"matching size must be non-negative, got {k}")

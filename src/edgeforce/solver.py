@@ -5,9 +5,7 @@ out a forcing set.  Both searches return a `Verdict`."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from math import comb
 from operator import index
 from typing import Iterable, Optional, Sequence
 
@@ -44,24 +42,22 @@ def check_guard(n: int, count: int, limit: int, what: str) -> None:
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of an exact search: what it found, and the forts it knew.
+    """Outcome of an exact search: what it found, what it did, and the forts
+    it knew.
 
     `witness` is the lex-first forcing set of least size (vertices for
     zero forcing, edges for edge forcing), or None when no combination of
-    any size forces.  `tested_per_size` maps each size searched, from the
-    first size tried up, to its count of combinations tested: up to the
-    witness's size when one forces, every size that has a combination
-    when none does.  A combination counts as tested whether its closure
-    ran or a fort ruled it out unclosed, so the counts are those of a
-    search that closes every combination in turn.  `forts` lists the
-    forts the caller seeded, then those the search harvested, as
-    ascending vertex lists; it is the verdict's own list and takes no
-    part in equality.  Everything else is read off `witness` and
-    `tested_per_size`.
+    any size forces.  `explored` is the number of combinations the search
+    tested, all sizes together: the leaves it closed, or found black
+    already, once the forts had ruled out the rest unclosed.  `forts`
+    lists the forts the caller seeded, then those the search harvested,
+    as ascending vertex lists; it is the verdict's own list.  `explored`
+    and `forts` describe the run, not the answer, so they take no part in
+    equality: a search seeded with more forts tests fewer leaves.
     """
 
     witness: Optional[frozenset]
-    tested_per_size: dict[int, int]
+    explored: int = field(compare=False)
     forts: list[list[int]] = field(compare=False)
 
     @property
@@ -71,14 +67,6 @@ class Verdict:
     @property
     def value(self) -> Optional[int]:
         return None if self.witness is None else len(self.witness)
-
-    @property
-    def explored(self) -> int:
-        return sum(self.tested_per_size.values())
-
-    @property
-    def max_size_searched(self) -> int:
-        return max(self.tested_per_size, default=0)
 
 
 class _Exhaustion:
@@ -127,13 +115,15 @@ class _Exhaustion:
       the node included, meets no later item;
     - every leaf outside the AND of the free items (later ones that share
       no vertex with a chosen item) and the cover of each unhit fort, the
-      fort each stall harvests included: only those leaves are closed, in
-      ascending order, and the leaves tested are counted by popcount.
+      fort each stall harvests included: only those leaves are tested, in
+      ascending order, and `explored` counts them.
+    Nothing is counted in the subtrees it skips, so the order of the search
+    is its own; the per-size matching counts of a nonexistence claim come
+    from `graph.matching_counts`.
     """
 
     def __init__(self, g: Graph, items: Sequence[tuple[int, ...]]):
         self.g, self.items = g, items
-        self.masks = [sum(1 << v for v in item) for item in items]
         self.nbr = [sum(1 << w for w in a) for a in g.adjacency]
         holds = [0] * g.vertex_count  # vertex -> positions of items on it
         for i, item in enumerate(items):
@@ -146,7 +136,7 @@ class _Exhaustion:
         self.touch = [0] * len(items)  # item position -> forts it touches
         self.covers: list[int] = []  # fort -> positions of items touching it
         self.listed: list[list[int]] = []  # listed forts, then the harvest
-        self.count = _completion_counter(self.nbr, items)
+        self.explored = 0  # leaves tested, over every size searched
 
     def add(self, fort: int) -> None:
         """Put the vertex bitmask `fort` in the pool."""
@@ -163,22 +153,14 @@ class _Exhaustion:
             cover ^= low
             self.touch[low.bit_length() - 1] |= bit
 
-    def first(self, k: int
-              ) -> tuple[Optional[tuple[tuple[int, ...], ...]], int]:
-        """The first forcing k-combination, k >= 1 (None if none forces), and
-        the number of combinations up to it (all of them if none forces).
-
-        The number covers every combination, whether its closure ran or a
-        fort ruled it out, so it is that of closing each one in turn.
-        """
+    def first(self, k: int) -> Optional[tuple[tuple[int, ...], ...]]:
+        """The first forcing k-combination, k >= 1, or None if none forces."""
         g, items = self.g, self.items
-        masks, clash, touch, covers, forts, count, nbr = (
-            self.masks, self.clash, self.touch, self.covers, self.forts,
-            self.count, self.nbr)
+        clash, touch, covers, forts, nbr = (
+            self.clash, self.touch, self.covers, self.forts, self.nbr)
         adj = g.adjacency
         m = len(items)
         chosen: list[tuple[int, ...]] = []  # the witness, last item first
-        tested = 0
 
         def packs(start: int, need: int, unhit: int) -> int:
             # -1 when more than `need` unhit forts are met by pairwise
@@ -201,14 +183,13 @@ class _Exhaustion:
                         return -1
             return least.bit_length()
 
-        def search(start: int, need: int, hit: int, used: int, blocked: int,
+        def search(start: int, need: int, hit: int, blocked: int,
                    black: bytearray, counts: list[int],
                    pending: tuple[int, ...]) -> bool:
             # (black, counts) is the closed state of the nearest closed
-            # ancestor and `pending` the vertices chosen since; `used` and
-            # `blocked` hold the chosen items' vertices and the positions
-            # of the items that share one
-            nonlocal tested
+            # ancestor and `pending` the vertices chosen since; `blocked`
+            # holds the positions of the items that share a vertex with a
+            # chosen one
             unhit = ~hit & ((1 << len(forts)) - 1)
             free = ~blocked & ((1 << m) - (1 << start))
             if need == 1:
@@ -222,6 +203,7 @@ class _Exhaustion:
                     low = live & -live
                     live ^= low
                     item = items[low.bit_length() - 1]
+                    self.explored += 1
                     if pending:
                         # close the prefix once, for this leaf and its
                         # siblings
@@ -234,7 +216,6 @@ class _Exhaustion:
                         state = bytearray(black)
                         extend_closure(adj, state, counts[:], item)
                     if 0 not in state:
-                        tested += (free & (2 * low - 1)).bit_count()
                         chosen.append(item)
                         return True
                     fort = _minimal_fort(
@@ -243,26 +224,22 @@ class _Exhaustion:
                     self.listed.append(
                         [v for v in range(fort.bit_length()) if fort >> v & 1])
                     live &= covers[-1]
-                tested += free.bit_count()
                 return False
             stop = packs(start, need, unhit)
-            if stop < 0:
-                tested += count(start, need, used)
-                return False
-            # stop where too few items are left to complete the combination
-            free &= (1 << max(m - need + 1, 0)) - 1
+            # stop where some unhit fort meets no later item (nowhere to go
+            # when `packs` rules the node out) or too few items are left to
+            # complete the combination
+            free &= (1 << max(min(m - need + 1, stop), 0)) - 1
             while free:
                 low = free & -free
                 free ^= low
                 i = low.bit_length() - 1
                 if i >= stop:
-                    tested += count(i, need, used)
                     return False
                 item = items[i]
                 harvested = len(forts)
-                if search(i + 1, need - 1, hit | touch[i], used | masks[i],
-                          blocked | clash[i], black, counts,
-                          pending + item):
+                if search(i + 1, need - 1, hit | touch[i], blocked | clash[i],
+                          black, counts, pending + item):
                     chosen.append(item)
                     return True
                 if len(forts) > harvested:
@@ -270,33 +247,26 @@ class _Exhaustion:
                     stop = min(stop, min(covers[harvested:]).bit_length())
             return False
 
-        if search(0, k, 0, 0, 0, bytearray(g.vertex_count),
+        if search(0, k, 0, 0, bytearray(g.vertex_count),
                   [len(a) for a in adj], ()):
-            return tuple(reversed(chosen)), tested
-        return None, tested
+            return tuple(reversed(chosen))
+        return None
 
     def first_over(self, sizes: Iterable[int],
                    forts: Iterable[Sequence[int]] = ()
-                   ) -> tuple[Optional[tuple[tuple[int, ...], ...]],
-                              dict[int, int]]:
-        """`first` for each of `sizes` in turn, until a size has a forcing
-        combination or has no combination at all: that combination (None
-        if none forces) and the number tested at each size that had any.
-        Each of `forts` (vertex sequences) joins the pool, and a copy of
-        plain ints joins `listed`; NotAFort names the first that is not a
-        fort of g."""
+                   ) -> Optional[tuple[tuple[int, ...], ...]]:
+        """`first` for each of `sizes` in turn: the first forcing
+        combination, or None if none forces.  Each of `forts` (vertex
+        sequences) joins the pool, and a copy of plain ints joins `listed`;
+        NotAFort names the first that is not a fort of g."""
         for i, fort in enumerate(forts):
             self.add(self._fort_mask(i, fort))
             self.listed.append(list(map(index, fort)))
-        counts: dict[int, int] = {}
         for k in sizes:
-            found, tested = self.first(k)
-            if not tested:
-                break
-            counts[k] = tested
+            found = self.first(k)
             if found is not None:
-                return found, counts
-        return None, counts
+                return found
+        return None
 
     def _fort_mask(self, i: int, fort: Sequence[int]) -> int:
         """The bitmask of `fort`, entry i of the caller's forts, which must
@@ -363,85 +333,26 @@ def _minimal_fort(nbr: list[int], white: int) -> int:
     return fort
 
 
-def _completion_counter(nbr: list[int], items: Sequence[tuple[int, ...]]):
-    """count(i, need, used): the number of need-combinations of pairwise
-    disjoint items from position i on that avoid the vertex bitmask
-    `used`, which holds only vertices of items before position i.
-
-    Vertex items give a binomial.  For edge items, position i = (a, b)
-    leaves the edges (a, v) with v >= b, and the edges of g among the
-    vertices above a; the count of matchings there recurses on the lowest
-    vertex, memoised by vertex mask for every later count.  `nbr` holds
-    each vertex's neighbours as a bitmask.
-    """
-    m = len(items)
-    if not items or len(items[0]) == 1:
-        return lambda i, need, used: comb(m - i, need)
-    memo: dict[int, tuple[int, ...]] = {0: (1,)}
-
-    def matchings(mask: int) -> tuple[int, ...]:
-        # counts by size of the matchings of g[mask]; leading vertices with
-        # no neighbor in the mask change nothing
-        while mask:
-            low = mask & -mask
-            if nbr[low.bit_length() - 1] & mask:
-                break
-            mask ^= low
-        got = memo.get(mask)
-        if got is None:
-            rest = mask ^ low
-            sizes = list(matchings(rest))
-            partners = nbr[low.bit_length() - 1] & rest
-            while partners:
-                w = partners & -partners
-                partners ^= w
-                for s, c in enumerate(matchings(rest ^ w), 1):
-                    if s < len(sizes):
-                        sizes[s] += c
-                    else:
-                        sizes.append(c)
-            got = memo[mask] = tuple(sizes)
-        return got
-
-    def count(i: int, need: int, used: int) -> int:
-        if i >= m:
-            return 0
-        a, b = items[i]
-        free = ~used & ((1 << len(nbr)) - (2 << a))
-        sizes = matchings(free)
-        total = sizes[need] if need < len(sizes) else 0
-        if not used >> a & 1:
-            star = nbr[a] & free & -(1 << b)
-            while star:
-                v = star & -star
-                star ^= v
-                sizes = matchings(free ^ v)
-                total += sizes[need - 1] if need <= len(sizes) else 0
-        return total
-
-    return count
-
-
 def min_zero_forcing(g: Graph,
                      max_vertices: int = DEFAULT_MAX_VERTICES,
                      forts: Iterable[Sequence[int]] = ()) -> Verdict:
-    """Smallest zero-forcing set with its lex-first witness, as a Verdict
-    whose sizes start at max(1, min degree).
+    """Smallest zero-forcing set with its lex-first witness, as a Verdict,
+    from a search over the sizes max(1, min degree) to n.
 
     Min degree is a valid lower bound because the first vertex of each
     forcing chain needs all its other neighbors black.  `forts`, when
     given, lists forts of g as vertex sequences: they seed the search's
     pool, and the verdict's `forts` lists them, then the forts the search
-    harvested.  A fort rules out no forcing set, so the witness and the
-    counts are the same with any forts; a listed set that is not a fort
-    raises NotAFort before the search starts.
+    harvested.  A fort rules out no forcing set, so the witness is the
+    same with any forts; a listed set that is not a fort raises NotAFort
+    before the search starts.
     """
     n = g.vertex_count
     check_guard(n, n, max_vertices, "vertices")
     search = _Exhaustion(g, [(v,) for v in range(n)])
-    found, counts = search.first_over(
-        itertools.count(max(1, g.min_degree())), forts)
-    return Verdict(frozenset(v for v, in found), counts, search.listed)
+    found = search.first_over(range(max(1, g.min_degree()), n + 1), forts)
+    return Verdict(frozenset(v for v, in found), search.explored,
+                   search.listed)
 
 
 def min_edge_forcing(g: Graph,
@@ -450,19 +361,20 @@ def min_edge_forcing(g: Graph,
     """The exact edge-forcing number as a Verdict, which does not exist
     when full exhaustion finds no forcing matching.
 
-    One search from size 1 up.  The blocked pair of each obstruction in
-    `structural_lower_bound`'s family is a fort, and the family's cycles
-    are edge-disjoint, so those forts seed the pool with disjoint covers:
-    every size below the bound is ruled out at the root and counted in
-    closed form.  `forts` seeds the pool after them, as in
-    `min_zero_forcing`; the obstruction forts, derived again on every
-    run, are not listed in the verdict.
+    One search over the sizes 1 to min(m, n // 2): no matching is larger.
+    The blocked pair of each obstruction in `structural_lower_bound`'s
+    family is a fort, and the family's cycles are edge-disjoint, so those
+    forts seed the pool with disjoint covers: every size below the bound
+    is ruled out at the root, with no leaf tested.  `forts` seeds the pool
+    after them, as in `min_zero_forcing`; the obstruction forts, derived
+    again on every run, are not listed in the verdict.
     """
     check_guard(g.vertex_count, g.edge_count, max_edges, "edges")
     search = _Exhaustion(g, g.edges)
     for o in structural_lower_bound(g)[1]:
         x, y = o.blocked_pair
         search.add(1 << x | 1 << y)
-    found, counts = search.first_over(itertools.count(1), forts)
-    return Verdict(None if found is None else frozenset(found), counts,
-                   search.listed)
+    found = search.first_over(
+        range(1, min(g.edge_count, g.vertex_count // 2) + 1), forts)
+    return Verdict(None if found is None else frozenset(found),
+                   search.explored, search.listed)

@@ -161,29 +161,30 @@ def reference_add(search, fort: int) -> None:
     bit = 1 << len(search.forts)
     search.forts.append(fort)
     cover = 0
-    for i, mask in enumerate(search.masks):
-        if mask & fort:
+    for i, item in enumerate(search.items):
+        if any(fort >> v & 1 for v in item):
             search.touch[i] |= bit
             cover |= 1 << i
     search.covers.append(cover)
 
 
 def exhaustion_reference(search, k: int):
-    """`search.first(k)` as a loop over item positions: (the first forcing
-    k-combination or None, the number tested).  The oracle of
-    `_Exhaustion.first`, which decides the last item from bitmasks.
+    """`search.first(k)` as a loop over item positions: the first forcing
+    k-combination or None.  The oracle of `_Exhaustion.first`, which
+    decides the last item from bitmasks.
 
     It reads and grows the pool of `search` (`forts`, `covers`, `touch`,
-    `listed`) through `reference_add`.  A table `below` holds, for each
-    position, the forts that no item from there on touches; a node's loop
-    stops at the first position where one of them is unhit.  Each leaf is
-    visited in turn: counted, skipped when it misses an unhit fort, else
-    closed, and a stall harvests a minimal fort.
+    `listed`) through `reference_add`, and adds the leaves it tests to
+    `search.explored`.  A table `below` holds, for each position, the
+    forts that no item from there on touches; a node's loop stops at the
+    first position where one of them is unhit.  Each leaf is visited in
+    turn: skipped when it misses an unhit fort, else counted and closed,
+    and a stall harvests a minimal fort.
     """
     g, items = search.g, search.items
-    masks, touch, covers, forts, count, nbr = (
-        search.masks, search.touch, search.covers, search.forts,
-        search.count, search.nbr)
+    touch, covers, forts, nbr = (
+        search.touch, search.covers, search.forts, search.nbr)
+    masks = [sum(1 << v for v in item) for item in items]
     adj = g.adjacency
     m = len(items)
     below = [0] * m
@@ -195,7 +196,6 @@ def exhaustion_reference(search, k: int):
     for j in range(len(forts)):
         note(j)
     chosen = []
-    tested = 0
 
     def packs(start, need, unhit):
         # more than `need` unhit forts met by pairwise disjoint item sets
@@ -213,13 +213,10 @@ def exhaustion_reference(search, k: int):
         return False
 
     def search_from(start, need, hit, used, black, counts, pending):
-        nonlocal tested
         if packs(start, need, ~hit & ((1 << len(forts)) - 1)):
-            tested += count(start, need, used)
             return False
         for i in range(start, m - need + 1):
             if below[i] & ~hit:
-                tested += count(i, need, used)
                 return False
             mask = masks[i]
             if mask & used:
@@ -234,9 +231,9 @@ def exhaustion_reference(search, k: int):
                     return True
                 chosen.pop()
                 continue
-            tested += 1
             if ~(hit | touch[i]) & ((1 << len(forts)) - 1):
                 continue
+            search.explored += 1
             if pending:
                 black, counts = bytearray(black), counts[:]
                 extend_closure(adj, black, counts, pending)
@@ -258,8 +255,8 @@ def exhaustion_reference(search, k: int):
 
     if search_from(0, k, 0, 0, bytearray(g.vertex_count),
                    [len(a) for a in adj], ()):
-        return tuple(chosen), tested
-    return None, tested
+        return tuple(chosen)
+    return None
 
 
 def listed_fort_fault(g: Graph, fort: list[int]) -> Optional[str]:

@@ -9,14 +9,16 @@ import random
 import time
 
 from edgeforce.butterfly import build_butterfly
-from edgeforce.certificates import reduction_certificate
+from edgeforce.certificates import (ef_number_certificate,
+                                    reduction_certificate)
 from edgeforce.constructions import (construct_edge_forcing, find_obstructions,
                                      known_bounds, structural_lower_bound)
 from edgeforce.engine import closure, is_edge_forcing_set, matching_endpoints
 from edgeforce.graph import from_edges, matching_diagnostic, normalize_edge
 from edgeforce.reduction import (build_gbar, lift_zero_forcing,
                                  normalize_and_project)
-from edgeforce.solver import min_edge_forcing, min_zero_forcing
+from edgeforce.solver import (DEFAULT_MAX_EDGES, min_edge_forcing,
+                             min_zero_forcing)
 
 from conftest import (closure_sequential, complete_graph, cycle_graph,
                       path_graph, random_graph, vertex_coord, vertex_index)
@@ -32,11 +34,13 @@ def report(number, label, elapsed, limit, ok):
 
 
 def test_criterion_1_bf2_nonexistence():
+    # exhausted through the maximum matching size 4
     start = time.perf_counter()
-    verdict = min_edge_forcing(build_butterfly(2))
+    cert = ef_number_certificate(build_butterfly(2), DEFAULT_MAX_EDGES)
     elapsed = time.perf_counter() - start
     report(1, "BF(2) has no edge-forcing set", elapsed, 1.0,
-           not verdict.exists and verdict.max_size_searched == 4)
+           cert.kind == "nonexistence"
+           and cert.search["max_matching_size_searched"] == 4)
 
 
 def test_criterion_2_bf3_exact_eight():

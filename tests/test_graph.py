@@ -4,15 +4,17 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from edgeforce.butterfly import build_butterfly
-from edgeforce.certificates import closure_certificate, emit_certificate
+from edgeforce.certificates import (closure_certificate, emit_certificate,
+                                    ef_number_certificate,
+                                    verify_certificate)
 from edgeforce.constructions import construct_edge_forcing
 from edgeforce.engine import is_edge_forcing_set
-from edgeforce.graph import (GraphError, from_edges, matching_diagnostic,
-                             matchings_of_size,
+from edgeforce.graph import (GraphError, from_edges, matching_counts,
+                             matching_diagnostic, matchings_of_size,
                              normalize_edge)
 
 from conftest import (complete_graph, cycle_graph, from_edges_reference,
@@ -249,17 +251,62 @@ class TestMatchingsOfSize:
             assert ids == sorted(ids)
 
     def test_counts_match_naive_enumeration(self):
+        # matching_counts lists the same counts, up to the last size that
+        # has a matching
         rng = random.Random(42)
         for _ in range(25):
             g = random_graph(rng, rng.randint(2, 8), rng.uniform(0.2, 0.8))
+            counts = matching_counts(g)
+            assert counts[-1] > 0
             for k in range(0, g.vertex_count // 2 + 2):
                 got = sum(1 for _ in matchings_of_size(g, k))
                 assert got == naive_matching_count(g, k)
+                assert got == (counts[k] if k < len(counts) else 0)
 
     def test_determinism(self):
         rng = random.Random(3)
         g = random_graph(rng, 8, 0.5)
         assert list(matchings_of_size(g, 3)) == list(matchings_of_size(g, 3))
+
+
+class TestMatchingCounts:
+    @pytest.mark.parametrize("g, counts", [
+        (from_edges(1, []), (1,)),
+        # isolated vertices below, between and above the edges
+        (from_edges(7, [(1, 2), (2, 3), (5, 6)]), (1, 3, 2)),
+        *[(from_edges(s + 1, [(0, v) for v in range(1, s + 1)]), (1, s))
+          for s in (1, 3, 30)],
+        # K3,13: k of the three hubs, each with its own leaf
+        (from_edges(16, [(i, j) for i in range(3) for j in range(3, 16)]),
+         (1, 39, 3 * 13 * 12, 13 * 12 * 11)),
+    ], ids=["isolated-vertex", "path-and-edge", "K1,1", "K1,3", "K1,30",
+            "K3,13"])
+    def test_small_graphs(self, g, counts):
+        assert matching_counts(g) == counts
+        assert counts == tuple(sum(1 for _ in matchings_of_size(g, k))
+                               for k in range(len(counts)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_nonexistence_claim_is_the_enumeration(self, data):
+        # on a graph with no forcing matching (an isolated vertex is never
+        # forced), the claim counts every matching of each size from 1 to
+        # the maximum matching size, the largest size searched
+        n = data.draw(st.integers(2, 8))
+        pool = list(itertools.combinations(range(n), 2))
+        edges = data.draw(st.lists(st.sampled_from(pool), unique=True))
+        g = from_edges(n + data.draw(st.integers(0, 2)), edges)
+        cert = ef_number_certificate(g, len(pool))
+        assume(cert.kind == "nonexistence")
+        per_size = {k: sum(1 for _ in matchings_of_size(g, k))
+                    for k in range(1, g.vertex_count // 2 + 1)}
+        top = max((k for k, c in per_size.items() if c), default=0)
+        assert cert.claim == {
+            "matchings_tested_per_size": {str(k): per_size[k]
+                                          for k in range(1, top + 1)},
+            "verdict": "not-exists"}
+        assert cert.search["max_matching_size_searched"] == top
+        assert verify_certificate(emit_certificate(cert))[0]
 
 
 @settings(max_examples=50, deadline=None)

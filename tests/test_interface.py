@@ -469,11 +469,11 @@ class TestGraphField:
         if name in ("zf-number", "reduction"):
             monkeypatch.setattr(certificates, "min_zero_forcing",
                                 lambda g, max_vertices=24, forts=():
-                                Verdict(frozenset({0}), {1: 1}, []))
+                                Verdict(frozenset({0}), 1, []))
             monkeypatch.setattr(
                 certificates, "min_edge_forcing",
                 lambda g, max_edges, forts: Verdict(
-                    frozenset({(0, 1)}), {1: 1}, []))
+                    frozenset({(0, 1)}), 1, []))
         cert = self.BUILDERS[name](build_butterfly(3))
         assert cert.graph == "butterfly:3"
 
@@ -715,7 +715,7 @@ class TestCli:
         assert solved.pop("graph") == build_butterfly(2).to_json_dict()
         assert constructed == solved
         assert solved["search"] == {
-            "explored": 432, "max_edges": 40,
+            "explored": 16, "max_edges": 40,
             "max_matching_size_searched": 4,
             # the 16 minimal forts the search harvested, in harvest order;
             # the 4 obstruction forts that seed it are not listed
@@ -1002,17 +1002,49 @@ class TestCli:
         assert json.loads(capsys.readouterr().out)["verified"] is True
 
     def test_disjoint_edges_at_the_solve_guard(self, tmp_path, capsys):
-        # 40 disjoint edges: each is a fort, so the 2^40 - 1 smaller
-        # matchings are counted without being enumerated
+        # 40 disjoint edges: each is harvested as a fort by one stalled
+        # leaf, and the forts rule out the other smaller matchings without
+        # enumerating them, so 41 of the 2^40 - 1 matchings are tested
         g = from_edges(80, [(2 * i, 2 * i + 1) for i in range(40)])
         assert main(["solve", "ef", "--graph", write_graph(tmp_path, g)]) == 0
         cert = tmp_path / "edges.json"
         cert.write_text(capsys.readouterr().out)
         doc = json.loads(cert.read_text())
         assert doc["claim"]["value"] == 40
-        assert doc["search"]["explored"] == 2 ** 40 - 1
+        assert doc["search"]["explored"] == 41
+        assert doc["search"]["max_matching_size_searched"] == 40
         assert main(["verify", "--cert", str(cert)]) == 0
         assert json.loads(capsys.readouterr().out)["verified"] is True
+
+    @pytest.mark.parametrize("edges, explored", [
+        # BF(2)'s fixture as it was written when `explored` counted every
+        # matching of every size
+        (None, 432),
+        # two disjoint 4-cycles (ef 2): 8 matchings of size 1, then the
+        # witness, the second of size 2
+        ([(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (6, 7), (4, 7)],
+         10),
+        # 40 disjoint edges: every matching of every size
+        ([(2 * i, 2 * i + 1) for i in range(40)], 2 ** 40 - 1),
+    ], ids=["bf2-nonexistence", "two-c4", "disjoint-edges"])
+    def test_verify_reads_explored_as_provenance(self, tmp_path, capsys,
+                                                 edges, explored):
+        # `explored` once counted every combination up to the witness, or
+        # all of them; it now counts the leaves tested.  It is provenance,
+        # so a certificate written with the old count still verifies
+        if edges is None:
+            doc = json.loads(
+                (FIXTURES / "bf2-nonexistence.json").read_text())
+        else:
+            g = from_edges(1 + max(map(max, edges)), edges)
+            main(["solve", "ef", "--graph", write_graph(tmp_path, g)])
+            doc = json.loads(capsys.readouterr().out)
+        assert doc["search"]["explored"] < explored
+        doc["search"]["explored"] = explored
+        cert = tmp_path / "old.json"
+        cert.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        code, out = run_json(capsys, ["verify", "--cert", cert])
+        assert code == 0 and out["verified"] is True
 
     def test_verify_refuses_unchecked_forts(self, tmp_path, capsys):
         # {0}, ..., {4} are not forts of C5, whose ef number is 1; seeded
@@ -1148,13 +1180,13 @@ class TestCli:
         if kind == "zf-number":
             monkeypatch.setattr(certificates, "min_zero_forcing",
                                 lambda g, max_vertices, forts:
-                                Verdict(frozenset({1}), {1: 1}, []))
+                                Verdict(frozenset({1}), 1, []))
             built = certificates.zf_number_certificate(cycle_graph(4), 24)
         else:
             monkeypatch.setattr(
                 certificates, "min_edge_forcing",
                 lambda g, max_edges, forts: Verdict(
-                    frozenset({(0, 1)}), {1: 1}, []))
+                    frozenset({(0, 1)}), 1, []))
             built = certificates.ef_number_certificate(parse_graph(K13), 40)
         assert built.witness is not None
         cert = tmp_path / "cert.json"

@@ -1,6 +1,7 @@
 import itertools
 import random
-from math import comb
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,10 +10,11 @@ from hypothesis import strategies as st
 
 from edgeforce import solver
 from edgeforce.butterfly import build_butterfly
+from edgeforce.certificates import bf2_nonexistence_counts
 from edgeforce.engine import (forces_all, is_edge_forcing_set,
                               is_zero_forcing_set, matching_endpoints)
-from edgeforce.graph import (GraphError, from_edges, matching_diagnostic,
-                             matchings_of_size)
+from edgeforce.graph import (GraphError, from_edges, matching_counts,
+                             matching_diagnostic, matchings_of_size)
 from edgeforce.constructions import structural_lower_bound
 from edgeforce.kernels import extend_closure, run_closure
 from edgeforce.reduction import MAX_LIFTED_EDGES, build_gbar
@@ -52,15 +54,18 @@ def vertex_items(g):
 
 def first_subset(g, k):
     """(lex-first forcing k-subset or None, number of k-subsets tested)."""
-    found, tested = _Exhaustion(g, vertex_items(g)).first(k)
-    return None if found is None else frozenset(v for v, in found), tested
+    search = _Exhaustion(g, vertex_items(g))
+    found = search.first(k)
+    return (None if found is None else frozenset(v for v, in found),
+            search.explored)
 
 
 def first_matching(g, sizes):
-    """(first forcing matching or None, tested per size) over `sizes`,
+    """(first forcing matching or None, leaves tested) over `sizes`,
     through one search with no seeded fort."""
-    found, counts = _Exhaustion(g, g.edges).first_over(sizes)
-    return None if found is None else frozenset(found), counts
+    search = _Exhaustion(g, g.edges)
+    found = search.first_over(sizes)
+    return None if found is None else frozenset(found), search.explored
 
 
 def brute_first_forcing(g, candidates, vertices):
@@ -87,21 +92,23 @@ class TestFirstForcing:
         pool = list(itertools.combinations(range(n), 2))
         g = from_edges(size, data.draw(st.lists(st.sampled_from(pool),
                                                 unique=True)))
+        # the same lex-first combination, after testing at least that one
+        # and at most every combination up to it
         k = data.draw(st.integers(1, 6))
-        found, tested = _Exhaustion(g, g.edges).first(k)
+        matching, tested = first_matching(g, [k])
         want, count = brute_first_forcing(g, matchings_of_size(g, k),
                                           matching_endpoints)
-        assert (None if found is None else frozenset(found), tested) == (
-            want, count)
+        assert matching == want
+        assert (want is not None) <= tested <= count
         subset, tested = first_subset(g, k)
         want, count = brute_first_forcing(
             g, itertools.combinations(range(size), k), set)
-        assert (subset, tested) == (
-            None if want is None else frozenset(want), count)
+        assert subset == (None if want is None else frozenset(want))
+        assert (want is not None) <= tested <= count
 
     def test_edgeless_graph(self):
         g = from_edges(3, [])
-        assert _Exhaustion(g, g.edges).first(1) == (None, 0)
+        assert _Exhaustion(g, g.edges).first(1) is None
         assert first_subset(g, 2) == (None, 3)
         assert first_subset(g, 3) == (frozenset({0, 1, 2}), 1)
 
@@ -196,8 +203,8 @@ class TestExhaustionOracle:
     def test_matches_the_position_loop(self, g, data):
         # sizes 1..k in turn through one pool, empty or seeded with the
         # white sets of stalled closures (forts, not always minimal): the
-        # same combination and count at each size, the same harvest in the
-        # same order, and the same pool
+        # same combination and leaves tested at each size, the same harvest
+        # in the same order, and the same pool
         n = g.vertex_count
         items = data.draw(st.sampled_from([g.edges, vertex_items(g)]))
         search, reference = _Exhaustion(g, items), _Exhaustion(g, items)
@@ -210,49 +217,51 @@ class TestExhaustionOracle:
                 reference_add(reference, white)
         for k in range(1, data.draw(st.integers(1, 4)) + 1):
             assert search.first(k) == exhaustion_reference(reference, k)
+            assert search.explored == reference.explored
             assert search.listed == reference.listed
             assert (search.forts, search.covers, search.touch) == (
                 reference.forts, reference.covers, reference.touch)
 
 
 class TestForts:
-    """The fort pool prunes the exhaustion without changing a count."""
+    """The fort pool prunes the exhaustion without changing a witness."""
 
     @settings(max_examples=150, deadline=None)
     @given(disjoint_unions())
     def test_shared_pool_counts(self, g):
         # one search per item kind takes sizes 1, 2, ... through one pool;
-        # each size counts as if every combination were closed in turn
+        # each size finds the combination a search closing every one in
+        # turn finds, after testing no more, and each leaf tested either
+        # forces or harvests a new minimal fort
         n = g.vertex_count
-        per_size = {}
+        firsts = {}
         for kind, items, combos, vertices in (
                 ("ef", g.edges, lambda k: matchings_of_size(g, k),
                  matching_endpoints),
                 ("zf", vertex_items(g),
                  lambda k: itertools.combinations(range(n), k), set)):
             search = _Exhaustion(g, items)
-            per_size[kind] = counts = {}
             for k in range(1, n + 1):
-                found, tested = search.first(k)
+                before = search.explored
+                found = search.first(k)
                 want, count = brute_first_forcing(g, combos(k), vertices)
-                if not tested:
-                    break
-                counts[k] = tested
-                assert tested == count
+                assert search.explored - before <= count
                 if want is None:
                     assert found is None
-                    assert tested == len(list(combos(k)))
                     continue
                 assert vertices(want) == {v for item in found for v in item}
                 break
+            firsts[kind] = None if found is None else frozenset(found)
             assert all(is_minimal_fort(g, vertex_set(f))
                        for f in search.forts)
             assert len(set(search.forts)) == len(search.forts)
-        assert first_matching(g, itertools.count(1))[1] == per_size["ef"]
+            assert search.explored == len(search.forts) + (found is not None)
+        assert first_matching(g, range(1, n + 1))[0] == firsts["ef"]
         verdict = min_edge_forcing(g)
-        if not verdict.exists:
-            assert verdict.tested_per_size == per_size["ef"]
-        assert min_zero_forcing(g).value == max(per_size["zf"])
+        assert verdict.witness == firsts["ef"]
+        assert verdict.explored == len(verdict.forts) + verdict.exists
+        assert min_zero_forcing(g).witness == frozenset(
+            v for v, in firsts["zf"])
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -320,12 +329,13 @@ class TestForts:
         assert len(calls) == 24
 
     def test_lifted_k6(self, monkeypatch):
-        # a dense case: the pool, not the kernel, decides most nodes; seeded
-        # with its own harvest the rerun stalls on no leaf
+        # a dense case: the pool, not the kernel, decides most nodes, and
+        # each leaf tested forces or harvests; seeded with its own harvest
+        # the rerun stalls on no leaf, so it tests only the witness
         g = build_gbar(complete_graph(6))
         verdict = min_edge_forcing(g, MAX_LIFTED_EDGES)
         forts = verdict.forts
-        assert (verdict.value, verdict.explored, len(forts)) == (5, 22595, 15)
+        assert (verdict.value, verdict.explored, len(forts)) == (5, 16, 15)
         calls = []
         minimal = solver._minimal_fort
         monkeypatch.setattr(solver, "_minimal_fort",
@@ -334,16 +344,18 @@ class TestForts:
         assert again == verdict
         assert again.forts == forts
         assert calls == []
+        assert again.explored == 1
 
     def test_disjoint_edges(self):
-        # k disjoint edges: each is a 2-vertex fort, so every size below k
-        # is counted in closed form, all 2^k - 1 matchings
+        # k disjoint edges: k leaves stall, two of size 1 and then one of
+        # each size below k, each harvesting an edge as a 2-vertex fort that
+        # rules out the rest of its size; so k + 1 leaves are tested where
+        # a search closing every matching would close 2^k - 1
         k = 40
         g = from_edges(2 * k, [(2 * i, 2 * i + 1) for i in range(k)])
         verdict = min_edge_forcing(g)
-        assert (verdict.value, verdict.explored) == (k, 2 ** k - 1)
-        assert verdict.tested_per_size == {
-            s: comb(k, s) for s in range(1, k + 1)}
+        assert (verdict.value, verdict.explored) == (k, k + 1)
+        assert sorted(verdict.forts) == [list(e) for e in g.edges]
 
 
 class TestListedForts:
@@ -439,7 +451,7 @@ class TestListedForts:
             assert str(exc.value) == "forts[{}] is not a fort: {}".format(
                 *faults[0])
         else:
-            assert search.first_over((), forts) == (None, {})
+            assert search.first_over((), forts) is None
             assert search.forts == [sum(1 << v for v in f) for f in forts]
 
 
@@ -483,14 +495,19 @@ class TestMinEdgeForcing:
         assert verdict.value == oracle_min_edge_forcing(k4) == 2
 
     def test_star_not_exists(self):
-        verdict = min_edge_forcing(from_edges(4, [(0, 1), (0, 2), (0, 3)]))
+        star = from_edges(4, [(0, 1), (0, 2), (0, 3)])
+        verdict = min_edge_forcing(star)
         assert not verdict.exists
-        assert verdict.max_size_searched == 1
+        # each of the three 1-matchings stalls and harvests a fort; no
+        # larger matching exists
+        assert (verdict.explored, len(verdict.forts)) == (3, 3)
+        assert matching_counts(star) == (1, 3)
 
     def test_bf2_not_exists(self):
-        verdict = min_edge_forcing(build_butterfly(2))
+        g = build_butterfly(2)
+        verdict = min_edge_forcing(g)
         assert not verdict.exists
-        assert verdict.max_size_searched == 4
+        assert len(matching_counts(g)) - 1 == 4
 
     def test_witness_reverifies(self):
         rng = random.Random(17)
@@ -522,48 +539,73 @@ class TestMinEdgeForcing:
                 assert verdict.value >= structural_lower_bound(g)[0]
 
     def test_seeding_does_not_change_result(self):
+        # the obstruction forts that seed min_edge_forcing change no witness
         rng = random.Random(55)
         for _ in range(15):
             g = random_graph(rng, rng.randint(2, 6), 0.5)
-            verdict = min_edge_forcing(g)
-            witness, counts = first_matching(g, itertools.count(1))
-            assert verdict.witness == witness
-            assert verdict.tested_per_size == counts
+            witness, _ = first_matching(g, range(1, g.vertex_count // 2 + 1))
+            assert min_edge_forcing(g).witness == witness
 
     def test_not_exists_counts_are_the_whole_exhaustion(self):
+        # a nonexistence claim counts every matching of every size, while
+        # the search tests few: the unseeded search finds nothing either,
+        # and the obstruction forts rule out BF(2)'s sizes 1-3, below its
+        # lower bound 4, at the root; each leaf tested stalls and harvests
         star = from_edges(4, [(0, 1), (0, 2), (0, 3)])
-        # the star's three edges pairwise share the centre
-        assert min_edge_forcing(star).tested_per_size == {1: 3}
+        assert bf2_nonexistence_counts(star) == {1: 3}
         for g in (star, build_butterfly(2)):
             verdict = min_edge_forcing(g)
             assert not verdict.exists
-            # the seeded obstruction forts change no count
-            assert verdict.tested_per_size == \
-                first_matching(g, itertools.count(1))[1]
-        # every size of BF(2), the three below its lower bound 4 included
-        assert verdict.explored == 16 + 88 + 192 + 136 == 432
+            assert first_matching(g, range(1, g.vertex_count + 1))[0] is None
+            assert verdict.explored == len(verdict.forts)
+            assert bf2_nonexistence_counts(g) == {
+                k: sum(1 for _ in matchings_of_size(g, k))
+                for k in range(1, len(matching_counts(g)))}
+        assert bf2_nonexistence_counts(g) == {1: 16, 2: 88, 3: 192, 4: 136}
+        assert verdict.explored == 16
 
-    @pytest.mark.parametrize("edges, exists, counts", [
-        # K_{2,6}: fifteen obstructions on one hub pair, three disjoint
-        ([(i, j) for i in range(2) for j in range(2, 8)], False,
-         {1: 12, 2: 30}),
-        # two disjoint C4s: each is an obstruction, so the bound is 2
+    @pytest.mark.parametrize("edges, exists, explored", [
+        # K_{2,6}: fifteen obstructions on one hub pair, three disjoint,
+        # which rule out both sizes of its matchings
+        ([(i, j) for i in range(2) for j in range(2, 8)], False, 0),
+        # two disjoint C4s: each is an obstruction, so the bound is 2 and
+        # the first 2-matching tested forces
         ([(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (6, 7), (4, 7)],
-         True, {1: 8, 2: 2}),
+         True, 1),
     ])
-    def test_explored_is_the_sum_of_the_counts(self, edges, exists, counts):
-        # sizes below the lower bound are counted like any other, for both
-        # verdicts, so `explored` has one meaning
+    def test_sizes_below_the_bound_test_no_leaf(self, edges, exists,
+                                                explored):
         g = from_edges(1 + max(map(max, edges)), edges)
         verdict = min_edge_forcing(g)
-        assert verdict.exists == exists
-        assert verdict.tested_per_size == counts
-        assert verdict.explored == sum(counts.values())
-        assert verdict.max_size_searched == max(counts)
+        assert (verdict.exists, verdict.explored) == (exists, explored)
 
     def test_guard(self):
         with pytest.raises(InstanceTooLarge):
             min_edge_forcing(build_butterfly(3))
+
+    def test_bf4_reaches_a_closure_in_bounded_memory(self, monkeypatch):
+        # nothing is counted before a leaf is tested: BF(4), with the guard
+        # raised to its 128 edges, reaches its first kernel call at once,
+        # where a matching count by vertex mask overran 1.5 GB first
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        monkeypatch.setattr(solver, "extend_closure", reached)
+        g = build_butterfly(4)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(Reached):
+                min_edge_forcing(g, max_edges=128)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak < 64 << 20
 
     def test_one_fort_pool_for_both_passes(self, monkeypatch):
         # BF(2)'s 4 obstruction forts seed the pool, which rules out sizes
@@ -578,7 +620,7 @@ class TestMinEdgeForcing:
         assert forts[:4] == [1 << x | 1 << y for x, y in (
             o.blocked_pair for o in structural_lower_bound(g)[1])]
         assert all(is_minimal_fort(g, vertex_set(f)) for f in forts)
-        assert verdict.tested_per_size == {1: 16, 2: 88, 3: 192, 4: 136}
+        assert verdict.explored == 16
 
 
 class TestNoSmaller:
@@ -586,7 +628,7 @@ class TestNoSmaller:
     of size below k is edge-forcing."""
 
     def test_vacuous(self):
-        assert first_matching(cycle_graph(4), range(1, 1)) == (None, {})
+        assert first_matching(cycle_graph(4), range(1, 1)) == (None, 0)
 
     def test_k4(self):
         assert first_matching(complete_graph(4), range(1, 2))[0] is None
