@@ -15,6 +15,7 @@ from .kernels import extend_closure
 
 DEFAULT_MAX_VERTICES = 24
 DEFAULT_MAX_EDGES = 40
+_WHITE = bytes.maketrans(b"\0\1", b"10")  # black byte -> white-set digit
 
 
 class InstanceTooLarge(RuntimeError):
@@ -98,9 +99,9 @@ class _Exhaustion:
     minimal one, for this size and the later ones.  `listed` holds the
     listed forts and then the harvest, each as an ascending list of plain
     ints; the caller's own containers are only read.  `_minimal_fort`
-    shrinks the stall's white set
-    to that fort on the neighbour bitmasks `nbr`, with no kernel call, so
-    the only kernel calls are the prefixes' and the leaves' closures.  A
+    shrinks the stall's white set to that fort on the neighbour bitmasks
+    `nbr`, with no kernel call, so the only kernel calls are the
+    prefixes' and the leaves' closures.  A
     search seeded with every fort an earlier search of g harvested tests
     no leaf that stalled there, so it runs no `_minimal_fort` and closes
     only the witness and its prefix.
@@ -108,15 +109,24 @@ class _Exhaustion:
     The traversal runs on bitmasks over item positions: `holds` gives
     each vertex's items, `clash` each item's overlapping items, and
     `covers` each fort's touching items.  Call a fort unhit when no
-    chosen item touches it.  The search skips
+    chosen item touches it, and a node's items free when they come later
+    and share no vertex with a chosen item.  The search skips
     - a node where more unhit forts than items still to choose meet
-      pairwise disjoint sets of the node's items;
+      pairwise disjoint sets of the node's free items;
+    - a node where the unhit forts whose touching items all hold one
+      vertex x (`shared`, found once in `add`: in an edge search, twin
+      pendant leaves of x) have no free item in common: at most one
+      chosen item holds x, so that one must hit them all;
     - the rest of a node's loop once some unhit fort, one harvested below
-      the node included, meets no later item;
-    - every leaf outside the AND of the free items (later ones that share
-      no vertex with a chosen item) and the cover of each unhit fort, the
-      fort each stall harvests included: only those leaves are tested, in
-      ascending order, and `explored` counts them.
+      the node included, meets no later free item;
+    - every leaf outside the AND of the free items and the cover of each
+      unhit fort, the fort each stall harvests included: only those
+      leaves are tested, in ascending order, and `explored` counts them.
+    So the search tests, in lexicographic order, exactly the combinations
+    that meet every fort of the pool when they are reached, and the pool
+    grows only at tested leaves.  A skip is allowed only where it drops
+    subtrees that hold no such combination: then the tested leaves, and
+    with them the witness, `explored` and the harvest, stay the same.
     Nothing is counted in the subtrees it skips, so the order of the search
     is its own; the per-size matching counts of a nonexistence claim come
     from `graph.matching_counts`.
@@ -132,9 +142,12 @@ class _Exhaustion:
         self.holds = holds
         # item position -> positions of the items sharing a vertex with it
         self.clash = [holds[item[0]] | holds[item[-1]] for item in items]
+        self.ends = [1 << item[0] | 1 << item[-1] for item in items]
         self.forts: list[int] = []
         self.touch = [0] * len(items)  # item position -> forts it touches
         self.covers: list[int] = []  # fort -> positions of items touching it
+        self.shared: list[int] = []  # fort -> x as a bit, or 0 (see `packs`)
+        self.grouped = 0  # the forts with a shared vertex x
         self.listed: list[list[int]] = []  # listed forts, then the harvest
         self.explored = 0  # leaves tested, over every size searched
 
@@ -148,34 +161,50 @@ class _Exhaustion:
             fort ^= low
             cover |= self.holds[low.bit_length() - 1]
         self.covers.append(cover)
+        both = -1 if cover else 0  # the vertices all its items hold
         while cover:
             low = cover & -cover
             cover ^= low
-            self.touch[low.bit_length() - 1] |= bit
+            i = low.bit_length() - 1
+            self.touch[i] |= bit
+            both &= self.ends[i]
+        self.shared.append(both & -both)
+        if both:
+            self.grouped |= bit
 
     def first(self, k: int) -> Optional[tuple[tuple[int, ...], ...]]:
         """The first forcing k-combination, k >= 1, or None if none forces."""
         g, items = self.g, self.items
-        clash, touch, covers, forts, nbr = (
-            self.clash, self.touch, self.covers, self.forts, self.nbr)
+        clash, touch, covers, forts, shared = (
+            self.clash, self.touch, self.covers, self.forts, self.shared)
         adj = g.adjacency
         m = len(items)
         chosen: list[tuple[int, ...]] = []  # the witness, last item first
 
-        def packs(start: int, need: int, unhit: int) -> int:
-            # -1 when more than `need` unhit forts are met by pairwise
-            # disjoint item sets from `start` on, else the first position
-            # from which some unhit fort meets no item
-            later = -1 << start
+        def packs(free: int, need: int, unhit: int) -> int:
+            # -1 when `need` of the free items cannot hit every unhit fort:
+            # more than `need` unhit forts meet pairwise disjoint sets of
+            # them, or the forts whose items all hold one vertex x share no
+            # free item, while at most one chosen item holds x; else the
+            # first position from which some unhit fort meets no free item
+            group = unhit & self.grouped
+            if group:
+                at: dict[int, int] = {}  # x -> free items of all its forts
+                while group:
+                    low = group & -group
+                    group ^= low
+                    j = low.bit_length() - 1
+                    at[shared[j]] = at.get(shared[j], free) & covers[j]
+                if not all(at.values()):
+                    return -1
             taken = packed = 0
             least = (1 << m) - 1  # the cover of lowest bit_length
             while unhit:
                 low = unhit & -unhit
                 unhit ^= low
-                cover = covers[low.bit_length() - 1]
+                cover = covers[low.bit_length() - 1] & free
                 if cover < least:
                     least = cover
-                cover &= later
                 if not cover & taken:
                     taken |= cover
                     packed += 1
@@ -219,14 +248,14 @@ class _Exhaustion:
                         chosen.append(item)
                         return True
                     fort = _minimal_fort(
-                        nbr, sum(1 << v for v, b in enumerate(state) if not b))
+                        self.nbr, int(state[::-1].translate(_WHITE), 2))
                     self.add(fort)
                     self.listed.append(
                         [v for v in range(fort.bit_length()) if fort >> v & 1])
                     live &= covers[-1]
                 return False
-            stop = packs(start, need, unhit)
-            # stop where some unhit fort meets no later item (nowhere to go
+            stop = packs(free, need, unhit)
+            # stop where some unhit fort meets no later free item (at once
             # when `packs` rules the node out) or too few items are left to
             # complete the combination
             free &= (1 << max(min(m - need + 1, stop), 0)) - 1
@@ -310,6 +339,10 @@ def _minimal_fort(nbr: list[int], white: int) -> int:
     inside, and only those are examined.  Each vertex of the result left
     no fort when it was tried, so no fort inside the result leaves it
     out: the fort is minimal.
+
+    A trial stops, as one that leaves no fort, when it would remove a
+    vertex tried already: that vertex is still in the fort because its
+    trial left no fort, so every fort inside the fort holds it.
     """
     fort = white
     while white:
@@ -326,6 +359,9 @@ def _minimal_fort(nbr: list[int], white: int) -> int:
             check ^= v
             inside = nbr[v.bit_length() - 1] & rest
             if inside and not inside & (inside - 1):
+                if not inside & white:
+                    rest = 0
+                    break
                 rest ^= inside
                 check |= inside | nbr[inside.bit_length() - 1] & ~rest
         if rest:

@@ -156,11 +156,18 @@ def neighbour_masks(g):
 @st.composite
 def stalled_states(draw):
     """(g, black, counts): a closed state of g that leaves a vertex white.
-    g is a random graph plus isolated vertices, a disjoint union, or the
-    lifted gadget of a random graph."""
-    kind = draw(st.sampled_from(["random", "union", "lifted"]))
+    g is a random graph plus isolated vertices, a disjoint union, the
+    lifted gadget of a random graph, or a random graph of 13-16 vertices
+    and 20-32 edges (the shape of the exact searches' graphs) closed from
+    at most four vertices."""
+    kind = draw(st.sampled_from(["random", "union", "lifted", "search"]))
     if kind == "union":
         g = draw(disjoint_unions())
+    elif kind == "search":
+        n = draw(st.integers(13, 16))
+        pool = list(itertools.combinations(range(n), 2))
+        g = from_edges(n, draw(st.lists(st.sampled_from(pool), unique=True,
+                                        min_size=20, max_size=32)))
     else:
         n = draw(st.integers(2, 12 if kind == "random" else 6))
         pool = list(itertools.combinations(range(n), 2))
@@ -169,27 +176,56 @@ def stalled_states(draw):
         if kind == "lifted":
             g = build_gbar(g)
     n = g.vertex_count
-    start = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+    start = draw(st.sets(st.integers(0, n - 1),
+                         max_size=4 if kind == "search" else n - 1))
     black, counts = bytearray(n), [len(a) for a in g.adjacency]
     extend_closure(g.adjacency, black, counts, sorted(start))
     assume(0 in black)
     return g, black, counts
 
 
+def star_forest(sizes, perm=None):
+    """Disjoint stars K1,t for t in `sizes`, each centre numbered before its
+    leaves, then renumbered by `perm` when given."""
+    edges, n = [], 0
+    for t in sizes:
+        edges += [(n, n + j) for j in range(1, t + 1)]
+        n += t + 1
+    perm = perm or range(n)
+    return from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
 @st.composite
 def exhaustion_graphs(draw):
     """A graph of at most 12 vertices: a relabelled random graph with up to
-    three isolated vertices, a disjoint union, or the lifted gadget of a
-    random graph."""
-    kind = draw(st.sampled_from(["random", "union", "lifted"]))
+    three isolated vertices, a disjoint union, the lifted gadget of a
+    random graph, a renumbered star forest, or a relabelled random graph
+    with twin pendant leaves on some vertices.  In the last two, sets of
+    twin leaves are forts whose touching edges all hold the leaves'
+    neighbour, the case of the exhaustion's shared-vertex bound."""
+    kind = draw(st.sampled_from(["random", "union", "lifted", "stars",
+                                 "twins"]))
     if kind == "union":
         return draw(disjoint_unions())
+    if kind == "stars":
+        sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+        while sum(sizes) + len(sizes) > 12:
+            sizes.pop()
+        n = sum(sizes) + len(sizes)
+        return star_forest(sizes, draw(st.permutations(range(n))))
     n = draw(st.integers(2, 9 if kind == "random" else 6))
     pool = list(itertools.combinations(range(n), 2))
     edges = draw(st.lists(st.sampled_from(pool), unique=True))
     if kind == "lifted":
         return build_gbar(from_edges(n, edges))
-    size = n + draw(st.integers(0, 3))
+    if kind == "twins":
+        # two pendant leaves on each drawn vertex
+        size = n
+        for v in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+            edges += [(v, size), (v, size + 1)]
+            size += 2
+    else:
+        size = n + draw(st.integers(0, 3))
     perm = draw(st.permutations(range(size)))
     return from_edges(size, [(perm[u], perm[v]) for u, v in edges])
 
@@ -221,6 +257,19 @@ class TestExhaustionOracle:
             assert search.listed == reference.listed
             assert (search.forts, search.covers, search.touch) == (
                 reference.forts, reference.covers, reference.touch)
+
+    def test_shared_vertex_groups(self):
+        # in a star forest the touching edges of every minimal fort, two
+        # leaves of a star or a K1,1 whole, hold one vertex: the search
+        # groups every fort it harvests and still tests the leaves the
+        # position loop tests
+        g = star_forest([3, 3, 2, 1], [(5 * v + 2) % 13 for v in range(13)])
+        search, reference = _Exhaustion(g, g.edges), _Exhaustion(g, g.edges)
+        for k in range(1, 5):
+            assert search.first(k) == exhaustion_reference(reference, k)
+            assert search.explored == reference.explored
+            assert search.listed == reference.listed
+        assert search.grouped == (1 << len(search.forts)) - 1
 
 
 class TestForts:
@@ -291,6 +340,16 @@ class TestForts:
         assert (black, counts) == before
         white = sum(1 << v for v, b in enumerate(black) if not b)
         assert _minimal_fort(neighbour_masks(g), white) == want
+
+    def test_minimal_fort_stops_at_a_tried_vertex(self):
+        # P5 all white: trying 0 empties the fort; trying 1 leaves
+        # {0, 2, 3, 4}; trying 2 would remove 0, which 1 then has alone
+        # inside, and 0 was tried, so the trial stops there; trying 3
+        # leaves {0, 2, 4}; trying 4 stops at 2, through 3
+        g = path_graph(5)
+        black, counts = bytearray(5), [len(a) for a in g.adjacency]
+        want = minimal_fort_reference(g.adjacency, black, counts)
+        assert _minimal_fort(neighbour_masks(g), 0b11111) == want == 0b10101
 
     @settings(max_examples=150, deadline=None)
     @given(disjoint_unions(), st.data())
@@ -606,6 +665,24 @@ class TestMinEdgeForcing:
             tracemalloc.stop()
         assert elapsed < 1.0
         assert peak < 64 << 20
+
+    @pytest.mark.parametrize("k, perm", [
+        (11, None), (13, [(7 * v) % 52 for v in range(52)])])
+    def test_star_forests_answer_at_once(self, k, perm):
+        # every set of two leaves of a star is a fort whose edges all hold
+        # the centre, and one edge at the centre cannot hit all three: the
+        # search prunes each size after a few leaves; a search without that
+        # bound tries every matching of the stars, 22 s for 11 of them
+        g = star_forest([3] * k, perm)
+        start = time.perf_counter()
+        verdict = min_edge_forcing(g)
+        elapsed = time.perf_counter() - start
+        assert verdict.witness is None
+        assert all(is_minimal_fort(g, set(f)) for f in verdict.forts)
+        again = min_edge_forcing(g, forts=verdict.forts)
+        assert again == verdict
+        assert again.forts == verdict.forts
+        assert elapsed < 1.0
 
     def test_one_fort_pool_for_both_passes(self, monkeypatch):
         # BF(2)'s 4 obstruction forts seed the pool, which rules out sizes
