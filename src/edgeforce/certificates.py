@@ -49,14 +49,14 @@ import marshal
 import re
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import chain
+from operator import itemgetter
 from typing import Any, Iterable, Optional, Union
 
 from . import __version__
 from .butterfly import MAX_DIMENSION, build_butterfly, butterfly_size
 from .constructions import known_bounds
 from .engine import closure, is_edge_forcing_set, is_zero_forcing_set
-from .graph import (Edge, Graph, GraphError, from_edges, matching_counts,
-                    normalize_edge)
+from .graph import Edge, Graph, GraphError, from_edges, matching_counts
 from .reduction import MAX_LIFTED_EDGES, build_gbar
 from .solver import (DEFAULT_MAX_EDGES, DEFAULT_MAX_VERTICES,
                      InstanceTooLarge, NotAFort, check_guard,
@@ -195,8 +195,15 @@ def edge_witness(g: Graph, edges: Iterable[Edge]) -> dict:
     plain ints that the adjacency shows is an edge of g is searched for;
     any other (a non-edge, a loop, an endpoint outside [0, n) or not an
     int) takes its `bisect_left` position, so non-edges cost no scan.
+
+    On BF(r), when every endpoint is a plain int in [0, n) (one check for
+    the whole witness), the labels are written in bulk with no
+    `vertex_label` call: each is "[row," from a table of the rows, joined
+    to "level]" from a table of the levels, both tables ending at the
+    largest endpoint's.  Any other witness is labelled vertex by vertex
+    with `g.vertex_label`, which writes the same strings.
     """
-    es = sorted(normalize_edge(*e) for e in edges)
+    es = sorted([(u, v) if u < v else (v, u) for u, v in edges])
     canonical, adj, n = g.edges, g.adjacency, g.vertex_count
     ids, at = [], 0
     for e in es:
@@ -206,12 +213,18 @@ def edge_witness(g: Graph, edges: Iterable[Edge]) -> dict:
             ids.append(at)
         else:
             ids.append(bisect.bisect_left(canonical, e))
-    label = g.vertex_label
-    return {
-        "edge_ids": ids,
-        "edges": [list(e) for e in es],
-        "labels": [[label(u), label(v)] for u, v in es],
-    }
+    r = g.butterfly
+    if (r is not None and set(map(type, chain.from_iterable(es))) == {int}
+            and 0 <= es[0][0] and (top := max(map(itemgetter(1), es))) < n):
+        mask = (1 << r) - 1
+        rows = [f"[{row}," for row in range(min(mask, top) + 1)]
+        levels = [f"{level}]" for level in range((top >> r) + 1)]
+        labels = [[rows[u & mask] + levels[u >> r],
+                   rows[v & mask] + levels[v >> r]] for u, v in es]
+    else:
+        label = g.vertex_label
+        labels = [[label(u), label(v)] for u, v in es]
+    return {"edge_ids": ids, "edges": list(map(list, es)), "labels": labels}
 
 
 def vertex_witness(g: Graph, vertices: Iterable[int]) -> dict:
@@ -368,8 +381,8 @@ def verify_certificate(doc: Union[str, dict, Certificate]
 
     Rebuilds it with the builder the CLI used and compares kind, claim,
     graph, trace and witness, or answers false where a solver refuses the
-    rebuild.  A zf-number or ef-number witness must also force under
-    `engine.forces_all`.
+    rebuild.  A zf-number or ef-number witness must also force under the
+    plain closure (`engine.is_zero_forcing_set`, `is_edge_forcing_set`).
     """
     c = doc if isinstance(doc, Certificate) else parse_certificate(doc)
     kind, search = c.kind, c.search or {}
@@ -418,10 +431,13 @@ def verify_certificate(doc: Union[str, dict, Certificate]
             edges = _witness_edges(c.witness)
             rebuilt = efs_check_certificate(g, edges)
             if search.get("mode") == "construction":
-                # the seed is provenance: an int, but not re-run
+                # the seed is provenance: an int, but not re-run.  Only the
+                # efs-check claim is kept: its witness is freed before the
+                # construction's record is built, at the command's peak
+                claim = rebuilt.claim
+                del rebuilt
                 rebuilt = replace(construction_certificate(
-                    g, edges, _search_int(search, "seed")),
-                    claim=rebuilt.claim)
+                    g, edges, _search_int(search, "seed")), claim=claim)
         elif kind == "bounds":
             rebuilt = bounds_certificate(
                 require_field(c.claim, "r", int, "claim"))
@@ -506,7 +522,7 @@ def efs_check_certificate(g: Graph, edges: list[Edge]) -> Certificate:
     if diagnostics:
         claim["diagnostic"] = diagnostics[0]
     return Certificate(kind="efs-check", graph=describe(g), claim=claim,
-                       witness={"edges": [list(e) for e in edges]})
+                       witness={"edges": list(map(list, edges))})
 
 
 def zf_number_certificate(g: Graph, max_n: int,

@@ -44,7 +44,7 @@ from typing import Optional
 from .butterfly import (MAX_DIMENSION, ButterflyError, build_butterfly,
                         subcopy_vertex)
 from .engine import closure, is_edge_forcing_set, matching_endpoints
-from .graph import Edge, Graph, normalize_edge
+from .graph import Edge, Graph
 from .kernels import extend_closure
 
 # the horizontal skeleton's picks: cycle_edges() positions in the first
@@ -81,10 +81,11 @@ class Obstruction:
     blocked_pair: tuple[int, int]
 
     def cycle_edges(self) -> tuple[Edge, Edge, Edge, Edge]:
-        """The four edges in one fixed order: x-u, y-v, x-v, y-u."""
+        """The four edges in one fixed order: x-u, y-v, x-v, y-u, each
+        normalized inline (`graph.normalize_edge`'s rule)."""
         x, u, y, v = self.cycle
-        return (normalize_edge(x, u), normalize_edge(y, v),
-                normalize_edge(x, v), normalize_edge(y, u))
+        return ((x, u) if x < u else (u, x), (y, v) if y < v else (v, y),
+                (x, v) if x < v else (v, x), (y, u) if y < u else (u, y))
 
 
 def find_obstructions(g: Graph) -> list[Obstruction]:
@@ -115,13 +116,20 @@ def structural_lower_bound(g: Graph) -> tuple[int, list[Obstruction]]:
     maximal set of disjoint pairs has the maximum floor(s/2) pairs; an
     isolated C4 allows one.  Maximal within each group, the pass is
     maximum overall, in time linear in the number of obstructions.
+
+    The pass builds no edges: an obstruction's cycle edges meet the kept
+    ones exactly when one of its four vertices is a degree-2 vertex of a
+    kept obstruction.  Every kept edge has such an endpoint, so a shared
+    edge puts one on the cycle.  Conversely, such a vertex p on the cycle
+    has both its neighbors on the cycle (the hubs, or the cycle's two
+    degree-2 vertices when p is a hub), and p's kept obstruction holds the
+    edges from p to both.
     """
-    kept: set[Edge] = set()
+    kept: set[int] = set()  # the kept obstructions' degree-2 vertices
     family = []
     for o in find_obstructions(g):
-        edges = o.cycle_edges()
-        if kept.isdisjoint(edges):
-            kept.update(edges)
+        if kept.isdisjoint(o.cycle):
+            kept.update(o.blocked_pair)
             family.append(o)
     return len(family), family
 

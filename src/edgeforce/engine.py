@@ -108,6 +108,11 @@ def is_edge_forcing_set(g: Graph, k: Iterable[Edge],
 
     When k is not a matching, returns False; if a `diagnostics` list is
     supplied, the reason ("shares endpoint" vs "non-edge") is appended.
+
+    A matching `matching_diagnostic` accepts has its endpoints in [0, n),
+    so when they are all plain ints their set goes to the kernel as it is.
+    Any other endpoint (a bool, a numpy integer) takes `forces_all`, which
+    meets each endpoint in edge order and refuses the first bad one.
     """
     edges = list(k)
     diag = matching_diagnostic(g, edges)
@@ -115,8 +120,11 @@ def is_edge_forcing_set(g: Graph, k: Iterable[Edge],
         if diagnostics is not None:
             diagnostics.append(diag)
         return False
-    # each endpoint once, in edge order: the first bad one is refused
-    return forces_all(g, chain.from_iterable(edges))
+    black = set(chain.from_iterable(edges))
+    if set(map(type, black)) != {int}:
+        return forces_all(g, chain.from_iterable(edges))
+    final, _, _, _ = run_closure(g, black)
+    return 0 not in final
 
 
 def matching_endpoints(k: Iterable[Edge]) -> frozenset[int]:

@@ -199,16 +199,18 @@ def matching_diagnostic(g: Graph, edges: Iterable[tuple[int, int]]) -> Optional[
     Distinguishes a non-edge from a shared endpoint.  Reads the adjacency,
     which every closure builds, rather than the larger `edge_index` dict.
     """
-    adj = g.adjacency
+    adj, n = g.adjacency, g.vertex_count
     used: set[int] = set()
     for u, v in edges:
-        e = normalize_edge(u, v)
-        if not (0 <= e[0] and e[1] < g.vertex_count and e[1] in adj[e[0]]):
-            return f"non-edge: {e} is not an edge of the graph"
-        if e[0] in used or e[1] in used:
-            shared = e[0] if e[0] in used else e[1]
+        if not u < v:  # `normalize_edge`, inline
+            u, v = v, u
+        if not (0 <= u and v < n and v in adj[u]):
+            return f"non-edge: {(u, v)} is not an edge of the graph"
+        if u in used or v in used:
+            shared = u if u in used else v
             return f"shares endpoint: vertex {shared} appears in two edges"
-        used.update(e)
+        used.add(u)
+        used.add(v)
     return None
 
 

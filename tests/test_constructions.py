@@ -30,6 +30,18 @@ GOLDEN_SHA256 = \
     "7319c0a4440ccdde69e3a9b1917deeb73fc8fe2d5267c78d3269a3a2fdab2fb6"
 
 
+def edge_greedy(obstructions):
+    """The obstructions, in order, whose cycle edges miss those of the
+    ones kept before: the oracle of `structural_lower_bound`'s pass."""
+    kept, family = set(), []
+    for o in obstructions:
+        edges = set(o.cycle_edges())
+        if kept.isdisjoint(edges):
+            kept |= edges
+            family.append(o)
+    return family
+
+
 class TestStructuralLowerBound:
     def test_bf3(self):
         value, family = structural_lower_bound(build_butterfly(3))
@@ -83,6 +95,28 @@ class TestStructuralLowerBound:
         assert value == len(family) == max_edge_disjoint(obstructions)
         cycle_edges = [e for o in family for e in o.cycle_edges()]
         assert len(cycle_edges) == len(set(cycle_edges))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_family_is_the_edge_disjoint_greedy(self, data):
+        # the pass tests cycle vertices against the kept degree-2
+        # vertices; the family is the one the greedy over cycle edges
+        # keeps, in order, on random graphs with K2,s parts, C4s among them
+        n = data.draw(st.integers(0, 10))
+        pool = list(itertools.combinations(range(n), 2))
+        edges = data.draw(st.lists(st.sampled_from(pool), unique=True)
+                          if pool else st.just([]))
+        for s in data.draw(st.lists(st.integers(2, 4), max_size=4)):
+            hubs = (n, n + 1)
+            edges += [(h, n + 2 + i) for h in hubs for i in range(s)]
+            edges += [(h, data.draw(st.integers(0, n + 1 + s)))
+                      for h in hubs if data.draw(st.booleans())]
+            n += s + 2
+        edges = [e for e in edges if e[0] != e[1]]
+        g = from_edges(n, {tuple(sorted(e)) for e in edges})
+        value, family = structural_lower_bound(g)
+        assert family == edge_greedy(find_obstructions(g))
+        assert value == len(family)
 
     @pytest.mark.parametrize("r", range(2, 12))
     def test_butterfly_family_is_every_binding_diamond(self, r):

@@ -92,11 +92,54 @@ class TestMembership:
         assert "non-edge" in diag[0]
 
     def test_efs_refuses_the_first_bad_endpoint_in_edge_order(self):
-        # the matching passes (True and False are 1 and 0 there); the
-        # engine then meets its endpoints in edge order, True first
-        with pytest.raises(ValueError,
-                           match=r"^vertex True is not an integer in \[0, 5\)$"):
-            is_edge_forcing_set(cycle_graph(5), [(True, 2), (False, 4)])
+        # the matching passes (True and False are 1 and 0 there); an
+        # endpoint set that is not all plain ints then goes through
+        # `forces_all`, which meets the endpoints in edge order and
+        # refuses the first that is not an integer
+        for edges, bad in [
+                ([(True, 2), (False, 4)], "True"),
+                ([(True, 2)], "True"),
+                # matched as (1, 2), then met in edge order: 2 passes
+                ([(2, True)], "True"),
+                ([(3, 4), (True, 2)], "True"),
+                # (1, 2.0) is a real edge, but 2.0 is not a vertex
+                ([(3, 4), (1, 2.0)], "2.0")]:
+            with pytest.raises(ValueError, match=(
+                    rf"^vertex {bad} is not an integer in \[0, 5\)$")):
+                is_edge_forcing_set(cycle_graph(5), edges)
+
+    @pytest.mark.parametrize("edges, diagnostic", [
+        # the matching is checked first, whatever the endpoint types
+        ([(0, 2), (True, 2)], "non-edge: (0, 2) is not an edge of the graph"),
+        ([(True, 2), (0, 2)], "non-edge: (0, 2) is not an edge of the graph"),
+        ([(True, 2), (1, 0)],
+         "shares endpoint: vertex 1 appears in two edges"),
+    ])
+    def test_efs_diagnoses_before_it_checks_endpoint_types(self, edges,
+                                                           diagnostic):
+        diag = []
+        assert not is_edge_forcing_set(cycle_graph(5), edges,
+                                       diagnostics=diag)
+        assert diag == [diagnostic]
+
+    @pytest.mark.parametrize("g, edges", [
+        (cycle_graph(5), [(np.int64(0), np.int64(1))]),
+        (cycle_graph(5), [(np.int64(0), 1), (2, np.int32(3))]),
+        (cycle_graph(5), [(0, 1)]),
+        (cycle_graph(5), []),
+        (complete_graph(4), [(np.int64(0), np.int64(1))]),
+        (complete_graph(4), [(0, 1)]),
+    ])
+    def test_efs_numpy_endpoints_take_the_checked_path(self, g, edges):
+        # numpy endpoints go through `forces_all`, plain ones straight to
+        # the kernel: both answer as the closure of the endpoint set does
+        points = {int(v) for e in edges for v in e}
+        assert is_edge_forcing_set(g, edges) == (
+            closure_sequential(g, points) == frozenset(range(g.vertex_count)))
+
+    def test_efs_numpy_bool_endpoint_is_not_an_index(self):
+        with pytest.raises(TypeError, match="tuple indices must be integers"):
+            is_edge_forcing_set(cycle_graph(5), [(np.True_, 2)])
 
     def test_forces_all_matches_membership(self):
         rng = random.Random(11)

@@ -1,10 +1,13 @@
+import bisect
 import contextlib
 import copy
 import dataclasses
+import functools
 import gc
 import io
 import itertools
 import json
+import math
 import os
 import pathlib
 import random
@@ -28,7 +31,7 @@ from edgeforce.certificates import (MAX_GRAPH_VERTICES, CertificateError,
                                     verify_certificate, vertex_witness)
 from edgeforce.cli import main, to_dot
 from edgeforce.constructions import DEFAULT_SEED, construct_edge_forcing
-from edgeforce.graph import from_edges
+from edgeforce.graph import from_edges, normalize_edge
 from edgeforce.solver import DEFAULT_MAX_EDGES, Verdict
 
 from conftest import (cycle_graph, edge_witness_reference, path_graph,
@@ -253,7 +256,67 @@ def witness_pairs(draw):
     return g, draw(st.permutations(pairs))
 
 
+def label_record(g, pairs) -> dict:
+    """`edge_witness` by its definition, vertex by vertex: each pair
+    normalized and sorted, its id by bisection of `g.edges` and each
+    endpoint's label by `g.vertex_label`.  The oracle of the bulk labels."""
+    es = sorted(normalize_edge(*e) for e in pairs)
+    return {"edge_ids": [bisect.bisect_left(g.edges, e) for e in es],
+            "edges": [list(e) for e in es],
+            "labels": [[g.vertex_label(u), g.vertex_label(v)]
+                       for u, v in es]}
+
+
+butterfly_graph = functools.lru_cache(build_butterfly)
+
+
+@st.composite
+def butterfly_matchings(draw):
+    """BF(r), r = 1..5, tagged as BF(r) or not, and a matching of it, each
+    edge either way round, plus pairs that take the per-vertex path: a
+    non-edge, a loop, an endpoint outside [0, n) or a numpy integer."""
+    r = draw(st.integers(1, 5))
+    g = butterfly_graph(r)
+    n = g.vertex_count
+    matching, used = [], set()
+    for i in draw(st.lists(st.integers(0, g.edge_count - 1), max_size=40)):
+        u, v = g.edges[i]
+        if u not in used and v not in used:
+            used.update((u, v))
+            matching.append((v, u) if draw(st.booleans()) else (u, v))
+    vertex = st.integers(0, n - 1)
+    extra = st.one_of(
+        st.tuples(vertex, vertex),  # a non-edge or a loop, or an edge
+        st.tuples(vertex, st.sampled_from([-1, n, n + 1, 2 * n])),
+        st.sampled_from(g.edges).map(lambda e: (np.int64(e[0]), e[1])),
+        vertex.map(lambda v: (np.int64(v), np.int32((v + 1) % n))))
+    pairs = matching + draw(st.lists(extra, max_size=3))
+    if not draw(st.booleans()):
+        g = dataclasses.replace(g, butterfly=None)
+    return g, draw(st.permutations(pairs))
+
+
 class TestEdgeWitness:
+    @pytest.mark.parametrize("r", range(1, 10))
+    def test_butterfly_witness_labels(self, r):
+        # BF(1) and BF(2) have no edge-forcing set: a perfect matching
+        # (each level-0 vertex's straight edge) stands in for one
+        g = build_butterfly(r)
+        edges = (construct_edge_forcing(r) if r >= 3
+                 else [(w, w + (1 << r)) for w in range(1 << r)])
+        assert edge_witness(g, edges) == label_record(g, edges)
+        bare = dataclasses.replace(g, butterfly=None)
+        assert edge_witness(bare, edges) == label_record(bare, edges)
+
+    @settings(max_examples=300, deadline=None)
+    @given(butterfly_matchings())
+    def test_matchings_against_vertex_label(self, case):
+        g, pairs = case
+        record = edge_witness(g, pairs)
+        assert record == label_record(g, pairs)
+        assert {type(label) for row in record["labels"] for label in row} \
+            <= {str}
+
     @settings(max_examples=300, deadline=None)
     @given(witness_pairs())
     def test_matches_the_bisection_record(self, case):
@@ -420,6 +483,73 @@ def reversed_and_flipped(doc):
     edges = doc["graph"]["edges"]
     doc["graph"]["edges"] = [[v, u] for u, v in reversed(edges)]
     return doc
+
+
+def type_exact(a, b) -> bool:
+    """JSON values equal with their types kept apart: true is not 1, 1.0
+    is not 1 and -0.0 is not 0.0 (no NaN is drawn).  The oracle of
+    `certificates._same`."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is dict:
+        return a.keys() == b.keys() and all(type_exact(a[k], b[k]) for k in a)
+    if type(a) is list:
+        return len(a) == len(b) and all(map(type_exact, a, b))
+    if type(a) is float:
+        return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+    return a == b
+
+
+def perturbed(data, value):
+    """A copy of a JSON value in which some leaves, drawn at random, take
+    an equal value of another type (1 for true, 1.0 for 1, -0.0 for 0.0)
+    or another value, and some lists lose their last item.  Dict keys and
+    their order are kept."""
+    kind = type(value)
+    if kind is dict:
+        return {k: perturbed(data, v) for k, v in value.items()}
+    if kind is list:
+        items = [perturbed(data, v) for v in value]
+        if items and data.draw(st.integers(0, 9)) == 0:
+            items.pop()
+        return items
+    if data.draw(st.integers(0, 3)):
+        return value
+    if kind is bool:
+        return int(value)
+    if kind is int:
+        return data.draw(st.sampled_from(
+            [float(value), value + 1] + [bool(value)] * (value in (0, 1))))
+    if kind is float:
+        return data.draw(st.sampled_from(
+            [-value, value + 1] + [int(value)] * value.is_integer()))
+    return value + "x" if kind is str else value
+
+
+class TestSame:
+    """`verify` compares a rebuilt record with the certificate's by
+    `_same`: equal values of equal JSON types."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(value=JSON_VALUES, data=st.data())
+    def test_agrees_with_type_exact_equality(self, value, data):
+        other = perturbed(data, copy.deepcopy(value))
+        assert certificates._same(value, other) == type_exact(value, other)
+        assert certificates._same(value, copy.deepcopy(value))
+
+    @pytest.mark.parametrize("rebuilt, given_value", [
+        ([1, 1, 3], [1, True, 3]),
+        ([1, 1, 3], [1, 1.0, 3]),
+        ([[1, 2], [1, 4]], [[1, 2], [True, 4]]),
+        ([[1, 2], [1, 4]], [[1, 2], [1.0, 4]]),
+        ({"edge_ids": [1, 2], "edges": [[0, 1], [0, 2]]},
+         {"edge_ids": [1, 2], "edges": [[0.0, 1], [0, 2]]}),
+        ({"edge_ids": [1, 2], "edges": [[0, 1], [0, 2]]},
+         {"edge_ids": [True, 2], "edges": [[0, 1], [0, 2]]}),
+    ])
+    def test_refuses_true_and_floats_for_ints(self, rebuilt, given_value):
+        assert given_value == rebuilt
+        assert not certificates._same(rebuilt, given_value)
 
 
 class TestGraphField:
