@@ -522,7 +522,8 @@ def perturbed(data, value):
             [float(value), value + 1] + [bool(value)] * (value in (0, 1))))
     if kind is float:
         return data.draw(st.sampled_from(
-            [-value, value + 1] + [int(value)] * value.is_integer()))
+            [-value, value + 1] + ([int(value)] if value.is_integer()
+                                   else [])))
     return value + "x" if kind is str else value
 
 
