@@ -47,10 +47,9 @@ import bisect
 import json
 import marshal
 import re
-from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import chain
 from operator import itemgetter
-from typing import Any, Iterable, Optional, Union
+from typing import Any, Iterable, NamedTuple, Optional, Union
 
 from . import __version__
 from .butterfly import MAX_DIMENSION, build_butterfly, butterfly_size
@@ -91,8 +90,7 @@ def require_field(doc: Any, key: str, kind: type, where: str) -> Any:
     return value
 
 
-@dataclass(frozen=True)
-class Certificate:
+class _CertificateFields(NamedTuple):
     kind: str
     graph: Union[str, dict]  # "butterfly:r" or {"n":..., "edges":[...]}
     claim: dict
@@ -101,8 +99,26 @@ class Certificate:
     obstructions: Optional[list] = None
     search: Optional[dict] = None
     schema_version: str = SCHEMA_VERSION
-    tool: dict = field(default_factory=lambda: {"name": "edgeforce",
-                                                "version": __version__})
+    tool: Optional[dict] = None
+
+
+class Certificate(_CertificateFields):
+    """A certificate record; its `_asdict()` is the JSON object.  `tool`
+    defaults to a new {"name": "edgeforce", "version": ...} dict for each
+    certificate, which a NamedTuple default, one object, could not do."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, graph: Union[str, dict], claim: dict,
+                witness: Optional[dict] = None, trace: Optional[list] = None,
+                obstructions: Optional[list] = None,
+                search: Optional[dict] = None,
+                schema_version: str = SCHEMA_VERSION,
+                tool: Optional[dict] = None) -> Certificate:
+        if tool is None:
+            tool = {"name": "edgeforce", "version": __version__}
+        return super().__new__(cls, kind, graph, claim, witness, trace,
+                               obstructions, search, schema_version, tool)
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +272,12 @@ def _witness_edges(witness: Any) -> list[Edge]:
 
 def emit_certificate(c: Certificate) -> str:
     """Deterministic JSON, byte-identical to
-    ``json.dumps(vars(c), sort_keys=True, indent=2) + "\\n"``: `_render`
-    writes the bulk shapes itself and hands every other value to json."""
+    ``json.dumps(c._asdict(), sort_keys=True, indent=2) + "\\n"``:
+    `_render` writes the bulk shapes itself and hands every other value to
+    json."""
     if c.kind not in CLAIM_KINDS:
         raise CertificateError(f"unknown claim kind {c.kind!r}")
-    return _render(vars(c), "") + "\n"
+    return _render(c._asdict(), "") + "\n"
 
 
 _LEAF = {int: int.__repr__, str: json.encoder.encode_basestring_ascii,
@@ -306,8 +323,7 @@ def parse_certificate(doc: Union[str, dict]) -> Certificate:
         doc = decode_json(doc)
     if not isinstance(doc, dict):
         raise CertificateError("certificate must be a JSON object")
-    known = {f.name for f in fields(Certificate)}
-    unknown = [key for key in doc if key not in known]
+    unknown = [key for key in doc if key not in Certificate._fields]
     if unknown:
         raise CertificateError(f"certificate has unknown keys {unknown}")
     if doc.get("schema_version") != SCHEMA_VERSION:
@@ -436,8 +452,9 @@ def verify_certificate(doc: Union[str, dict, Certificate]
                 # construction's record is built, at the command's peak
                 claim = rebuilt.claim
                 del rebuilt
-                rebuilt = replace(construction_certificate(
-                    g, edges, _search_int(search, "seed")), claim=claim)
+                rebuilt = construction_certificate(
+                    g, edges, _search_int(search, "seed"))._replace(
+                    claim=claim)
         elif kind == "bounds":
             rebuilt = bounds_certificate(
                 require_field(c.claim, "r", int, "claim"))
@@ -596,4 +613,4 @@ def construction_certificate(g: Graph, witness: list[Edge],
 
 def bounds_certificate(r: int) -> Certificate:
     return Certificate(kind="bounds", graph=BUTTERFLY.format(r),
-                       claim=asdict(known_bounds(r)))
+                       claim=known_bounds(r)._asdict())

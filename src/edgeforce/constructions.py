@@ -28,9 +28,9 @@ ConstructionError:
   needs no middle edge, so its witness is the vertical plus the
   `CROSS_MIX` horizontal skeleton.
 * BF(r), r >= 6: recursion.  The BF(r-2) witness is copied into the four
-  sub-copies on levels 0..r-2 (`butterfly.subcopy_vertex`) and the
-  `STRAIGHT_LOW` horizontal skeleton is added; the result is verified by
-  closure.
+  sub-copies on levels 0..r-2 (`butterfly.subcopy_vertex`, inline in
+  `_subcopies`) and the `STRAIGHT_LOW` horizontal skeleton is added; the
+  result is verified by closure.
 """
 
 from __future__ import annotations
@@ -38,11 +38,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .butterfly import (MAX_DIMENSION, ButterflyError, build_butterfly,
-                        subcopy_vertex)
+from .butterfly import MAX_DIMENSION, ButterflyError, build_butterfly
 from .engine import closure, is_edge_forcing_set, matching_endpoints
 from .graph import Edge, Graph
 from .kernels import extend_closure
@@ -69,8 +67,7 @@ class ConstructionError(RuntimeError):
 # obstruction lower bound
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Obstruction:
+class Obstruction(NamedTuple):
     """A 4-cycle whose two degree-2 vertices share both neighbors.
 
     If an edge set avoids all four cycle edges, the blocked pair can never
@@ -214,11 +211,19 @@ def _seeded_search(g: Graph, r: int, diamonds: list[Obstruction],
     return sorted(full)
 
 
+def _subcopies(r: int, sub: list[Edge]) -> list[Edge]:
+    """The edges `sub` of BF(r-2) in each of BF(r)'s four sub-copies, copy
+    by copy: `butterfly.subcopy_vertex` on every endpoint, written inline
+    with the copy's top row bits shifted once per copy."""
+    s = r - 2
+    mask = (1 << s) - 1
+    return [(u >> s << r | top | u & mask, v >> s << r | top | v & mask)
+            for top in (0, 1 << s, 2 << s, 3 << s) for u, v in sub]
+
+
 def _recursive_witness(g: Graph, r: int, diamonds: list[Obstruction],
                        seed: int) -> list[Edge]:
-    sub = construct_edge_forcing(r - 2, seed=seed)
-    edges = [(subcopy_vertex(r, high_bits, u), subcopy_vertex(r, high_bits, v))
-             for high_bits in range(4) for u, v in sub]
+    edges = _subcopies(r, construct_edge_forcing(r - 2, seed=seed))
     edges += _horizontal_skeleton(diamonds, STRAIGHT_LOW)
     if not is_edge_forcing_set(g, edges):
         forced = closure(g, matching_endpoints(edges)).final
@@ -265,8 +270,7 @@ def butterfly_witness(g: Graph, seed: int = DEFAULT_SEED) -> list[Edge]:
 # bounds
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     r: int
     exists: bool
     lower: Optional[int]

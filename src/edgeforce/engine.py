@@ -5,25 +5,22 @@ that is not an integer in [0, n) raises ValueError."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress
 from operator import index
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
-from .graph import Edge, Graph, is_vertex, matching_diagnostic
+from .graph import Edge, Frozen, Graph, is_vertex, matching_diagnostic
 from .kernels import run_closure
 
 
-@dataclass(frozen=True)
-class ForceEvent:
+class ForceEvent(NamedTuple):
     round: int
     forcer: int
     forced: int
 
 
-@dataclass(frozen=True)
-class ForcingTrace:
+class ForcingTrace(NamedTuple):
     """Ordered record of force events from a fixed reference schedule."""
 
     initial: frozenset[int]
@@ -49,15 +46,31 @@ class ForcingTrace:
         return frozenset(black)
 
 
-@dataclass(frozen=True)
-class ClosureResult:
+class ClosureResult(Frozen):
     """Final black set of a closure, with the kernel's three int32 event
     arrays (round, forcer, forced) as `run_closure` returns them; `trace`
-    builds the ForceEvents on first read."""
+    builds the ForceEvents on first read.  The events take no part in
+    equality, the hash or the repr."""
 
     final: frozenset[int]
     initial: frozenset[int]
-    events: tuple = field(compare=False, repr=False)
+    events: tuple
+
+    def __init__(self, final: frozenset[int], initial: frozenset[int],
+                 events: tuple) -> None:
+        d = self.__dict__
+        d["final"], d["initial"], d["events"] = final, initial, events
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not ClosureResult:
+            return NotImplemented
+        return self.final == other.final and self.initial == other.initial
+
+    def __hash__(self) -> int:
+        return hash((self.final, self.initial))
+
+    def __repr__(self) -> str:
+        return f"ClosureResult(final={self.final!r}, initial={self.initial!r})"
 
     @cached_property
     def trace(self) -> ForcingTrace:

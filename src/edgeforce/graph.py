@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, islice
 from numbers import Integral
@@ -27,8 +26,21 @@ def normalize_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
-class Graph:
+class Frozen:
+    """A record whose fields `__init__` writes into its instance dict, where
+    `cached_property` also keeps its values; assigning or deleting an
+    attribute afterwards raises AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign {type(self).__name__}.{name}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
+
+
+class Graph(Frozen):
     """Simple undirected graph with dense integer vertices.
 
     Vertices are 0..vertex_count-1.  `edges` are canonical: sorted (u, v)
@@ -38,12 +50,32 @@ class Graph:
     the list is its canonical identity (used by certificates and
     enumeration order).  `butterfly` is r when `build_butterfly(r)` made
     the graph: it names the graph BF(r) in certificates and gives its
-    vertices their "[row,level]" labels.  It takes no part in equality.
+    vertices their "[row,level]" labels.  It takes no part in equality
+    or the hash.
     """
 
     vertex_count: int
     edges: tuple[Edge, ...]
-    butterfly: Optional[int] = field(default=None, compare=False)
+    butterfly: Optional[int]
+
+    def __init__(self, vertex_count: int, edges: tuple[Edge, ...],
+                 butterfly: Optional[int] = None) -> None:
+        d = self.__dict__
+        d["vertex_count"], d["edges"], d["butterfly"] = (
+            vertex_count, edges, butterfly)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Graph:
+            return NotImplemented
+        return (self.vertex_count == other.vertex_count
+                and self.edges == other.edges)
+
+    def __hash__(self) -> int:
+        return hash((self.vertex_count, self.edges))
+
+    def __repr__(self) -> str:
+        return (f"Graph(vertex_count={self.vertex_count!r}, "
+                f"edges={self.edges!r}, butterfly={self.butterfly!r})")
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:

@@ -5,9 +5,8 @@ out a forcing set.  Both searches return a `Verdict`."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import index
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .constructions import structural_lower_bound
 from .graph import Graph, GraphError, is_vertex
@@ -41,8 +40,7 @@ def check_guard(n: int, count: int, limit: int, what: str) -> None:
             f"raise max_{what} explicitly to proceed")
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of an exact search: what it found, what it did, and the forts
     it knew.
 
@@ -54,12 +52,27 @@ class Verdict:
     lists the forts the caller seeded, then those the search harvested,
     as ascending vertex lists; it is the verdict's own list.  `explored`
     and `forts` describe the run, not the answer, so they take no part in
-    equality: a search seeded with more forts tests fewer leaves.
+    equality or the hash, which read only `witness`: a search seeded with
+    more forts tests fewer leaves.
     """
 
     witness: Optional[frozenset]
-    explored: int = field(compare=False)
-    forts: list[list[int]] = field(compare=False)
+    explored: int
+    forts: list[list[int]]
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Verdict:
+            return NotImplemented
+        return self.witness == other.witness
+
+    def __ne__(self, other: object) -> bool:
+        # tuple's own __ne__ would compare every field
+        if type(other) is not Verdict:
+            return NotImplemented
+        return self.witness != other.witness
+
+    def __hash__(self) -> int:
+        return hash(self.witness)
 
     @property
     def exists(self) -> bool:

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from edgeforce import constructions
-from edgeforce.butterfly import ButterflyError, build_butterfly
+from edgeforce.butterfly import ButterflyError, build_butterfly, subcopy_vertex
 from edgeforce.certificates import CertificateError, bf2_nonexistence_counts
 from edgeforce.constructions import (DEFAULT_SEED, ConstructionError,
                                      butterfly_witness,
@@ -197,6 +197,16 @@ class TestConstructions:
         assert matching_diagnostic(build_butterfly(r), w) is None
         assert report.lower <= len(w) <= report.upper_formula
         assert len(w) <= report.upper_recursive
+
+    @pytest.mark.parametrize("r", range(3, 10))
+    def test_subcopies_map_every_vertex(self, r):
+        # the bulk map against its per-vertex definition, BF(r) into BF(r+2)
+        sub = construct_edge_forcing(r)
+        copies = constructions._subcopies(r + 2, sub)
+        assert copies == [(subcopy_vertex(r + 2, high_bits, u),
+                           subcopy_vertex(r + 2, high_bits, v))
+                          for high_bits in range(4) for u, v in sub]
+        assert matching_diagnostic(build_butterfly(r + 2), copies) is None
 
     def test_bf2_raises(self):
         with pytest.raises(ConstructionError, match="BF\\(2\\)"):

@@ -59,6 +59,16 @@ def test_only_the_kernel_imports_numpy():
     assert users == ["kernels.py"]
 
 
+def test_no_module_imports_dataclasses():
+    # records are NamedTuples or plain classes: the dataclass decorators
+    # and the `dataclasses` import (which loads `inspect`) cost start-up
+    users = [p.name for p in sorted(SRC.glob("*.py")) if "dataclasses"
+             in imported_modules(p.read_text(encoding="utf-8"))]
+    assert users == []
+    assert imported_modules("from dataclasses import dataclass\n") == {
+        "dataclasses"}
+
+
 def test_only_the_cli_pauses_the_collector():
     # main pauses the cyclic collector around one command; a library call
     # never changes that process-wide state
@@ -142,6 +152,12 @@ def test_import_loads_no_logging():
     # the package logs nothing, so importing it sets up no logger
     assert fresh_python("import sys, edgeforce\n"
                         "print('logging' in sys.modules)") == "False"
+
+
+def test_cli_import_loads_no_dataclasses():
+    assert fresh_python("import sys, edgeforce.cli\n"
+                        "print(sorted({'dataclasses', 'inspect'}"
+                        " & set(sys.modules)))") == "[]"
 
 
 @pytest.mark.parametrize("argv", [

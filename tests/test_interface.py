@@ -1,7 +1,6 @@
 import bisect
 import contextlib
 import copy
-import dataclasses
 import functools
 import gc
 import io
@@ -31,7 +30,7 @@ from edgeforce.certificates import (MAX_GRAPH_VERTICES, CertificateError,
                                     verify_certificate, vertex_witness)
 from edgeforce.cli import main, to_dot
 from edgeforce.constructions import DEFAULT_SEED, construct_edge_forcing
-from edgeforce.graph import from_edges, normalize_edge
+from edgeforce.graph import Graph, from_edges, normalize_edge
 from edgeforce.solver import DEFAULT_MAX_EDGES, Verdict
 
 from conftest import (cycle_graph, edge_witness_reference, path_graph,
@@ -243,7 +242,8 @@ def witness_pairs(draw):
     pool = list(itertools.combinations(range(n), 2))
     g = from_edges(n, draw(st.lists(st.sampled_from(pool), unique=True))
                    if pool else [])
-    g = dataclasses.replace(g, butterfly=draw(st.none() | st.integers(1, 3)))
+    g = Graph(g.vertex_count, g.edges,
+              butterfly=draw(st.none() | st.integers(1, 3)))
     endpoint = (st.integers(-2, n + 1) | st.booleans()
                 | st.integers(-2, 2 * n + 2).map(lambda i: i / 2))
     pair = st.tuples(endpoint, endpoint)
@@ -292,7 +292,7 @@ def butterfly_matchings(draw):
         vertex.map(lambda v: (np.int64(v), np.int32((v + 1) % n))))
     pairs = matching + draw(st.lists(extra, max_size=3))
     if not draw(st.booleans()):
-        g = dataclasses.replace(g, butterfly=None)
+        g = Graph(g.vertex_count, g.edges, butterfly=None)
     return g, draw(st.permutations(pairs))
 
 
@@ -305,7 +305,7 @@ class TestEdgeWitness:
         edges = (construct_edge_forcing(r) if r >= 3
                  else [(w, w + (1 << r)) for w in range(1 << r)])
         assert edge_witness(g, edges) == label_record(g, edges)
-        bare = dataclasses.replace(g, butterfly=None)
+        bare = Graph(g.vertex_count, g.edges, butterfly=None)
         assert edge_witness(bare, edges) == label_record(bare, edges)
 
     @settings(max_examples=300, deadline=None)
@@ -395,7 +395,7 @@ JSON_VALUES = st.recursive(
 
 class TestEmit:
     """`emit_certificate` writes each certificate byte for byte as
-    json.dumps(vars(c), sort_keys=True, indent=2) + "\\n" does."""
+    json.dumps(c._asdict(), sort_keys=True, indent=2) + "\\n" does."""
 
     @settings(max_examples=400, deadline=None)
     @given(value=JSON_VALUES, pad=st.sampled_from(["", "  ", "      "]))
@@ -444,7 +444,7 @@ class TestEmit:
         for cert in [*self.certificates_of(g), *extra]:
             kinds.add(cert.kind)
             assert emit_certificate(cert) == json.dumps(
-                vars(cert), sort_keys=True, indent=2) + "\n"
+                cert._asdict(), sort_keys=True, indent=2) + "\n"
         assert len(kinds) >= 4
 
     @pytest.mark.parametrize("claim", [
