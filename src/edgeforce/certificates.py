@@ -7,7 +7,10 @@ canonical edge identity and by display label, and search metadata,
 including the guard an exact search ran under.  Each claim kind has one
 builder here, which the CLI emits; ef-number and nonexistence share
 `ef_number_certificate`, the one exact edge-forcing search, and
-`reduction_certificate` runs both exact searches around the gadget.
+`reduction_certificate` runs both exact searches around the gadget.  A
+`Certificate` holds the six fields a builder computes; the three all
+write alike (`obstructions`, always null, `schema_version` and `tool`)
+are `CONSTANT_FIELDS`, merged in on emit and checked on parse.
 
 The exact builders (zf-number, ef-number, nonexistence and
 reduction-equivalence) also write the forts their searches knew, as
@@ -35,10 +38,12 @@ counts are those of `graph.matching_counts`, read off the graph alone,
 so the seeds change none of these.
 A zf-number or ef-number witness must be the solver's lex-first one,
 and it must also force under the plain closure engine, which does not
-share the search's fort pruning.  The rest of `search` (`explored`, the
-leaves the search tested, which the seeds do change; `seed`, ...) is
-provenance, not compared, but a key the rebuild does not write is
-refused, as is a guard or seed that is not an int.
+share the search's fort pruning.  A construction (an efs-check of search
+mode "construction") is rebuilt from its own witness, claiming "result":
+true, and that witness is closed by the same engine.  The rest of
+`search` (`explored`, the leaves the search tested, which the seeds do
+change; `seed`, ...) is provenance, not compared, but a key the rebuild
+does not write is refused, as is a guard or seed that is not an int.
 """
 
 from __future__ import annotations
@@ -90,35 +95,22 @@ def require_field(doc: Any, key: str, kind: type, where: str) -> Any:
     return value
 
 
-class _CertificateFields(NamedTuple):
+# the fields every certificate writes alike: `emit_certificate` merges
+# them into the record, `parse_certificate` checks them
+CONSTANT_FIELDS = {"obstructions": None, "schema_version": SCHEMA_VERSION,
+                   "tool": {"name": "edgeforce", "version": __version__}}
+
+
+class Certificate(NamedTuple):
+    """A certificate record, the fields its builder computes; the JSON
+    object is its `_asdict()` merged with `CONSTANT_FIELDS`."""
+
     kind: str
     graph: Union[str, dict]  # "butterfly:r" or {"n":..., "edges":[...]}
     claim: dict
     witness: Optional[dict] = None
     trace: Optional[list] = None
-    obstructions: Optional[list] = None
     search: Optional[dict] = None
-    schema_version: str = SCHEMA_VERSION
-    tool: Optional[dict] = None
-
-
-class Certificate(_CertificateFields):
-    """A certificate record; its `_asdict()` is the JSON object.  `tool`
-    defaults to a new {"name": "edgeforce", "version": ...} dict for each
-    certificate, which a NamedTuple default, one object, could not do."""
-
-    __slots__ = ()
-
-    def __new__(cls, kind: str, graph: Union[str, dict], claim: dict,
-                witness: Optional[dict] = None, trace: Optional[list] = None,
-                obstructions: Optional[list] = None,
-                search: Optional[dict] = None,
-                schema_version: str = SCHEMA_VERSION,
-                tool: Optional[dict] = None) -> Certificate:
-        if tool is None:
-            tool = {"name": "edgeforce", "version": __version__}
-        return super().__new__(cls, kind, graph, claim, witness, trace,
-                               obstructions, search, schema_version, tool)
 
 
 # ---------------------------------------------------------------------------
@@ -271,13 +263,12 @@ def _witness_edges(witness: Any) -> list[Edge]:
 # ---------------------------------------------------------------------------
 
 def emit_certificate(c: Certificate) -> str:
-    """Deterministic JSON, byte-identical to
-    ``json.dumps(c._asdict(), sort_keys=True, indent=2) + "\\n"``:
-    `_render` writes the bulk shapes itself and hands every other value to
-    json."""
+    """Deterministic JSON, byte-identical to ``json.dumps({**c._asdict(),
+    **CONSTANT_FIELDS}, sort_keys=True, indent=2) + "\\n"``: `_render`
+    writes the bulk shapes itself and hands every other value to json."""
     if c.kind not in CLAIM_KINDS:
         raise CertificateError(f"unknown claim kind {c.kind!r}")
-    return _render(c._asdict(), "") + "\n"
+    return _render({**c._asdict(), **CONSTANT_FIELDS}, "") + "\n"
 
 
 _LEAF = {int: int.__repr__, str: json.encoder.encode_basestring_ascii,
@@ -323,7 +314,8 @@ def parse_certificate(doc: Union[str, dict]) -> Certificate:
         doc = decode_json(doc)
     if not isinstance(doc, dict):
         raise CertificateError("certificate must be a JSON object")
-    unknown = [key for key in doc if key not in Certificate._fields]
+    unknown = [key for key in doc if key not in Certificate._fields
+               and key not in CONSTANT_FIELDS]
     if unknown:
         raise CertificateError(f"certificate has unknown keys {unknown}")
     if doc.get("schema_version") != SCHEMA_VERSION:
@@ -342,7 +334,7 @@ def parse_certificate(doc: Union[str, dict]) -> Certificate:
     if doc.get("obstructions") is not None:
         # no builder writes one, so nothing would check it
         raise CertificateError('certificate field "obstructions" must be null')
-    tool = doc.get("tool", {})
+    tool = doc.get("tool")
     if "tool" in doc and not (
             isinstance(tool, dict) and tool.keys() == {"name", "version"}
             and tool["name"] == "edgeforce"
@@ -352,9 +344,7 @@ def parse_certificate(doc: Union[str, dict]) -> Certificate:
     return Certificate(
         kind=kind, graph=doc["graph"], claim=doc.get("claim", {}),
         witness=doc.get("witness"), trace=doc.get("trace"),
-        obstructions=doc.get("obstructions"), search=doc.get("search"),
-        schema_version=doc["schema_version"],
-        tool=tool)
+        search=doc.get("search"))
 
 
 # ---------------------------------------------------------------------------
@@ -397,17 +387,18 @@ def verify_certificate(doc: Union[str, dict, Certificate]
 
     Rebuilds it with the builder the CLI used and compares kind, claim,
     graph, trace and witness, or answers false where a solver refuses the
-    rebuild.  A zf-number or ef-number witness must also force under the
-    plain closure (`engine.is_zero_forcing_set`, `is_edge_forcing_set`).
+    rebuild.  A zf-number, ef-number or construction witness must also
+    force under the plain closure (`engine.is_zero_forcing_set`,
+    `is_edge_forcing_set`, whose reason a non-matching adds).
     """
     c = doc if isinstance(doc, Certificate) else parse_certificate(doc)
     kind, search = c.kind, c.search or {}
     # an exact kind's graph is built only after its fields' type checks
     # and its search's guard on the field's counts; a bounds certificate
     # is rebuilt from claim.r alone, graph field included.  An exact
-    # claim's witness is also closed by the reference engine, which
-    # refuses a vertex outside [0, n) and prunes nothing
-    witness_forces = True
+    # claim's or a construction's witness is also closed by the reference
+    # engine, which refuses a vertex outside [0, n) and prunes nothing
+    witness_forces, diagnostics = True, []
     try:
         if kind == "zf-number":
             n, _ = graph_size(c.graph)
@@ -432,7 +423,7 @@ def verify_certificate(doc: Union[str, dict, Certificate]
             check_guard(n, m, max_edges, "edges")
             g = resolve_graph(c.graph)
             if kind == "ef-number":
-                witness_forces = is_edge_forcing_set(g, witness)
+                witness_forces = is_edge_forcing_set(g, witness, diagnostics)
             rebuilt = ef_number_certificate(g, max_edges, forts)
         elif kind == "closure":
             rebuilt = closure_certificate(
@@ -445,16 +436,13 @@ def verify_certificate(doc: Union[str, dict, Certificate]
         elif kind == "efs-check":
             g = resolve_graph(c.graph)
             edges = _witness_edges(c.witness)
-            rebuilt = efs_check_certificate(g, edges)
             if search.get("mode") == "construction":
-                # the seed is provenance: an int, but not re-run.  Only the
-                # efs-check claim is kept: its witness is freed before the
-                # construction's record is built, at the command's peak
-                claim = rebuilt.claim
-                del rebuilt
+                # the seed is provenance: an int, but not re-run
+                witness_forces = is_edge_forcing_set(g, edges, diagnostics)
                 rebuilt = construction_certificate(
-                    g, edges, _search_int(search, "seed"))._replace(
-                    claim=claim)
+                    g, edges, _search_int(search, "seed"))
+            else:
+                rebuilt = efs_check_certificate(g, edges)
         elif kind == "bounds":
             rebuilt = bounds_certificate(
                 require_field(c.claim, "r", int, "claim"))
@@ -491,9 +479,10 @@ def verify_certificate(doc: Union[str, dict, Certificate]
     if not _same(rebuilt.witness, c.witness):
         return False, WITNESS_DIFFERS
     if not witness_forces:
-        # the witness equals the solver's here, so only a closure without
-        # the search's fort pruning can catch a fault in that pruning
-        return False, "witness does not force under the reference closure"
+        # the witness equals the solver's or is a construction's own, so
+        # only a closure without the search's pruning can refuse it
+        return False, ("witness does not force under the reference closure"
+                       + "".join(f" ({d})" for d in diagnostics))
     return True, f"{kind} certificate recomputed from its inputs"
 
 

@@ -15,22 +15,23 @@ per horizontal diamond, the low row's straight edge (`STRAIGHT_LOW`) or,
 in `CROSS_MIX`, the low row's cross edge in the first half of the
 diamonds and the high row's after.
 
-The butterfly witnesses come in two flavors, each built once and verified
-once, with no retry or fallback; a witness that fails raises
+The butterfly witnesses come in two flavors, each built once with no
+retry or fallback.  Only the witness returned is verified, by one closure
+on BF(r); the witnesses of BF(r-2), BF(r-4), ... and the seeded greedy's
+result are parts of it, not checked apart.  A witness that fails raises
 ConstructionError:
 
 * BF(3), BF(4), BF(5): a pattern-seeded search.  The skeleton (one edge
   per binding diamond) is fixed, then one seeded greedy completion over
-  middle-level edges is run to the size in `SEEDED_SEARCHES` and
-  verified.  The witnesses are recomputed, never hard-coded.  Only
+  middle-level edges is run to the size in `SEEDED_SEARCHES`.  The
+  witnesses are recomputed, never hard-coded.  Only
   BF(3)'s size is proven least (it meets the obstruction bound 2^r); 25
   and 47 are the sizes these searches reach, upper bounds only.  BF(3)
   needs no middle edge, so its witness is the vertical plus the
   `CROSS_MIX` horizontal skeleton.
 * BF(r), r >= 6: recursion.  The BF(r-2) witness is copied into the four
   sub-copies on levels 0..r-2 (`butterfly.subcopy_vertex`, inline in
-  `_subcopies`) and the `STRAIGHT_LOW` horizontal skeleton is added; the
-  result is verified by closure.
+  `_subcopies`) and the `STRAIGHT_LOW` horizontal skeleton is added.
 """
 
 from __future__ import annotations
@@ -75,7 +76,11 @@ class Obstruction(NamedTuple):
     """
 
     cycle: tuple[int, int, int, int]  # x, u, y, v in cycle order
-    blocked_pair: tuple[int, int]
+
+    @property
+    def blocked_pair(self) -> tuple[int, int]:
+        """The two degree-2 vertices, x and y."""
+        return self.cycle[0], self.cycle[2]
 
     def cycle_edges(self) -> tuple[Edge, Edge, Edge, Edge]:
         """The four edges in one fixed order: x-u, y-v, x-v, y-u, each
@@ -92,7 +97,7 @@ def find_obstructions(g: Graph) -> list[Obstruction]:
     for v, nbrs in enumerate(g.adjacency):
         if len(nbrs) == 2:
             by_nbrs.setdefault(nbrs, []).append(v)
-    return [Obstruction((x, u, y, w), (x, y))
+    return [Obstruction((x, u, y, w))
             for (u, w), verts in sorted(by_nbrs.items())
             for x, y in itertools.combinations(verts, 2)]
 
@@ -162,8 +167,9 @@ def _middle_candidates(g: Graph, r: int, level_pairs: list[int]) -> list[Edge]:
 
 
 def _greedy_complete(g: Graph, base: list[Edge], candidates: list[Edge],
-                     extra: int, rng: random.Random) -> Optional[list[Edge]]:
-    """Greedily add `extra` disjoint edges maximizing closure growth.
+                     extra: int, rng: random.Random) -> list[Edge]:
+    """`base` and `extra` disjoint edges added greedily, each maximizing
+    closure growth; unchecked, since only the witness returned is closed.
 
     The closure of the base and the edges taken so far is kept as a closed
     state and extended once per step by the edge taken; a candidate is
@@ -189,26 +195,14 @@ def _greedy_complete(g: Graph, base: list[Edge], candidates: list[Edge],
             elif gain == best_gain:
                 best.append(e)
         if not best:
-            return None
+            raise ConstructionError(
+                f"greedy completion for BF({g.butterfly}) ran out of "
+                f"candidate edges after {len(chosen)} of {extra}")
         e = rng.choice(best)
         chosen.append(e)
         points.update(e)
         extend_closure(adj, black, counts, e)
-    full = base + chosen
-    return full if is_edge_forcing_set(g, full) else None
-
-
-def _seeded_search(g: Graph, r: int, diamonds: list[Obstruction],
-                   target: int, picks: tuple[int, int],
-                   level_pairs: list[int], seed: int) -> list[Edge]:
-    base = _vertical_skeleton(diamonds) + _horizontal_skeleton(diamonds, picks)
-    full = _greedy_complete(g, base, _middle_candidates(g, r, level_pairs),
-                            target - len(diamonds), random.Random(seed))
-    if full is None:
-        raise ConstructionError(
-            f"seeded search failed to complete a size-{target} witness "
-            f"for BF({r})")
-    return sorted(full)
+    return base + chosen
 
 
 def _subcopies(r: int, sub: list[Edge]) -> list[Edge]:
@@ -221,16 +215,20 @@ def _subcopies(r: int, sub: list[Edge]) -> list[Edge]:
             for top in (0, 1 << s, 2 << s, 3 << s) for u, v in sub]
 
 
-def _recursive_witness(g: Graph, r: int, diamonds: list[Obstruction],
-                       seed: int) -> list[Edge]:
-    edges = _subcopies(r, construct_edge_forcing(r - 2, seed=seed))
-    edges += _horizontal_skeleton(diamonds, STRAIGHT_LOW)
-    if not is_edge_forcing_set(g, edges):
-        forced = closure(g, matching_endpoints(edges)).final
-        raise ConstructionError(
-            f"recursive witness for BF({r}) failed verification; "
-            f"{g.vertex_count - len(forced)} vertices unforced")
-    return sorted(edges)
+def _witness(g: Graph, seed: int) -> list[Edge]:
+    """The unchecked, unsorted witness of g = BF(r): the seeded search for
+    r in `SEEDED_SEARCHES`, else BF(r-2)'s in the four sub-copies plus the
+    `STRAIGHT_LOW` horizontal skeleton."""
+    r = g.butterfly
+    diamonds = find_obstructions(g)
+    if r in SEEDED_SEARCHES:
+        target, picks, level_pairs = SEEDED_SEARCHES[r]
+        base = (_vertical_skeleton(diamonds)
+                + _horizontal_skeleton(diamonds, picks))
+        return _greedy_complete(g, base, _middle_candidates(g, r, level_pairs),
+                                target - len(diamonds), random.Random(seed))
+    return (_subcopies(r, _witness(build_butterfly(r - 2), seed))
+            + _horizontal_skeleton(diamonds, STRAIGHT_LOW))
 
 
 def construct_edge_forcing(r: int, seed: int = DEFAULT_SEED) -> list[Edge]:
@@ -239,7 +237,7 @@ def construct_edge_forcing(r: int, seed: int = DEFAULT_SEED) -> list[Edge]:
     Sizes: `SEEDED_SEARCHES` for r = 3, 4, 5; for r >= 6 the recursive set of
     size u(r) = 4*u(r-2) + 2^(r-1), within the parity upper bound.  BF(r)
     is built once, before the recursion, so a dimension above the
-    butterfly guard fails at once; each level verifies its own witness.
+    butterfly guard fails at once; only BF(r)'s witness is verified.
     """
     _require_dimension(r)
     return butterfly_witness(build_butterfly(r), seed)
@@ -254,16 +252,21 @@ def _require_dimension(r: int) -> None:
 
 def butterfly_witness(g: Graph, seed: int = DEFAULT_SEED) -> list[Edge]:
     """`construct_edge_forcing(r)` on g = BF(r) as `build_butterfly(r)`
-    made it, so that a caller that also needs the graph builds it once."""
+    made it, so that a caller that also needs the graph builds it once.
+    The sorted witness is closed once, on g; ConstructionError names the
+    vertices it leaves unforced."""
     r = g.butterfly
     if r is None:
         raise ButterflyError(
             "butterfly_witness needs a graph made by build_butterfly")
     _require_dimension(r)
-    diamonds = find_obstructions(g)
-    if r in SEEDED_SEARCHES:
-        return _seeded_search(g, r, diamonds, *SEEDED_SEARCHES[r], seed)
-    return _recursive_witness(g, r, diamonds, seed)
+    witness = sorted(_witness(g, seed))
+    if not is_edge_forcing_set(g, witness):
+        forced = closure(g, matching_endpoints(witness)).final
+        raise ConstructionError(
+            f"witness for BF({r}) failed verification; "
+            f"{g.vertex_count - len(forced)} vertices unforced")
+    return witness
 
 
 # ---------------------------------------------------------------------------

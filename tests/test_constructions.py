@@ -232,18 +232,18 @@ class TestConstructions:
         assert built == [9, 7, 5]
 
     def test_each_recursive_level_checks_its_witness_once(self, monkeypatch):
-        sizes = []
+        # only the witness returned is closed: BF(7)'s and BF(5)'s, and the
+        # seeded greedy's, are parts of BF(9)'s, not checked apart
+        checked = []
 
         def counting_check(g, edges, **kwargs):
-            sizes.append(g.vertex_count)
+            checked.append(g.butterfly)
             return is_edge_forcing_set(g, edges, **kwargs)
 
         monkeypatch.setattr(constructions, "is_edge_forcing_set",
                             counting_check)
         construct_edge_forcing(9)
-        bf5 = build_butterfly(5).vertex_count
-        assert [n for n in sizes if n > bf5] == [
-            build_butterfly(7).vertex_count, build_butterfly(9).vertex_count]
+        assert checked == [9]
 
     def test_golden_witnesses_across_seeds(self):
         out = {}
@@ -256,9 +256,9 @@ class TestConstructions:
 
 
 class TestRepair:
-    """A construction level whose witness fails its check raises at once,
-    with no retry.  No seed tried fails, so the check is patched to fail
-    on one BF(r)."""
+    """A witness that fails its one check, on BF(r), raises at once, with
+    no retry.  No seed tried fails, so the check is patched to fail on one
+    BF(r)."""
 
     def patch(self, monkeypatch, r):
         n = build_butterfly(r).vertex_count
@@ -277,17 +277,19 @@ class TestRepair:
     def test_no_replacement_reports_unforced_count(self, monkeypatch):
         checked = self.patch(monkeypatch, 6)
         with pytest.raises(ConstructionError,
-                           match="failed verification; 0 vertices unforced"):
+                           match="^witness for BF\\(6\\) failed verification; "
+                                 "0 vertices unforced$"):
             construct_edge_forcing(6)
         assert len(checked) == 1
 
     def test_seeded_search_makes_one_greedy_try(self, monkeypatch):
+        witness = construct_edge_forcing(4)
         checked = self.patch(monkeypatch, 4)
         with pytest.raises(ConstructionError,
-                           match="seeded search failed to complete a size-25 "
-                                 "witness for BF\\(4\\)"):
+                           match="^witness for BF\\(4\\) failed verification; "
+                                 "0 vertices unforced$"):
             construct_edge_forcing(4)
-        assert len(checked) == 1
+        assert checked == [witness]
 
 
 class TestObstructionSoundness:

@@ -143,13 +143,40 @@ class TestParseGraph:
 
 
 class TestCertificates:
-    def test_round_trip_and_byte_determinism(self):
-        cert = construction_certificate(
-            build_butterfly(3), construct_edge_forcing(3), DEFAULT_SEED)
-        text = emit_certificate(cert)
-        again = emit_certificate(parse_certificate(text))
-        assert text == again
-        assert text == emit_certificate(cert)
+    @pytest.mark.parametrize("name", sorted(
+        path.name for path in FIXTURES.glob("*.json")))
+    def test_round_trip_and_byte_determinism(self, name):
+        # the record keeps what a builder computes; emit writes the constant
+        # fields (obstructions, schema_version, tool) back byte for byte
+        text = (FIXTURES / name).read_text()
+        cert = parse_certificate(text)
+        assert emit_certificate(cert) == text
+        assert emit_certificate(cert) == text
+
+    def construction_doc(self, r, keep=None, result=True):
+        """BF(r)'s construction certificate as emitted, of its witness's
+        first `keep` edges (all by default), with its claim's result set."""
+        witness = construct_edge_forcing(r)[:keep]
+        doc = json.loads(emit_certificate(construction_certificate(
+            build_butterfly(r), witness, DEFAULT_SEED)))
+        doc["claim"]["result"] = result
+        return doc
+
+    def test_construction_witness_that_does_not_force(self):
+        # the record is what construction_certificate writes for these
+        # edges, a matching of BF(5); only the closure refuses them
+        doc = self.construction_doc(5, keep=-1)
+        assert verify_certificate(doc) == (
+            False, "witness does not force under the reference closure")
+
+    @pytest.mark.parametrize("keep", [None, -1], ids=["forcing", "not"])
+    def test_construction_claiming_false_does_not_verify(self, keep):
+        # a construction claims its witness forces: "result": false is
+        # refused, whether or not the witness forces
+        doc = self.construction_doc(5, keep=keep, result=False)
+        size = doc["claim"]["size"]
+        assert verify_certificate(doc) == (
+            False, f"claim recomputed as {{'size': {size}, 'result': True}}")
 
     def test_construction_verifies(self):
         cert = construction_certificate(
@@ -344,9 +371,10 @@ class TestEdgeWitness:
         code, doc = run_json(capsys, ["construct", "--r", 11])
         assert code == 0
         doc["witness"] = record
+        doc["claim"]["size"] = len(pairs)
         assert verify_certificate(doc) == (False, (
-            "claim recomputed as {'size': 6000, 'result': False, "
-            "'diagnostic': 'non-edge: (0, 1) is not an edge of the graph'}"))
+            "witness does not force under the reference closure "
+            "(non-edge: (0, 1) is not an edge of the graph)"))
 
 
 def dumped(value, pad=""):
@@ -395,7 +423,8 @@ JSON_VALUES = st.recursive(
 
 class TestEmit:
     """`emit_certificate` writes each certificate byte for byte as
-    json.dumps(c._asdict(), sort_keys=True, indent=2) + "\\n" does."""
+    json.dumps({**c._asdict(), **CONSTANT_FIELDS}, sort_keys=True,
+    indent=2) + "\\n" does."""
 
     @settings(max_examples=400, deadline=None)
     @given(value=JSON_VALUES, pad=st.sampled_from(["", "  ", "      "]))
@@ -444,7 +473,8 @@ class TestEmit:
         for cert in [*self.certificates_of(g), *extra]:
             kinds.add(cert.kind)
             assert emit_certificate(cert) == json.dumps(
-                cert._asdict(), sort_keys=True, indent=2) + "\n"
+                {**cert._asdict(), **certificates.CONSTANT_FIELDS},
+                sort_keys=True, indent=2) + "\n"
         assert len(kinds) >= 4
 
     @pytest.mark.parametrize("claim", [

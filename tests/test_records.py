@@ -1,17 +1,27 @@
 """The package's records: which fields take part in equality and hashing,
 that no field can be assigned, and the methods they carry."""
 
+import json
+
 import pytest
 
 from edgeforce import __version__
 from edgeforce.butterfly import build_butterfly
-from edgeforce.certificates import Certificate, bounds_certificate
-from edgeforce.constructions import Obstruction, known_bounds
+from edgeforce.certificates import (CLAIM_KINDS, SCHEMA_VERSION, Certificate,
+                                    bounds_certificate, closure_certificate,
+                                    construction_certificate,
+                                    ef_number_certificate,
+                                    efs_check_certificate, emit_certificate,
+                                    reduction_certificate,
+                                    zf_number_certificate,
+                                    zfs_check_certificate)
+from edgeforce.constructions import (Obstruction, construct_edge_forcing,
+                                     known_bounds)
 from edgeforce.engine import ClosureResult, ForceEvent, ForcingTrace, closure
 from edgeforce.graph import from_edges
 from edgeforce.solver import Verdict, min_edge_forcing
 
-from conftest import complete_graph, path_graph
+from conftest import complete_graph, cycle_graph, path_graph
 
 PATH_EVENTS = (ForceEvent(1, 0, 1), ForceEvent(2, 1, 2), ForceEvent(3, 2, 3))
 
@@ -58,13 +68,12 @@ RECORDS = [
     (ForceEvent(1, 0, 1), ("round", "forcer", "forced")),
     (ForcingTrace(frozenset({0}), PATH_EVENTS), ("initial", "events")),
     (closure(path_graph(4), [0]), ("final", "initial", "events")),
-    (Obstruction((0, 1, 2, 3), (0, 2)), ("cycle", "blocked_pair")),
+    (Obstruction((0, 1, 2, 3)), ("cycle",)),
     (known_bounds(3), ("r", "exists", "lower", "exact", "upper_formula",
                        "upper_recursive", "zero_forcing_upper_reference")),
     (Verdict(frozenset({0}), 1, []), ("witness", "explored", "forts")),
     (bounds_certificate(3), ("kind", "graph", "claim", "witness", "trace",
-                             "obstructions", "search", "schema_version",
-                             "tool")),
+                             "search")),
 ]
 
 
@@ -93,9 +102,12 @@ def test_trace_replays():
 
 
 def test_cycle_edges_keep_their_order():
-    # x-u, y-v, x-v, y-u, each normalized
-    assert Obstruction((5, 1, 2, 0), (5, 2)).cycle_edges() == (
-        (1, 5), (0, 2), (0, 5), (1, 2))
+    # x-u, y-v, x-v, y-u, each normalized; the blocked pair is x and y
+    o = Obstruction((5, 1, 2, 0))
+    assert o.cycle_edges() == ((1, 5), (0, 2), (0, 5), (1, 2))
+    assert o.blocked_pair == (5, 2)
+    with pytest.raises(AttributeError):
+        o.blocked_pair = (5, 2)
 
 
 def test_exists_and_value():
@@ -105,11 +117,19 @@ def test_exists_and_value():
     assert (found.exists, found.value) == (True, 2)
 
 
-def test_each_certificate_has_its_own_tool_record():
-    a = Certificate(kind="bounds", graph="butterfly:3", claim={})
-    b = bounds_certificate(3)
-    assert a.tool == b.tool == {"name": "edgeforce", "version": __version__}
-    assert a.tool is not b.tool
-    a.tool["name"] = "changed"
-    assert Certificate(kind="bounds", graph="butterfly:3",
-                       claim={}).tool["name"] == "edgeforce"
+def test_every_kind_writes_the_tool_record():
+    c5 = cycle_graph(5)
+    built = [closure_certificate(c5, [0, 1]), zfs_check_certificate(c5, [0]),
+             efs_check_certificate(c5, [(0, 1)]),
+             zf_number_certificate(c5, 5), ef_number_certificate(c5, 5),
+             ef_number_certificate(build_butterfly(2), 40),
+             bounds_certificate(3), reduction_certificate(c5),
+             construction_certificate(build_butterfly(3),
+                                      construct_edge_forcing(3), 1),
+             Certificate(kind="bounds", graph="butterfly:3", claim={})]
+    assert {c.kind for c in built} == set(CLAIM_KINDS)
+    for c in built:
+        doc = json.loads(emit_certificate(c))
+        assert doc["tool"] == {"name": "edgeforce", "version": __version__}
+        assert doc["schema_version"] == SCHEMA_VERSION
+        assert "obstructions" in doc and doc["obstructions"] is None
